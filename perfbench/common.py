@@ -1,9 +1,10 @@
 """Plumbing shared by the perfbench workloads.
 
-Spans, percentiles, the golden results digest, scratch directories,
-host metadata and peak RSS.  Nothing here imports ``repro``, so
-``run.py`` can refuse to start (non-zero exit, no result line) when the
-working directory holds no ``src/repro`` tree.
+Spans, host-speed calibration, percentiles, the golden results digest,
+scratch directories, host metadata and peak RSS.  Nothing here imports
+``repro`` at module level, so ``run.py`` can refuse to start (non-zero
+exit, no result line) when the working directory holds no
+``src/repro`` tree.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: The benchmark runs from the repository root and keeps every file it
 #: writes below it.
@@ -174,21 +175,33 @@ def calibration_kernel() -> int:
     return len(cells) + len(table)
 
 
+#: An interval whose two speed samples differ by more than this share
+#: ran across a change of host speed, which scaling corrects worst.
+SPEED_CHANGE = 0.2
+#: Times :meth:`HostSpeed.measure` repeats work that hit a change.
+MAX_REPEATS = 2
+
+
 class HostSpeed:
     """Calibration samples interleaved with the measured work.
 
-    The sandbox's CPU speed swings by tens of percent over seconds, for
-    the simulator and the kernel alike.  Work is timed in intervals,
-    each ended by a sample (:meth:`end_interval`); :meth:`reference`
-    scales every duration by the kernel's rate around its interval,
-    turning host seconds into reference seconds, which repeat far
-    better (see ``SLOWDOWN_EXPONENT``).  A running median of three samples keeps a one-sample dip
-    from rescaling the work on either side of it.
+    The sandbox's CPU speed drops by up to half, for spells of a
+    fraction of a second to minutes, for the simulator and the kernel
+    alike.  Work is timed in intervals, each ended by a sample
+    (:meth:`end_interval`).  :meth:`reference` scales each kept
+    duration by the kernel's rate around its interval (see
+    ``SLOWDOWN_EXPONENT``), turning host seconds into reference seconds.
+    An interval across which the speed changed can be discarded, to be
+    repeated (:meth:`measure`) or left out.  A running median of three
+    samples keeps a one-sample dip from rescaling the work on either
+    side.
     """
 
     def __init__(self) -> None:
         self.rates: List[float] = []
-        self.intervals: List[List[float]] = []
+        #: (durations, index of the sample just before them)
+        self.kept: List[Tuple[List[float], int]] = []
+        self.discarded = 0
 
     def sample(self) -> float:
         started = clock()
@@ -203,20 +216,41 @@ class HostSpeed:
         self.rates.append(rate)
         return rate
 
-    def end_interval(self, durations: List[float]) -> None:
-        """Close an interval of measured durations (host seconds)."""
+    def end_interval(self, durations: List[float],
+                     may_discard: bool = False) -> bool:
+        """Close an interval of measured durations (host seconds).
+
+        Returns False, dropping the durations, when ``may_discard`` is
+        set and the host's speed changed across the interval.
+        """
         if not self.rates:
             raise RuntimeError("sample() before the first interval")
-        self.intervals.append(durations)
+        before = len(self.rates) - 1
         self.sample()
+        pair = self.rates[before:]
+        if may_discard and min(pair) < (1.0 - SPEED_CHANGE) * max(pair):
+            self.discarded += 1
+            return False
+        self.kept.append((durations, before))
+        return True
+
+    def measure(self, work: Callable[[], tuple]) -> tuple:
+        """Run ``work`` (returning ``(durations, ...)``) as one interval,
+        repeating it while the host's speed changes across it, at most
+        ``MAX_REPEATS`` times; returns what the kept run returned."""
+        for attempt in range(MAX_REPEATS + 1):
+            done = work()
+            if self.end_interval(done[0], attempt < MAX_REPEATS):
+                return done
+        raise AssertionError("unreachable: the last attempt is kept")
 
     def reference(self) -> List[float]:
-        """Every duration so far, in reference seconds, in order."""
+        """Every kept duration, in reference seconds, in order."""
         smooth = [median(self.rates[max(0, i - 1):i + 2])
                   for i in range(len(self.rates))]
         out = []
-        for index, durations in enumerate(self.intervals):
-            factor = ((smooth[index] + smooth[index + 1]) / 2.0
+        for durations, before in self.kept:
+            factor = ((smooth[before] + smooth[before + 1]) / 2.0
                       / REFERENCE_RATE) ** SLOWDOWN_EXPONENT
             out.extend(seconds * factor for seconds in durations)
         return out

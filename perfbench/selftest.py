@@ -81,13 +81,15 @@ def main() -> int:
                state.programs[0].name)
     digest["zoo"][key] = "0" * 64
     outcome, _, _ = bench.wl_zoo.run(state, 1.0)
-    check(outcome.failed == 1 and not outcome.correct,
-          "a corrupted digest entry is one failed, incorrect operation")
+    # A repeated interval checks the point again, so it may fail twice.
+    check(outcome.failed >= 1 and not outcome.correct,
+          "a corrupted digest entry is a failed, incorrect operation")
 
     ctx = context()
     state = bench.wl_serve.setup(ctx)
     try:
-        bogus = next(r for r in state.requests if r.kind == "program")
+        bogus = next(r for segment in state.segments for r in segment
+                     if r.kind == "program")
         bogus.payload = {"program": "NOT_AN_OPCODE A1"}
         outcome, _, _ = bench.wl_serve.run(state, 1.0)
     finally:

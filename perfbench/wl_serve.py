@@ -84,7 +84,9 @@ class Request:
     sent: Optional[float] = None
     late: Optional[float] = None   # sent minus due, seconds
     done: Optional[float] = None
-    body: Optional[dict] = None
+    #: the response as JSON text: one string, not a tree of objects
+    #: for the cyclic garbage collector of the measured process
+    body: Optional[str] = None
     error: Optional[str] = None
 
 
@@ -156,12 +158,14 @@ def open_loop(state: ServeState, requests: List[Request],
             request.sent = clock()
             request.late = request.sent - start - request.due
             try:
-                request.body = state.client.run_raw(request.payload)
+                body = state.client.run_raw(request.payload)
             except ServeError as exc:
                 request.error = f"HTTP {exc.status} {exc.reason}"
             except OSError as exc:
                 request.error = f"connection error: {exc}"
             request.done = clock()
+            if request.error is None:
+                request.body = json.dumps(body)
             if tracer is not None:
                 op = tracer.add("serve.request", start + request.due,
                                 request.done, rid=request.uid)
@@ -189,7 +193,7 @@ def check(state: ServeState, outcome: Outcome,
         if request.body is None:
             outcome.fail(f"{label}: {request.error or 'unanswered'}")
             continue
-        served = wire_to_result(request.body["result"])
+        served = wire_to_result(json.loads(request.body)["result"])
         point = parse_sim_request(request.payload, workloads).point
         if request.kind == "hit":
             key = point_key(point.engine, point.workload.name,
@@ -211,20 +215,27 @@ def check(state: ServeState, outcome: Outcome,
 def segmented_loop(state: ServeState, segments: List[List[Request]],
                    tracer: Tracer = None) -> Tuple[List[float], float]:
     """Run every segment; returns each request's latency from its due
-    time in reference milliseconds (failures: infinite), and the summed
-    wall time of the segments."""
+    time in reference milliseconds (failures: infinite) over the
+    segments kept, and the summed wall time of all segments."""
     speed = HostSpeed()
     speed.sample()
     window = 0.0
+    dropped_failures = 0
     for requests in segments:
         start = open_loop(state, requests, tracer)
         window += max(request.done for request in requests) - start
-        speed.end_interval([
+        latencies = [
             request.done - start - request.due
             if request.body is not None else float("inf")
             for request in requests
-        ])
-    return [seconds * 1e3 for seconds in speed.reference()], window
+        ]
+        # At most half the segments may be left out for a change of
+        # host speed; their failures still count as over any limit.
+        if not speed.end_interval(
+                latencies, speed.discarded < len(segments) // 2):
+            dropped_failures += latencies.count(float("inf"))
+    return ([seconds * 1e3 for seconds in speed.reference()]
+            + [float("inf")] * dropped_failures), window
 
 
 def run(state: ServeState, seconds: float):
@@ -233,11 +244,11 @@ def run(state: ServeState, seconds: float):
     requests = [r for segment in state.segments for r in segment]
     outcome = Outcome()
     check(state, outcome, requests)
-    served = [r for r in requests if r.body is not None]
-    cold = [r for r in served if not r.body["cache_hit"]]
+    served = [json.loads(r.body) for r in requests if r.body is not None]
+    cold = [body for body in served if not body["cache_hit"]]
     return outcome, {
         "sim_inst_per_s": ratio(
-            sum(r.body["result"]["instructions"] for r in cold), window),
+            sum(body["result"]["instructions"] for body in cold), window),
         "cold_points_per_s": ratio(len(cold), window),
         "warm_points_per_s": ratio(len(served) - len(cold), window),
         "goodput_rps": ratio(len(served), window),

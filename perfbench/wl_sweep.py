@@ -40,7 +40,7 @@ GRID = (
 #: Rows of the traced section's smaller grid.
 TRACED_ROWS = (0, 2, 5)
 #: Warm passes after each cold pass.
-WARM_PASSES = 5
+WARM_PASSES = 3
 JOBS = os.cpu_count() or 1
 
 
@@ -117,42 +117,51 @@ def run(state: SweepState, seconds: float):
     ``WARM_PASSES`` warm passes over it, while the next cycle fits."""
     outcome = Outcome()
     speed = HostSpeed()
-    cold_inst = 0
+    cold_inst: List[int] = []
+    ok_points: List[int] = []
+
     started = clock()
     cycles = 0
     speed.sample()
     while True:
+        # Passes are never repeated: a cold pass lasts seconds, and the
+        # host's speed changes too often to wait for a steady one.
         cache_dir = state.scratch.new_dir("sweep-cache")
         runner = ParallelRunner(jobs=JOBS, cache_dir=cache_dir)
         for index in range(1 + WARM_PASSES):
             wall, results = one_pass(state, runner, outcome, state.order)
             speed.end_interval([wall])
+            ok_points.append(len(results))
             if index == 0:
-                cold_inst += sum(result.instructions for result in results)
+                cold_inst.append(sum(r.instructions for r in results))
                 if state.cold_results is None:
                     state.cold_results = results
         shutil.rmtree(cache_dir, ignore_errors=True)
         cycles += 1
-        elapsed = clock() - started
-        if elapsed * (cycles + 1) / cycles > seconds:
+        if (clock() - started) * (cycles + 1) / cycles > seconds:
             break
+    # Medians over passes and cycles: a pass or two in a slow spell
+    # must not move the figures.
     walls = speed.reference()
-    cold_walls = walls[::1 + WARM_PASSES]
+    per_cycle = 1 + WARM_PASSES
+    cold_walls = walls[::per_cycle]
     warm_walls = [wall for index, wall in enumerate(walls)
-                  if index % (1 + WARM_PASSES)]
+                  if index % per_cycle]
     n_points = len(state.order)
     return outcome, {
-        "sim_inst_per_s": ratio(cold_inst, sum(cold_walls)),
+        "sim_inst_per_s": median([
+            inst / wall for inst, wall in zip(cold_inst, cold_walls)]),
         "cold_points_per_s": median([n_points / w for w in cold_walls]),
         "warm_points_per_s": median([n_points / w for w in warm_walls]),
-        "goodput_rps": ratio(n_points * len(walls) - outcome.failed,
-                             sum(walls)),
+        "goodput_rps": median([
+            sum(ok_points[i:i + per_cycle]) / sum(walls[i:i + per_cycle])
+            for i in range(0, len(walls), per_cycle)]),
         # One operation is one sweep pass (a run_points call).
         "latency_p50_ms": median(walls) * 1e3,
         "latency_p99_ms": percentile(walls, 99.0) * 1e3,
     }, {"cycles": cycles, "cold_passes": len(cold_walls),
-        "calibration_rates": speed.rates,
         "warm_passes": len(warm_walls),
+        "calibration_rates": speed.rates,
         "speedup_vs_paper": speedup_report(state)}
 
 

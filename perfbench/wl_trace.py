@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Tuple
 
 import wl_zoo
@@ -123,31 +124,40 @@ def attempt(state: TraceState, outcome: Outcome, name: str, workload,
     return elapsed, result, attribution, document
 
 
+def interval(state: TraceState, outcome: Outcome, workload, config,
+             names):
+    """The named engines on one program; returns (durations, simulated
+    instructions)."""
+    durations: List[float] = []
+    instructions = 0
+    for name in names:
+        done = attempt(state, outcome, name, workload, config)
+        if done is not None:
+            durations.append(done[0])
+            instructions += done[1].instructions
+    return durations, instructions
+
+
 def run(state: TraceState, seconds: float):
-    """Whole program blocks (every engine on one program) while the next
-    block still fits in ``seconds``."""
+    """Whole rounds (every program on every engine) while the next round
+    still fits in ``seconds``; at least one."""
     outcome = Outcome()
     config = CRAY1_LIKE.with_(window_size=WINDOW)
     speed = HostSpeed()
     instructions = 0
+    half = len(wl_zoo.ENGINES) // 2
+    halves = (wl_zoo.ENGINES[:half], wl_zoo.ENGINES[half:])
     wl_zoo.warm_up(state.programs[0], config)
     started = clock()
-    blocks = 0
+    rounds = 0
     speed.sample()
     while True:
-        workload = state.programs[blocks % len(state.programs)]
-        half = len(wl_zoo.ENGINES) // 2
-        for names in (wl_zoo.ENGINES[:half], wl_zoo.ENGINES[half:]):
-            interval: List[float] = []
-            for name in names:
-                done = attempt(state, outcome, name, workload, config)
-                if done is not None:
-                    interval.append(done[0])
-                    instructions += done[1].instructions
-            speed.end_interval(interval)
-        blocks += 1
-        elapsed = clock() - started
-        if elapsed * (blocks + 1) / blocks > seconds:
+        for workload in state.programs:
+            for names in halves:
+                instructions += speed.measure(partial(
+                    interval, state, outcome, workload, config, names))[1]
+        rounds += 1
+        if (clock() - started) * (rounds + 1) / rounds > seconds:
             break
     latencies = speed.reference()
     busy = sum(latencies)
@@ -160,7 +170,8 @@ def run(state: TraceState, seconds: float):
         "goodput_rps": rate,
         "latency_p50_ms": median(latencies) * 1e3,
         "latency_p99_ms": percentile(latencies, 99.0) * 1e3,
-    }, {"points": len(latencies), "blocks": blocks,
+    }, {"points": len(latencies), "rounds": rounds,
+        "repeated_intervals": speed.discarded,
         "calibration_rates": speed.rates}
 
 

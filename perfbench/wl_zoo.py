@@ -9,6 +9,7 @@ This is the engine hot path (``machine``, ``issue``, ``core``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Tuple
 
 from common import HostSpeed, Outcome, Tracer, clock, iss_mismatch, median, \
@@ -119,37 +120,42 @@ def warm_up(workload, config) -> None:
         run_point(Outcome(), name, workload, config)
 
 
+def interval(state: ZooState, outcome: Outcome, workload, config):
+    """Every engine on one program at one window; returns (durations,
+    simulated instructions)."""
+    durations: List[float] = []
+    instructions = 0
+    for name in ENGINES:
+        outcome.attempted += 1
+        engine, result, build_s, run_s = run_point(
+            outcome, name, workload, config)
+        if result is None:
+            continue
+        durations.append(build_s + run_s)
+        instructions += result.instructions
+        check(state, outcome, name, workload, config, engine, result)
+    return durations, instructions
+
+
 def run(state: ZooState, seconds: float):
-    """Whole program blocks (every engine x window on one program), in a
-    fixed order, while the next block still fits in ``seconds``."""
+    """Whole rounds of the grid (every program, window and engine, in a
+    fixed order) while the next round still fits in ``seconds``; at
+    least one."""
     outcome = Outcome()
     speed = HostSpeed()
     instructions = 0
-    interval_inst = []
     configs = [CRAY1_LIKE.with_(window_size=w) for w in WINDOWS]
     warm_up(state.programs[0], configs[0])
     started = clock()
-    blocks = 0
+    rounds = 0
     speed.sample()
     while True:
-        workload = state.programs[blocks % len(state.programs)]
-        for config in configs:
-            interval: List[float] = []
-            inst0 = instructions
-            for name in ENGINES:
-                outcome.attempted += 1
-                engine, result, build_s, run_s = run_point(
-                    outcome, name, workload, config)
-                if result is None:
-                    continue
-                interval.append(build_s + run_s)
-                instructions += result.instructions
-                check(state, outcome, name, workload, config, engine, result)
-            speed.end_interval(interval)
-            interval_inst.append(instructions - inst0)
-        blocks += 1
-        elapsed = clock() - started
-        if elapsed * (blocks + 1) / blocks > seconds:
+        for workload in state.programs:
+            for config in configs:
+                instructions += speed.measure(partial(
+                    interval, state, outcome, workload, config))[1]
+        rounds += 1
+        if (clock() - started) * (rounds + 1) / rounds > seconds:
             break
     latencies = speed.reference()
     busy = sum(latencies)
@@ -163,10 +169,9 @@ def run(state: ZooState, seconds: float):
         "goodput_rps": rate,
         "latency_p50_ms": median(latencies) * 1e3,
         "latency_p99_ms": percentile(latencies, 99.0) * 1e3,
-    }, {"points": len(latencies), "blocks": blocks,
-        "calibration_rates": speed.rates,
-        "interval_seconds": [sum(i) for i in speed.intervals],
-        "interval_inst": interval_inst}
+    }, {"points": len(latencies), "rounds": rounds,
+        "repeated_intervals": speed.discarded,
+        "calibration_rates": speed.rates}
 
 
 def install_phase_timers(engine) -> Dict[str, float]:
