@@ -244,16 +244,21 @@ class HostSpeed:
                 return done
         raise AssertionError("unreachable: the last attempt is kept")
 
-    def reference(self) -> List[float]:
-        """Every kept duration, in reference seconds, in order."""
+    def reference_intervals(self) -> List[List[float]]:
+        """Each kept interval's durations, in reference seconds."""
         smooth = [median(self.rates[max(0, i - 1):i + 2])
                   for i in range(len(self.rates))]
         out = []
         for durations, before in self.kept:
             factor = ((smooth[before] + smooth[before + 1]) / 2.0
                       / REFERENCE_RATE) ** SLOWDOWN_EXPONENT
-            out.extend(seconds * factor for seconds in durations)
+            out.append([seconds * factor for seconds in durations])
         return out
+
+    def reference(self) -> List[float]:
+        """Every kept duration, in reference seconds, in order."""
+        return [seconds for interval in self.reference_intervals()
+                for seconds in interval]
 
 
 # ----------------------------------------------------------------------
