@@ -98,14 +98,15 @@ def main() -> int:
     check(outcome.failed == 1 and outcome.correct,
           "an invalid serve request is one failed operation")
 
-    bare = os.path.join(common.TMP_ROOT, f"selftest-bare-{os.getpid()}")
+    scratch = common.Scratch()
     try:
+        bare = scratch.new_dir("bare")
         shutil.copytree(common.HERE, os.path.join(bare, "perfbench"),
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(common.SPEC_PATH, bare)
         completed = run_cli("zoo", 0, cwd=bare)
     finally:
-        shutil.rmtree(bare, ignore_errors=True)
+        scratch.cleanup()
     check(completed.returncode != 0 and not completed.stdout.strip(),
           "without src/repro it exits non-zero and prints no result")
     print("selftest passed")
