@@ -47,15 +47,24 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.registers import RegBank, Register
+from ..isa.registers import REGISTERS, TOTAL_REGISTERS, RegBank
 from ..isa.semantics import coerce_for_bank, evaluate
 from ..machine.engine import Engine
-from ..machine.faults import FAULT_TYPES, PageFault, SimulationError
+from ..machine.faults import FAULT_TYPES, PageFault
 from ..machine.stats import StallReason
 from ..memdep import FROM_MEMORY, MemoryDependencyUnit
-from ..issue.common import Operand, WindowEntry
+from ..issue.common import Operand, WakeupIndex, WindowEntry
 
-Tag = Tuple[Register, int]
+#: An RUU tag names one instance of one register, ``instance << 8 | id``
+#: (the paper's register number concatenated with LI).
+Tag = int
+TAG_ID_BITS = 8
+TAG_ID_MASK = (1 << TAG_ID_BITS) - 1
+
+
+def tag_parts(tag: Tag) -> Tuple[int, int]:
+    """``(register id, instance)`` of an RUU tag."""
+    return tag & TAG_ID_MASK, tag >> TAG_ID_BITS
 
 
 class BypassMode(enum.Enum):
@@ -79,9 +88,18 @@ class RUUEngine(Engine):
         self.name = f"ruu-{bypass.value}"
         self.mdu = MemoryDependencyUnit(self.config.n_load_registers)
         self.window: Deque[WindowEntry] = deque()
-        self._ni: Dict[Register, int] = {}
-        self._li: Dict[Register, int] = {}
+        #: NI and LI counters (paper §5.1), by register id.
+        self._ni: List[int] = [0] * TOTAL_REGISTERS
+        self._li: List[int] = [0] * TOTAL_REGISTERS
+        self._max_instances = self.config.max_instances
+        self._li_mask = (1 << self.config.counter_bits) - 1
+        #: May a source read an executed result from the RUU, by
+        #: register id (the bypass mode's read paths).
+        self._bypass_ok: List[bool] = [
+            self._bypass_allows(reg.bank) for reg in REGISTERS
+        ]
         self._live: Dict[Tag, WindowEntry] = {}
+        self._waiting = WakeupIndex()
         self._unresolved: Deque[WindowEntry] = deque()
         self._pending_publish: List[WindowEntry] = []
         self._decode_watch_tag: Optional[Tag] = None
@@ -102,24 +120,25 @@ class RUUEngine(Engine):
         if inst.is_memory and not self.mdu.can_accept():
             self.stall(StallReason.NO_LOAD_REGISTER)
             return False
-        dest = inst.dest
-        if dest is not None and \
-                self._ni.get(dest, 0) >= self.config.max_instances:
+        dest = inst.dest_id
+        if dest is not None and self._ni[dest] >= self._max_instances:
             self.stall(StallReason.INSTANCE_LIMIT)
             return False
 
         # Sources first (an instruction may read its own destination's
         # previous instance), then create the new destination instance.
-        operands = [self._source_operand(reg) for reg in inst.sources]
+        operands = [self._source_operand(reg) for reg in inst.source_ids]
         dest_tag: Optional[Tag] = None
         if dest is not None:
-            ni = self._ni.get(dest, 0) + 1
+            ni = self._ni[dest] + 1
             self._ni[dest] = ni
-            self.max_ni_observed = max(self.max_ni_observed, ni)
-            li = (self._li.get(dest, 0) + 1) % (1 << self.config.counter_bits)
+            if ni > self.max_ni_observed:
+                self.max_ni_observed = ni
+            li = (self._li[dest] + 1) & self._li_mask
             self._li[dest] = li
-            dest_tag = (dest, li)
+            dest_tag = li << TAG_ID_BITS | dest
         entry = WindowEntry(seq, inst, operands, dest_tag=dest_tag)
+        self._waiting.add(entry)
         self.window.append(entry)
         if dest_tag is not None:
             self._live[dest_tag] = entry
@@ -131,7 +150,7 @@ class RUUEngine(Engine):
         self.note(seq, "issue")
         return True
 
-    def _source_operand(self, reg: Register) -> Operand:
+    def _source_operand(self, reg: int) -> Operand:
         """Register-file read, RUU bypass read, or tag to snoop.
 
         With ``NI == 0`` the register file holds the latest instance
@@ -140,21 +159,21 @@ class RUUEngine(Engine):
         it has executed; a bypass-disabled bank waits for the value to
         travel on the result bus or the commit bus.
         """
-        if self._ni.get(reg, 0) == 0:
-            return Operand(True, self.regs.read(reg))
-        tag = (reg, self._li[reg])
-        if self._bypass_allows(reg):
+        if not self._ni[reg]:
+            return Operand(True, self.regs.values[reg])
+        tag = self._li[reg] << TAG_ID_BITS | reg
+        if self._bypass_ok[reg]:
             producer = self._live.get(tag)
-            if producer is not None and producer.executed \
+            if producer is not None and producer.executed_cycle is not None \
                     and producer.fault is None:
                 return Operand(True, producer.result)
         return Operand(False, tag=tag)
 
-    def _bypass_allows(self, reg: Register) -> bool:
+    def _bypass_allows(self, bank: RegBank) -> bool:
         if self.bypass is BypassMode.FULL:
             return True
         if self.bypass is BypassMode.LIMITED:
-            return reg.bank is RegBank.A
+            return bank is RegBank.A
         return False
 
     # ------------------------------------------------------------------
@@ -191,7 +210,7 @@ class RUUEngine(Engine):
         """Effective addresses resolve strictly in program order."""
         while self._unresolved:
             entry = self._unresolved[0]
-            if not entry.address_computable():
+            if not entry.operands[-1].ready:
                 break
             self.mdu.resolve(entry.seq, entry.compute_address())
             self._unresolved.popleft()
@@ -215,11 +234,11 @@ class RUUEngine(Engine):
                 return False
             if inst.is_store:
                 return (
-                    entry.operands_ready()
+                    not entry.missing
                     and self.mdu.store_may_dispatch(entry.seq)
                 )
             return self.mdu.load_source_ready(entry.seq)
-        return entry.operands_ready()
+        return not entry.missing
 
     def _execution_latency(self, entry: WindowEntry) -> int:
         inst = entry.inst
@@ -227,22 +246,23 @@ class RUUEngine(Engine):
             return self.config.store_execute_latency
         if inst.is_load and self.mdu.binding_of(entry.seq) is not FROM_MEMORY:
             return self.config.forward_latency
-        return self.config.latency(inst.fu)
+        return self.fus.latency[inst.fu_index]
 
     def _dispatch(self, entry: WindowEntry) -> bool:
         """Send a ready entry to its functional unit, reserving the
         result bus for its completion cycle (paper: "The RUU reserves
         the result bus when it issues an instruction")."""
         inst = entry.inst
-        if not self.fus.can_accept(inst.fu, self.cycle):
+        if not self.fus.can_accept(inst.fu_index, self.cycle):
             return False
         done_cycle = self.cycle + self._execution_latency(entry)
-        if inst.dest is not None and not self.result_bus.is_free(done_cycle):
+        if inst.dest_id is not None \
+                and not self.result_bus.is_free(done_cycle):
             self.result_bus.conflicts += 1
             return False
         self._execute(entry)
-        self.fus.accept(inst.fu, self.cycle)
-        if inst.dest is not None:
+        self.fus.accept(inst.fu_index, self.cycle)
+        if inst.dest_id is not None:
             self.result_bus.reserve(done_cycle)
         entry.dispatched = True
         if inst.is_memory:
@@ -289,7 +309,7 @@ class RUUEngine(Engine):
             self.note(entry.seq, "complete")
             if entry.fault is not None:
                 continue  # no result to broadcast; trap taken at commit
-            if entry.inst.dest is not None:
+            if entry.dest_tag is not None:
                 self._broadcast(entry.dest_tag, entry.result)
             if entry.inst.is_load:
                 self.mdu.publish(entry.seq, entry.result)
@@ -297,8 +317,7 @@ class RUUEngine(Engine):
     def _broadcast(self, tag: Tag, value) -> None:
         """Result-bus (and, from commit, commit-bus) tag match: waiting
         reservation stations and a watching decode stage capture."""
-        for waiter in self.window:
-            waiter.snoop(tag, value)
+        self._waiting.wake(tag, value)
         if tag == self._decode_watch_tag:
             self._decode_watch_value = value
             self._decode_watch_hit = True
@@ -332,13 +351,10 @@ class RUUEngine(Engine):
                 entry.fault = fault
                 self._interrupt_at(entry)
                 return False
-        if inst.dest is not None:
-            self.regs.write(inst.dest, entry.result)
-            ni = self._ni[inst.dest] - 1
-            if ni:
-                self._ni[inst.dest] = ni
-            else:
-                del self._ni[inst.dest]
+        dest = inst.dest_id
+        if dest is not None:
+            self.regs.values[dest] = entry.result
+            self._ni[dest] -= 1
             # The RUU-to-register-file bus is snooped like the result bus.
             self._broadcast(entry.dest_tag, entry.result)
             self._live.pop(entry.dest_tag, None)
@@ -387,7 +403,8 @@ class RUUEngine(Engine):
         self.squashed += len(self.window)
         self.window.clear()
         self._live.clear()
-        self._ni.clear()
+        self._waiting.clear()
+        self._ni = [0] * TOTAL_REGISTERS
         self._unresolved.clear()
         self._pending_publish.clear()
         self.mdu.squash_from(0)
@@ -401,7 +418,7 @@ class RUUEngine(Engine):
     # branches in the decode stage
     # ------------------------------------------------------------------
 
-    def _branch_operand(self, reg: Register) -> Tuple[bool, object]:
+    def _branch_operand(self, reg: int) -> Tuple[bool, object]:
         """Condition-register read under the configured bypass mode.
 
         This is where Table 6's mechanism lives: with no bypass, a
@@ -409,11 +426,11 @@ class RUUEngine(Engine):
         decode can only obtain it from the commit bus; duplicating the
         A register file (the future file) restores an immediate read.
         """
-        if self._ni.get(reg, 0) == 0:
+        if not self._ni[reg]:
             self._clear_decode_watch()
-            return True, self.regs.read(reg)
-        tag = (reg, self._li[reg])
-        if self._bypass_allows(reg):
+            return True, self.regs.values[reg]
+        tag = self._li[reg] << TAG_ID_BITS | reg
+        if self._bypass_ok[reg]:
             producer = self._live.get(tag)
             if producer is not None and producer.executed \
                     and producer.fault is None:
@@ -431,8 +448,15 @@ class RUUEngine(Engine):
         self._decode_watch_value = None
         self._decode_watch_hit = False
 
-    def _register_pending(self, reg: Register) -> bool:
-        return self._ni.get(reg, 0) > 0
+    def _register_pending(self, reg: int) -> bool:
+        return self._ni[reg] > 0
+
+    def invariant_checks(self, checker) -> None:
+        checker.check_ruu(self)
+
+    def tag_name(self, tag: Tag) -> str:
+        reg, instance = tag_parts(tag)
+        return f"{REGISTERS[reg].name}#{instance}"
 
     # ------------------------------------------------------------------
 

@@ -38,7 +38,7 @@ from ..isa.opcodes import Opcode
 from ..isa.semantics import branch_taken
 from ..machine.stats import StallReason
 from .prediction import BranchPredictor, TwoBitPredictor
-from .ruu import RUUEngine, Tag
+from .ruu import TAG_ID_BITS, RUUEngine, Tag, tag_parts
 
 
 @dataclass
@@ -80,7 +80,8 @@ class SpeculativeRUUEngine(RUUEngine):
         if inst.opcode is Opcode.JMP:
             super()._issue_control_flow(inst)
             return
-        ready, value = self._branch_operand(inst.srcs[0])
+        reg = inst.src_ids[0]
+        ready, value = self._branch_operand(reg)
         if ready:
             taken = branch_taken(inst.opcode, value)
             self.predictor.update(inst, taken)
@@ -94,8 +95,7 @@ class SpeculativeRUUEngine(RUUEngine):
             self.stall(StallReason.BRANCH_WAIT)
             return
         # Predict and continue down the chosen path in conditional mode.
-        reg = inst.srcs[0]
-        tag = (reg, self._li[reg])
+        tag = self._li[reg] << TAG_ID_BITS | reg
         predicted = self.predictor.predict(inst)
         self.predictions += 1
         self._pending_branches.append(
@@ -163,16 +163,16 @@ class SpeculativeRUUEngine(RUUEngine):
         """A branch that missed the bus traffic can still read its
         condition once the producing instance has committed (the
         register file is then current) or through the bypass path."""
-        reg, instance = pending.tag
+        reg, _ = tag_parts(pending.tag)
         producer = self._live.get(pending.tag)
         if producer is None:
             # Producer left the RUU: committed (value in the register
             # file) or squashed along with this branch's own squash --
             # the latter cannot happen while the branch is still listed.
-            pending.value = self.regs.read(reg)
+            pending.value = self.regs.values[reg]
             pending.value_ready = True
             return True
-        if self._bypass_allows(reg) and producer.executed \
+        if self._bypass_ok[reg] and producer.executed \
                 and producer.fault is None:
             pending.value = producer.result
             pending.value_ready = True
@@ -216,16 +216,13 @@ class SpeculativeRUUEngine(RUUEngine):
             entry.squashed = True
             self.squashed += 1
             if entry.dest_tag is not None:
-                reg, instance = entry.dest_tag
-                remaining = self._ni[reg] - 1
-                if remaining:
-                    self._ni[reg] = remaining
-                else:
-                    del self._ni[reg]
+                reg, instance = tag_parts(entry.dest_tag)
+                self._ni[reg] -= 1
                 # Walking youngest to oldest, the last write leaves LI at
                 # the instance just before the oldest squashed one.
                 self._li[reg] = (instance - 1) % modulus
                 self._live.pop(entry.dest_tag, None)
+        self._waiting.drop_squashed()
         self._unresolved = deque(
             entry for entry in self._unresolved if entry.seq < boundary_seq
         )

@@ -25,11 +25,10 @@ Issue remains strictly in order and blocking -- dependency *resolution*
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import OpKind
-from ..isa.registers import Register, RegisterFile
+from ..isa.registers import TOTAL_REGISTERS, RegisterFile
 from ..isa.semantics import coerce_for_bank, effective_address, evaluate
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES, PageFault
@@ -72,28 +71,29 @@ class InOrderPreciseEngine(Engine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.buffer: Deque[_BufEntry] = deque()
-        self._busy: Dict[Register, _BufEntry] = {}
+        #: The pending writer of each register (None: not busy), by id.
+        self._busy: List[Optional[_BufEntry]] = [None] * TOTAL_REGISTERS
 
     # ------------------------------------------------------------------
     # register-read policy hooks
     # ------------------------------------------------------------------
 
-    def _read_source(self, reg: Register) -> Tuple[bool, object]:
-        """May the issue stage read ``reg`` now, and what value?"""
-        entry = self._busy.get(reg)
-        if entry is None:
+    def _read_source(self, reg: int) -> Tuple[bool, object]:
+        """May the issue stage read register ``reg`` now, and what value?"""
+        if self._busy[reg] is None:
             return True, self._issue_file_read(reg)
         return False, None
 
-    def _issue_file_read(self, reg: Register):
+    def _issue_file_read(self, reg: int):
         """Which register file does the issue stage read from?"""
-        return self.regs.read(reg)
+        return self.regs.values[reg]
 
     def _on_complete(self, entry: _BufEntry) -> None:
         """A result arrived on the bus (still uncommitted)."""
-        if self.unblocks_at_completion and entry.inst.dest is not None:
-            if self._busy.get(entry.inst.dest) is entry:
-                del self._busy[entry.inst.dest]
+        dest = entry.inst.dest_id
+        if self.unblocks_at_completion and dest is not None:
+            if self._busy[dest] is entry:
+                self._busy[dest] = None
 
     def _recover_precise_state(self, fault_seq: int) -> None:
         """Undo any speculative register-file damage at an interrupt."""
@@ -107,27 +107,28 @@ class InOrderPreciseEngine(Engine):
             self.stall(StallReason.WINDOW_FULL)
             return False
         values = []
-        for reg in inst.sources:
+        for reg in inst.source_ids:
             ok, value = self._read_source(reg)
             if not ok:
                 self.stall(StallReason.SOURCE_BUSY)
                 return False
             values.append(value)
-        dest = inst.dest
-        if dest is not None and dest in self._busy:
+        dest = inst.dest_id
+        if dest is not None and self._busy[dest] is not None:
             self.stall(StallReason.DEST_BUSY)
             return False
-        if not self.fus.can_accept(inst.fu, self.cycle):
+        fu = inst.fu_index
+        if not self.fus.can_accept(fu, self.cycle):
             self.stall(StallReason.FU_BUSY)
             return False
-        done_cycle = self.fus.result_cycle(inst.fu, self.cycle)
+        done_cycle = self.fus.result_cycle(fu, self.cycle)
         if dest is not None and not self.result_bus.is_free(done_cycle):
             self.stall(StallReason.RESULT_BUS)
             return False
 
         entry = _BufEntry(seq, inst)
         self._execute(entry, values)
-        self.fus.accept(inst.fu, self.cycle)
+        self.fus.accept(fu, self.cycle)
         if dest is not None:
             self.result_bus.reserve(done_cycle)
             entry.old_value = self._issue_file_read(dest)
@@ -147,14 +148,13 @@ class InOrderPreciseEngine(Engine):
         forward from uncommitted stores in the buffer.
         """
         inst = entry.inst
-        kind = inst.opcode.kind
         try:
-            if kind is OpKind.LOAD:
+            if inst.is_load:
                 entry.address = effective_address(values[-1], inst.imm)
                 entry.value = coerce_for_bank(
                     inst.dest, self._load_value(entry.address)
                 )
-            elif kind is OpKind.STORE:
+            elif inst.is_store:
                 entry.address = effective_address(values[-1], inst.imm)
                 entry.datum = values[0]
             else:
@@ -203,7 +203,7 @@ class InOrderPreciseEngine(Engine):
                     entry.fault = fault
                     self._interrupt_at(entry)
                     return
-            if inst.dest is not None:
+            if inst.dest_id is not None:
                 self._commit_register(entry)
             self.buffer.popleft()
             self.note(entry.seq, "commit")
@@ -211,9 +211,10 @@ class InOrderPreciseEngine(Engine):
             budget -= 1
 
     def _commit_register(self, entry: _BufEntry) -> None:
-        self.regs.write(entry.inst.dest, entry.value)
-        if self._busy.get(entry.inst.dest) is entry:
-            del self._busy[entry.inst.dest]
+        dest = entry.inst.dest_id
+        self.regs.values[dest] = entry.value
+        if self._busy[dest] is entry:
+            self._busy[dest] = None
 
     # ------------------------------------------------------------------
     # precise interrupts
@@ -233,7 +234,7 @@ class InOrderPreciseEngine(Engine):
         for victim in self.buffer:
             victim.squashed = True
         self.buffer.clear()
-        self._busy.clear()
+        self._busy = [None] * TOTAL_REGISTERS
         self.pc = entry.inst.pc
         self.decode_slot = None
         # Recycle the squashed sequence numbers (see RUUEngine
@@ -247,11 +248,11 @@ class InOrderPreciseEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def _branch_operand(self, reg: Register) -> Tuple[bool, object]:
+    def _branch_operand(self, reg: int) -> Tuple[bool, object]:
         return self._read_source(reg)
 
-    def _register_pending(self, reg: Register) -> bool:
-        return reg in self._busy
+    def _register_pending(self, reg: int) -> bool:
+        return self._busy[reg] is not None
 
     def _drained(self) -> bool:
         return not self.buffer
@@ -275,10 +276,10 @@ class ReorderBufferBypassEngine(InOrderPreciseEngine):
     name = "rob-bypass"
     unblocks_at_completion = False
 
-    def _read_source(self, reg: Register) -> Tuple[bool, object]:
-        entry = self._busy.get(reg)
+    def _read_source(self, reg: int) -> Tuple[bool, object]:
+        entry = self._busy[reg]
         if entry is None:
-            return True, self.regs.read(reg)
+            return True, self.regs.values[reg]
         if entry.done and entry.fault is None:
             return True, entry.value
         return False, None
@@ -293,22 +294,23 @@ class HistoryBufferEngine(InOrderPreciseEngine):
     unblocks_at_completion = True
 
     def _on_complete(self, entry: _BufEntry) -> None:
-        if entry.inst.dest is not None:
-            self.regs.write(entry.inst.dest, entry.value)
+        if entry.inst.dest_id is not None:
+            self.regs.values[entry.inst.dest_id] = entry.value
         super()._on_complete(entry)
 
     def _commit_register(self, entry: _BufEntry) -> None:
         # Already written at completion; committing merely discards the
         # history record (the old value can no longer be needed).
-        if self._busy.get(entry.inst.dest) is entry:
-            del self._busy[entry.inst.dest]
+        dest = entry.inst.dest_id
+        if self._busy[dest] is entry:
+            self._busy[dest] = None
 
     def _recover_precise_state(self, fault_seq: int) -> None:
         """Roll back: restore pre-issue values, youngest first."""
         for entry in reversed(self.buffer):
-            if entry.inst.dest is not None and entry.done \
+            if entry.inst.dest_id is not None and entry.done \
                     and entry.fault is None:
-                self.regs.write(entry.inst.dest, entry.old_value)
+                self.regs.values[entry.inst.dest_id] = entry.old_value
 
 
 class FutureFileEngine(InOrderPreciseEngine):
@@ -323,12 +325,12 @@ class FutureFileEngine(InOrderPreciseEngine):
         super().__init__(*args, **kwargs)
         self.future: RegisterFile = self.regs.copy()
 
-    def _issue_file_read(self, reg: Register):
-        return self.future.read(reg)
+    def _issue_file_read(self, reg: int):
+        return self.future.values[reg]
 
     def _on_complete(self, entry: _BufEntry) -> None:
-        if entry.inst.dest is not None:
-            self.future.write(entry.inst.dest, entry.value)
+        if entry.inst.dest_id is not None:
+            self.future.values[entry.inst.dest_id] = entry.value
         super()._on_complete(entry)
 
     def _recover_precise_state(self, fault_seq: int) -> None:

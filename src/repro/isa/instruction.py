@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Generic, Optional, Tuple, TypeVar, overload
 
-from .opcodes import FUClass, OpKind, Opcode
+from .opcodes import FU_INDEX, FUClass, OpKind, Opcode
 from .registers import RegBank, Register
+
+_T = TypeVar("_T")
+
+
+class _Decoded(Generic[_T]):
+    """A decoded attribute: the first read decodes the whole instruction
+    into its instance dict, which then shadows this descriptor."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    @overload
+    def __get__(self, inst: None, owner: type) -> "_Decoded[_T]": ...
+
+    @overload
+    def __get__(self, inst: "Instruction", owner: type) -> _T: ...
+
+    def __get__(self, inst, owner=None):
+        if inst is None:
+            return self
+        inst._decode()
+        return inst.__dict__[self.name]
 
 
 @dataclass(frozen=True)
@@ -66,42 +88,68 @@ class Instruction:
         if self.opcode.is_control_flow and self.target is None:
             raise ValueError(f"{self.opcode.mnemonic} requires a target")
 
-    # -- dependency views ----------------------------------------------
+    # -- decoded record -----------------------------------------------------
 
-    @property
-    def sources(self) -> Tuple[Register, ...]:
-        """All registers read: explicit sources plus the address base."""
-        if self.base is not None:
-            return self.srcs + (self.base,)
-        return self.srcs
+    # The attributes below are derived from the fields on first use and
+    # then live in the instance dict: one decode per instruction, after
+    # which every read is a plain attribute load.  They are never
+    # pickled (see ``__getstate__``), and ``dataclasses.replace`` builds a
+    # fresh instruction that decodes itself again.
 
-    @property
-    def fu(self) -> FUClass:
-        return self.opcode.fu
+    #: All registers read: explicit sources plus the address base.
+    sources = _Decoded[Tuple[Register, ...]]()
+    fu = _Decoded[FUClass]()
+    #: Position of ``fu`` in ``FUClass`` order (see ``FU_INDEX``).
+    fu_index = _Decoded[int]()
+    is_load = _Decoded[bool]()
+    is_store = _Decoded[bool]()
+    is_memory = _Decoded[bool]()
+    is_branch = _Decoded[bool]()
+    is_control_flow = _Decoded[bool]()
+    is_halt = _Decoded[bool]()
+    is_nop = _Decoded[bool]()
+    #: Register id (``Register.flat_index``) of ``dest``, or None.
+    dest_id = _Decoded[Optional[int]]()
+    #: Register id of ``base``, or None.
+    base_id = _Decoded[Optional[int]]()
+    #: Register ids of the explicit sources, in ``srcs`` order.
+    src_ids = _Decoded[Tuple[int, ...]]()
+    #: Register ids of ``sources`` (explicit sources, then the base).
+    source_ids = _Decoded[Tuple[int, ...]]()
+    #: Bitmask over register ids of everything read / written.
+    src_mask = _Decoded[int]()
+    dest_mask = _Decoded[int]()
 
-    @property
-    def is_load(self) -> bool:
-        return self.opcode.is_load
+    def _decode(self) -> None:
+        opcode = self.opcode
+        sources = self.srcs if self.base is None else self.srcs + (self.base,)
+        source_ids = tuple(reg.flat_index for reg in sources)
+        dest_id = None if self.dest is None else self.dest.flat_index
+        src_mask = 0
+        for reg_id in source_ids:
+            src_mask |= 1 << reg_id
+        self.__dict__.update(
+            sources=sources,
+            fu=opcode.fu,
+            fu_index=FU_INDEX[opcode.fu],
+            is_load=opcode.is_load,
+            is_store=opcode.is_store,
+            is_memory=opcode.is_memory,
+            is_branch=opcode.is_branch,
+            is_control_flow=opcode.is_control_flow,
+            is_halt=opcode is Opcode.HALT,
+            is_nop=opcode is Opcode.NOP,
+            dest_id=dest_id,
+            base_id=None if self.base is None else self.base.flat_index,
+            src_ids=source_ids[:len(self.srcs)],
+            source_ids=source_ids,
+            src_mask=src_mask,
+            dest_mask=0 if dest_id is None else 1 << dest_id,
+        )
 
-    @property
-    def is_store(self) -> bool:
-        return self.opcode.is_store
-
-    @property
-    def is_memory(self) -> bool:
-        return self.opcode.is_memory
-
-    @property
-    def is_branch(self) -> bool:
-        return self.opcode.is_branch
-
-    @property
-    def is_control_flow(self) -> bool:
-        return self.opcode.is_control_flow
-
-    @property
-    def is_halt(self) -> bool:
-        return self.opcode is Opcode.HALT
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the fields only; the receiver decodes on first use."""
+        return {name: self.__dict__[name] for name in _FIELD_NAMES}
 
     # -- display ---------------------------------------------------------
 
@@ -123,3 +171,6 @@ class Instruction:
             parts.append(f"-> {self.target}")
         body = ", ".join(parts)
         return f"{op.mnemonic} {body}".strip()
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(Instruction))

@@ -34,6 +34,10 @@ class FUClass(enum.Enum):
     CONTROL = "control"            # NOP / HALT
 
 
+#: Position of each FU class in ``FUClass`` order: engines keep their
+#: per-unit state in lists indexed by it.
+FU_INDEX: Dict[FUClass, int] = {fu: index for index, fu in enumerate(FUClass)}
+
 #: Default functional-unit latency in clock cycles (CRAY-1 unit times).
 DEFAULT_LATENCY: Dict[FUClass, int] = {
     FUClass.ADDR_ADD: 2,
@@ -125,34 +129,15 @@ class Opcode(enum.Enum):
         self.fu = fu
         self.kind = kind
         self.n_srcs = n_srcs
-
-    # -- structural predicates ----------------------------------------
-
-    @property
-    def is_load(self) -> bool:
-        return self.kind is OpKind.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.kind is OpKind.STORE
-
-    @property
-    def is_memory(self) -> bool:
-        return self.kind in (OpKind.LOAD, OpKind.STORE)
-
-    @property
-    def is_branch(self) -> bool:
-        """True for conditional branches (not unconditional jumps)."""
-        return self.kind is OpKind.BRANCH
-
-    @property
-    def is_control_flow(self) -> bool:
-        return self.kind in (OpKind.BRANCH, OpKind.JUMP)
-
-    @property
-    def has_dest(self) -> bool:
-        """True if the instruction writes a destination register."""
-        return self.kind in (OpKind.ALU, OpKind.IMMEDIATE, OpKind.LOAD)
+        # -- structural predicates (plain attributes, fixed per opcode) --
+        self.is_load = kind is OpKind.LOAD
+        self.is_store = kind is OpKind.STORE
+        self.is_memory = kind in (OpKind.LOAD, OpKind.STORE)
+        #: True for conditional branches (not unconditional jumps).
+        self.is_branch = kind is OpKind.BRANCH
+        self.is_control_flow = kind in (OpKind.BRANCH, OpKind.JUMP)
+        #: True if the instruction writes a destination register.
+        self.has_dest = kind in (OpKind.ALU, OpKind.IMMEDIATE, OpKind.LOAD)
 
     @property
     def uses_immediate(self) -> bool:

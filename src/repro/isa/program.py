@@ -23,9 +23,11 @@ class Program:
     """An immutable, finalized program.
 
     Instructions carry resolved integer branch targets and their own
-    ``pc``.  Construct via :func:`build_program`,
-    :class:`repro.isa.builder.ProgramBuilder`, or
-    :func:`repro.isa.assembler.assemble`.
+    ``pc``; each decodes its flat engine record (register ids, masks,
+    flags, FU index) on first use, so a program decodes once per
+    process and ships to workers undecoded.  Construct via
+    :func:`build_program`, :class:`repro.isa.builder.ProgramBuilder`,
+    or :func:`repro.isa.assembler.assemble`.
     """
 
     instructions: tuple

@@ -15,8 +15,7 @@ register in Tomasulo's style would need 144 tag-matching units.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 
 class RegBank(enum.Enum):
@@ -39,34 +38,57 @@ _BANK_SIZES = {RegBank.A: 8, RegBank.S: 8, RegBank.B: 64, RegBank.T: 64}
 TOTAL_REGISTERS = sum(bank.size for bank in RegBank)
 
 
-@dataclass(frozen=True)
 class Register:
-    """An architectural register: a bank plus an index within the bank."""
+    """An architectural register: a bank plus an index within the bank.
+
+    Registers are interned: ``Register(bank, index)`` always returns the
+    same object, so equality and hashing are identity and ``flat_index``
+    (the register id, 0..143) is a plain attribute.  Engines index their
+    per-register state by that id and never key it by ``Register``.
+    """
+
+    __slots__ = ("bank", "index", "flat_index", "name")
 
     bank: RegBank
     index: int
+    #: Index into a flat 0..143 register numbering (the register id).
+    flat_index: int
+    #: Assembly name, e.g. ``A0``, ``S7``, ``B63``.
+    name: str
+
+    def __new__(cls, bank: RegBank, index: int) -> "Register":
+        try:
+            return _INTERNED[bank, index]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"register index {index} out of range for bank "
+                f"{getattr(bank, 'value', bank)} "
+                f"(size {getattr(bank, 'size', '?')})"
+            ) from None
+
+    @classmethod
+    def _intern(cls, bank: RegBank, index: int, flat_index: int) -> "Register":
+        reg = object.__new__(cls)
+        for slot, value in (("bank", bank), ("index", index),
+                            ("flat_index", flat_index),
+                            ("name", f"{bank.value}{index}")):
+            object.__setattr__(reg, slot, value)
+        return reg
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("Register is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Register is immutable")
+
+    def __reduce__(self):
+        # Unpickling (and copy/deepcopy) go back through the intern table.
+        return (Register, (self.bank, self.index))
 
     def __lt__(self, other: "Register") -> bool:
         if not isinstance(other, Register):
             return NotImplemented
         return self.flat_index < other.flat_index
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.bank.size:
-            raise ValueError(
-                f"register index {self.index} out of range for bank "
-                f"{self.bank.value} (size {self.bank.size})"
-            )
-
-    @property
-    def name(self) -> str:
-        """Assembly name, e.g. ``A0``, ``S7``, ``B63``."""
-        return f"{self.bank.value}{self.index}"
-
-    @property
-    def flat_index(self) -> int:
-        """Index into a flat 0..143 register numbering (used as tag base)."""
-        return _BANK_OFFSETS[self.bank] + self.index
 
     def __repr__(self) -> str:
         return self.name
@@ -85,6 +107,16 @@ class Register:
 
 
 _BANK_OFFSETS = {RegBank.A: 0, RegBank.S: 8, RegBank.B: 16, RegBank.T: 80}
+
+#: Every register, indexed by its id (``flat_index``).
+REGISTERS: Tuple[Register, ...] = tuple(
+    Register._intern(bank, index, _BANK_OFFSETS[bank] + index)
+    for bank in RegBank
+    for index in range(bank.size)
+)
+_INTERNED: Dict[Tuple[RegBank, int], Register] = {
+    (reg.bank, reg.index): reg for reg in REGISTERS
+}
 
 
 def A(index: int) -> Register:
@@ -109,9 +141,7 @@ def T(index: int) -> Register:
 
 def all_registers() -> Iterator[Register]:
     """Iterate over every architectural register (144 of them)."""
-    for bank in RegBank:
-        for index in range(bank.size):
-            yield Register(bank, index)
+    return iter(REGISTERS)
 
 
 class RegisterFile:
@@ -121,43 +151,45 @@ class RegisterFile:
     (ints or floats); B mirrors A's width and T mirrors S's.  All values
     are plain Python numbers; width discipline is applied by the ISA
     semantics (:mod:`repro.isa.semantics`), not by storage.
+
+    ``values`` is the storage itself: a list indexed by register id
+    (``Register.flat_index``), which the engines read and write directly.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("values",)
 
     def __init__(self) -> None:
-        self._values: Dict[Register, object] = {
-            reg: 0 for reg in all_registers()
-        }
+        self.values: List[object] = [0] * TOTAL_REGISTERS
 
     def read(self, reg: Register):
         """Return the current value of ``reg``."""
-        return self._values[reg]
+        return self.values[reg.flat_index]
 
     def write(self, reg: Register, value) -> None:
         """Set the value of ``reg``."""
-        self._values[reg] = value
+        self.values[reg.flat_index] = value
 
     def copy(self) -> "RegisterFile":
         """Return an independent snapshot of this register file."""
         clone = RegisterFile.__new__(RegisterFile)
-        clone._values = dict(self._values)
+        clone.values = list(self.values)
         return clone
 
     def snapshot(self) -> Dict[str, object]:
         """Return ``{name: value}`` for every register (for comparisons)."""
-        return {reg.name: value for reg, value in self._values.items()}
+        return {reg.name: value for reg, value in zip(REGISTERS, self.values)}
 
     def nonzero(self) -> Dict[str, object]:
         """Return ``{name: value}`` restricted to non-zero registers."""
         return {
-            reg.name: value for reg, value in self._values.items() if value
+            reg.name: value
+            for reg, value in zip(REGISTERS, self.values) if value
         }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegisterFile):
             return NotImplemented
-        return self._values == other._values
+        return self.values == other.values
 
     def __ne__(self, other: object) -> bool:
         result = self.__eq__(other)
@@ -166,7 +198,7 @@ class RegisterFile:
     def diff(self, other: "RegisterFile") -> Dict[str, Tuple[object, object]]:
         """Return ``{name: (self_value, other_value)}`` where they differ."""
         return {
-            reg.name: (self._values[reg], other._values[reg])
-            for reg in all_registers()
-            if self._values[reg] != other._values[reg]
+            reg.name: (mine, theirs)
+            for reg, mine, theirs in zip(REGISTERS, self.values, other.values)
+            if mine != theirs
         }

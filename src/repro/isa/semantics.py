@@ -67,9 +67,12 @@ def _as_float(value) -> float:
     return float(value)
 
 
+_A_WIDTH_BANKS = (RegBank.A, RegBank.B)
+
+
 def coerce_for_bank(reg: Register, value):
     """Apply the destination register file's width discipline."""
-    if reg.bank in (RegBank.A, RegBank.B):
+    if reg.bank in _A_WIDTH_BANKS:
         return wrap_a(_as_int(value))
     if isinstance(value, float):
         return value

@@ -9,7 +9,7 @@ and when entries are *freed* -- that logic stays in each engine.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.semantics import effective_address
@@ -25,12 +25,6 @@ class Operand:
         self.value = value
         self.tag = tag
 
-    def capture(self, value) -> None:
-        """A matching tag appeared on a bus: latch the value."""
-        self.ready = True
-        self.value = value
-        self.tag = None
-
     def __repr__(self) -> str:
         if self.ready:
             return f"Operand(ready, {self.value!r})"
@@ -42,13 +36,15 @@ class WindowEntry:
 
     ``operands`` are in :attr:`Instruction.sources` order -- explicit
     sources first, then the memory base register (if any).  For a store,
-    ``operands[0]`` is the datum.
+    ``operands[0]`` is the datum.  ``missing`` counts the operands still
+    waiting on a tag; the :class:`WakeupIndex` keeps it current.
     """
 
     __slots__ = (
         "seq",
         "inst",
         "operands",
+        "missing",
         "dest_tag",
         "dispatched",
         "executed_cycle",
@@ -65,6 +61,7 @@ class WindowEntry:
         self.seq = seq
         self.inst = inst
         self.operands = operands
+        self.missing = len([op for op in operands if not op.ready])
         self.dest_tag = dest_tag
         self.dispatched = False
         self.executed_cycle: Optional[int] = None
@@ -77,29 +74,16 @@ class WindowEntry:
 
     # -- readiness ---------------------------------------------------------
 
-    def operands_ready(self) -> bool:
-        return all(operand.ready for operand in self.operands)
-
-    @property
-    def base_operand(self) -> Operand:
-        """The address-base operand of a memory instruction."""
-        assert self.inst.is_memory
-        return self.operands[-1]
-
     @property
     def datum_operand(self) -> Operand:
         """The datum operand of a store."""
-        assert self.inst.is_store
         return self.operands[0]
-
-    def address_computable(self) -> bool:
-        return self.inst.is_memory and self.base_operand.ready
 
     def compute_address(self) -> int:
         """Resolve and cache the effective address (base must be ready)."""
         if self.address is None:
             self.address = effective_address(
-                self.base_operand.value, self.inst.imm
+                self.operands[-1].value, self.inst.imm
             )
         return self.address
 
@@ -112,17 +96,46 @@ class WindowEntry:
         count = len(self.inst.srcs)
         return [operand.value for operand in self.operands[:count]]
 
-    def snoop(self, tag, value) -> bool:
-        """Capture ``value`` into any operand waiting on ``tag``."""
-        hit = False
-        for operand in self.operands:
-            if not operand.ready and operand.tag == tag:
-                operand.capture(value)
-                hit = True
-        return hit
-
     def __repr__(self) -> str:
         state = "done" if self.executed else (
             "dispatched" if self.dispatched else "waiting"
         )
         return f"<#{self.seq} {self.inst} [{state}]>"
+
+
+class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
+    """Tag -> the operands waiting on it (the result-bus tag match).
+
+    A broadcast visits exactly the operands waiting on its tag instead of
+    snooping every entry of the window.
+    """
+
+    def add(self, entry: WindowEntry) -> None:
+        """Index every operand of a new ``entry`` that waits on a tag."""
+        if entry.missing:
+            for operand in entry.operands:
+                if not operand.ready:
+                    waiting = self.get(operand.tag)
+                    if waiting is None:
+                        self[operand.tag] = [(entry, operand)]
+                    else:
+                        waiting.append((entry, operand))
+
+    def wake(self, tag, value) -> None:
+        """Deliver ``(tag, value)``: every waiting operand captures it."""
+        waiting = self.pop(tag, None)
+        if waiting is not None:
+            for entry, operand in waiting:
+                operand.ready = True
+                operand.value = value
+                operand.tag = None
+                entry.missing -= 1
+
+    def drop_squashed(self) -> None:
+        """Forget the operands of squashed entries (recovery)."""
+        for tag, waiting in list(self.items()):
+            live = [pair for pair in waiting if not pair[0].squashed]
+            if live:
+                self[tag] = live
+            else:
+                del self[tag]

@@ -25,13 +25,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..isa.instruction import Instruction
-from ..isa.registers import Register
-from ..isa.semantics import coerce_for_bank, evaluate
+from ..isa.registers import TOTAL_REGISTERS
+from ..isa.semantics import coerce_for_bank, effective_address, evaluate
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
 from ..memdep import FROM_MEMORY, MemoryDependencyUnit
-from .common import WindowEntry
 
 
 class _StackEntry:
@@ -51,7 +50,12 @@ class _StackEntry:
 
 
 class DispatchStackEngine(Engine):
-    """Centralized out-of-order issue with no register renaming."""
+    """Centralized out-of-order issue with no register renaming.
+
+    Hazards are mask tests: walking the stack oldest first, ``writers``
+    is the OR of the destination masks of older unfinished entries and
+    ``readers`` the OR of the source masks of older undispatched ones.
+    """
 
     name = "dispatch-stack"
     claims_precise_interrupts = False
@@ -60,6 +64,8 @@ class DispatchStackEngine(Engine):
         super().__init__(*args, **kwargs)
         self.mdu = MemoryDependencyUnit(self.config.n_load_registers)
         self.stack: List[_StackEntry] = []
+        #: Unfinished writers in the stack, by register id.
+        self._pending_writes: List[int] = [0] * TOTAL_REGISTERS
         self._inflight = 0
         self.occupancy_accum = 0
 
@@ -74,6 +80,8 @@ class DispatchStackEngine(Engine):
             return False
         entry = _StackEntry(seq, inst)
         self.stack.append(entry)
+        if inst.dest_id is not None:
+            self._pending_writes[inst.dest_id] += 1
         if inst.is_memory:
             self.mdu.add(seq, inst.is_store)
         self.note(seq, "issue")
@@ -86,13 +94,22 @@ class DispatchStackEngine(Engine):
             return
         self.occupancy_accum += len(self.stack)
         self._resolve_addresses()
+        writers = readers = 0
         for entry in self.stack:
-            if entry.dispatched:
-                continue
-            if not self._hazards_clear(entry):
-                continue
-            if self._dispatch(entry):
-                break  # one dispatch port, as in the base RSTU machine
+            inst = entry.inst
+            if not entry.dispatched:
+                # RAW: an older, unfinished writer of one of our sources.
+                # WAR: an older entry reads our destination and has not
+                # yet picked its operands up (reads happen at dispatch).
+                # WAW: an older, unfinished writer of our destination.
+                if not (inst.src_mask & writers
+                        or inst.dest_mask & (readers | writers)) \
+                        and self._memory_clear(entry) \
+                        and self._dispatch(entry):
+                    return  # one dispatch port, as in the base RSTU machine
+                readers |= inst.src_mask
+            if not entry.done:
+                writers |= inst.dest_mask
 
     def _resolve_addresses(self) -> None:
         """Addresses resolve in program order once hazard-free.
@@ -101,71 +118,47 @@ class DispatchStackEngine(Engine):
         resolution time; this is safe only when no older entry still
         writes it -- the same check dispatching uses.
         """
-        while True:
-            seq = self.mdu.oldest_unresolved()
+        seq = self.mdu.oldest_unresolved()
+        writers = 0
+        for entry in self.stack:
             if seq is None:
                 return
-            entry = next(e for e in self.stack if e.seq == seq)
-            if not self._raw_clear_for(entry, [entry.inst.base]):
-                return
-            base_value = self.regs.read(entry.inst.base)
-            from ..isa.semantics import effective_address
-            entry.address = effective_address(base_value, entry.inst.imm)
-            self.mdu.resolve(seq, entry.address)
-            if entry.inst.is_store:
-                # datum is read at dispatch; publish then
-                pass
+            inst = entry.inst
+            if entry.seq == seq:
+                if writers >> inst.base_id & 1:
+                    return
+                entry.address = effective_address(
+                    self.regs.values[inst.base_id], inst.imm
+                )
+                self.mdu.resolve(seq, entry.address)
+                seq = self.mdu.oldest_unresolved()
+            if not entry.done:
+                writers |= inst.dest_mask
 
-    def _raw_clear_for(self, entry: _StackEntry, regs) -> bool:
-        for other in self.stack:
-            if other.seq >= entry.seq:
-                break
-            if other.done or other.inst.dest is None:
-                continue
-            if other.inst.dest in regs:
-                return False
-        return True
-
-    def _hazards_clear(self, entry: _StackEntry) -> bool:
-        inst = entry.inst
-        sources = inst.sources
-        dest = inst.dest
-        for other in self.stack:
-            if other.seq >= entry.seq:
-                break
-            other_inst = other.inst
-            # RAW: an older, unfinished writer of one of our sources.
-            if not other.done and other_inst.dest is not None \
-                    and other_inst.dest in sources:
-                return False
-            if dest is not None:
-                # WAR: an older entry reads our destination and has not
-                # yet picked its operands up (reads happen at dispatch).
-                if not other.dispatched and dest in other_inst.sources:
-                    return False
-                # WAW: an older, unfinished writer of our destination.
-                if not other.done and other_inst.dest == dest:
-                    return False
-        if inst.is_memory:
-            if not self.mdu.is_resolved(entry.seq):
-                return False
-            if inst.is_store:
-                return self.mdu.store_may_dispatch(entry.seq)
-            return self.mdu.load_source_ready(entry.seq)
-        return True
+    def _memory_clear(self, entry: _StackEntry) -> bool:
+        """The memory-ordering conditions of a load or store."""
+        if not entry.inst.is_memory:
+            return True
+        if not self.mdu.is_resolved(entry.seq):
+            return False
+        if entry.inst.is_store:
+            return self.mdu.store_may_dispatch(entry.seq)
+        return self.mdu.load_source_ready(entry.seq)
 
     def _dispatch(self, entry: _StackEntry) -> bool:
         inst = entry.inst
-        if not self.fus.can_accept(inst.fu, self.cycle):
+        if not self.fus.can_accept(inst.fu_index, self.cycle):
             return False
-        latency = self.config.latency(inst.fu)
+        latency = self.fus.latency[inst.fu_index]
         if inst.is_load and self.mdu.binding_of(entry.seq) is not FROM_MEMORY:
             latency = self.config.forward_latency
         done_cycle = self.cycle + latency
-        if inst.dest is not None and not self.result_bus.is_free(done_cycle):
+        if inst.dest_id is not None \
+                and not self.result_bus.is_free(done_cycle):
             self.result_bus.conflicts += 1
             return False
         # operands are read from the register file *now*
+        values = self.regs.values
         try:
             if inst.is_load:
                 if self.mdu.binding_of(entry.seq) is FROM_MEMORY:
@@ -174,17 +167,17 @@ class DispatchStackEngine(Engine):
                     raw = self.mdu.forwarded_value(entry.seq)
                 entry.result = coerce_for_bank(inst.dest, raw)
             elif inst.is_store:
-                datum = self.regs.read(inst.srcs[0])
+                datum = values[inst.src_ids[0]]
                 self.mdu.publish(entry.seq, datum)
                 self.memory.write(entry.address, datum)
             else:
-                operands = [self.regs.read(reg) for reg in inst.srcs]
+                operands = [values[reg] for reg in inst.src_ids]
                 raw = evaluate(inst.opcode, operands, inst.imm)
                 entry.result = coerce_for_bank(inst.dest, raw)
         except FAULT_TYPES as fault:
             entry.fault = fault
-        self.fus.accept(inst.fu, self.cycle)
-        if inst.dest is not None:
+        self.fus.accept(inst.fu_index, self.cycle)
+        if inst.dest_id is not None:
             self.result_bus.reserve(done_cycle)
         entry.dispatched = True
         if inst.is_memory:
@@ -206,8 +199,10 @@ class DispatchStackEngine(Engine):
                 )
                 return
             entry.done = True
-            if entry.inst.dest is not None:
-                self.regs.write(entry.inst.dest, entry.result)
+            dest = entry.inst.dest_id
+            if dest is not None:
+                self.regs.values[dest] = entry.result
+                self._pending_writes[dest] -= 1
             if entry.inst.is_memory:
                 if entry.inst.is_load:
                     self.mdu.publish(entry.seq, entry.result)
@@ -218,11 +213,8 @@ class DispatchStackEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def _register_pending(self, reg: Register) -> bool:
-        return any(
-            not entry.done and entry.inst.dest == reg
-            for entry in self.stack
-        )
+    def _register_pending(self, reg_id: int) -> bool:
+        return self._pending_writes[reg_id] > 0
 
     def _drained(self) -> bool:
         return not self.stack and self._inflight == 0

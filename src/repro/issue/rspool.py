@@ -13,10 +13,9 @@ Tags still come from the separate Tag Unit (``config.n_tags``).
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from ..isa.instruction import Instruction
-from ..machine.stats import StallReason
 from .common import WindowEntry
 from .tagunit import TagUnitEngine
 
@@ -40,9 +39,6 @@ class RSPoolEngine(TagUnitEngine):
 
     def _release_entry(self, entry: WindowEntry) -> None:
         self._pool.remove(entry)
-
-    def _iter_entries(self) -> Iterable[WindowEntry]:
-        return iter(self._pool)
 
     def _occupied(self) -> int:
         return len(self._pool)

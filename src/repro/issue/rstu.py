@@ -21,9 +21,8 @@ and update architectural state out of program order.
 
 from __future__ import annotations
 
-from ..isa.instruction import Instruction
-from ..isa.registers import Register
 from .rspool import RSPoolEngine
+from .tomasulo import TomasuloEngine
 
 
 class RSTUEngine(RSPoolEngine):
@@ -37,20 +36,17 @@ class RSTUEngine(RSPoolEngine):
 
     # -- tags are the entries themselves --------------------------------
 
-    def _allocate_dest_tag(self, dest: Register, seq: int):
+    def _allocate_dest_tag(self, dest_id: int, seq: int):
         """Reserving the station reserved the tag: use the dynamic seq as
         the unique identifier of this entry's slot.  Capacity was already
         checked by ``_station_available``; the old latest copy (if any)
         is superseded by updating the latest-tag map."""
-        self._reg_tag[dest] = seq
+        self._reg_tag[dest_id] = seq
         return seq
 
-    def _writeback(self, entry) -> None:
-        """Write the register file only from the latest copy."""
-        dest = entry.inst.dest
-        if self._reg_tag.get(dest) == entry.dest_tag:
-            self.regs.write(dest, entry.result)
-            del self._reg_tag[dest]
+    #: Write the register file only from the latest copy (Tomasulo's
+    #: rule, not the Tag Unit's slot bookkeeping).
+    _writeback = TomasuloEngine._writeback
 
     # -- entries persist through execution --------------------------------
 

@@ -18,11 +18,9 @@ machine has imprecise interrupts -- the motivating problem of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import OpKind
-from ..isa.registers import Register
 from ..isa.semantics import (
     coerce_for_bank,
     effective_address,
@@ -54,33 +52,33 @@ class SimpleEngine(Engine):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._busy: Set[Register] = set()
+        #: Busy bits: a mask over register ids with a write in flight.
+        self._busy = 0
         self._inflight = 0
 
     # ------------------------------------------------------------------
 
     def _try_issue(self, inst: Instruction, seq: int) -> bool:
-        for reg in inst.sources:
-            if reg in self._busy:
-                self.stall(StallReason.SOURCE_BUSY)
-                return False
-        dest = inst.dest
-        if dest is not None and dest in self._busy:
+        if inst.src_mask & self._busy:
+            self.stall(StallReason.SOURCE_BUSY)
+            return False
+        if inst.dest_mask & self._busy:
             self.stall(StallReason.DEST_BUSY)
             return False
-        if not self.fus.can_accept(inst.fu, self.cycle):
+        fu = inst.fu_index
+        if not self.fus.can_accept(fu, self.cycle):
             self.stall(StallReason.FU_BUSY)
             return False
-        done_cycle = self.fus.result_cycle(inst.fu, self.cycle)
-        if dest is not None and not self.result_bus.is_free(done_cycle):
+        done_cycle = self.fus.result_cycle(fu, self.cycle)
+        if inst.dest_mask and not self.result_bus.is_free(done_cycle):
             self.stall(StallReason.RESULT_BUS)
             return False
 
         value, fault = self._execute(inst)
-        self.fus.accept(inst.fu, self.cycle)
-        if dest is not None:
+        self.fus.accept(fu, self.cycle)
+        if inst.dest_mask:
             self.result_bus.reserve(done_cycle)
-            self._busy.add(dest)
+            self._busy |= inst.dest_mask
         self._schedule_completion(done_cycle, _Completion(seq, inst, value, fault))
         self._inflight += 1
         self.note(seq, "issue")
@@ -96,17 +94,17 @@ class SimpleEngine(Engine):
         issue -- which is precisely what makes this machine's interrupts
         imprecise with respect to memory.
         """
-        kind = inst.opcode.kind
+        values = self.regs.values
         try:
-            if kind is OpKind.LOAD:
-                address = effective_address(self.regs.read(inst.base), inst.imm)
+            if inst.is_load:
+                address = effective_address(values[inst.base_id], inst.imm)
                 value = self.memory.read(address)
                 return coerce_for_bank(inst.dest, value), None
-            if kind is OpKind.STORE:
-                address = effective_address(self.regs.read(inst.base), inst.imm)
-                self.memory.write(address, self.regs.read(inst.srcs[0]))
+            if inst.is_store:
+                address = effective_address(values[inst.base_id], inst.imm)
+                self.memory.write(address, values[inst.src_ids[0]])
                 return None, None
-            operands = [self.regs.read(reg) for reg in inst.srcs]
+            operands = [values[reg] for reg in inst.src_ids]
             raw = evaluate(inst.opcode, operands, inst.imm)
             return coerce_for_bank(inst.dest, raw), None
         except FAULT_TYPES as fault:
@@ -125,15 +123,15 @@ class SimpleEngine(Engine):
                     precise=False,
                 )
                 return
-            dest = completion.inst.dest
+            dest = completion.inst.dest_id
             if dest is not None:
-                self.regs.write(dest, completion.value)
-                self._busy.discard(dest)
+                self.regs.values[dest] = completion.value
+                self._busy &= ~completion.inst.dest_mask
             self.note(completion.seq, "complete")
             self._note_retired(completion.seq)
 
-    def _register_pending(self, reg: Register) -> bool:
-        return reg in self._busy
+    def _register_pending(self, reg_id: int) -> bool:
+        return bool(self._busy >> reg_id & 1)
 
     def _drained(self) -> bool:
         return self._inflight == 0

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..isa.registers import Register
 from ..machine.faults import SimulationError
 from .common import WindowEntry
 from .tomasulo import TomasuloEngine
@@ -34,7 +33,7 @@ from .tomasulo import TomasuloEngine
 class TagUnitEntry:
     """One slot of the Tag Unit: Register Number | Tag Free | Latest Copy."""
 
-    register: Optional[Register] = None
+    register: Optional[int] = None   # register id
     free: bool = True
     latest: bool = False
 
@@ -53,8 +52,8 @@ class TagUnitEngine(TomasuloEngine):
 
     # ------------------------------------------------------------------
 
-    def _allocate_dest_tag(self, dest: Register, seq: int):
-        """Take a free Tag Unit slot for ``dest``; None when exhausted.
+    def _allocate_dest_tag(self, dest_id: int, seq: int):
+        """Take a free Tag Unit slot for ``dest_id``; None when exhausted.
 
         If the register already has a tag, the old slot loses its
         latest-copy bit (its instruction keeps the slot until it
@@ -63,14 +62,14 @@ class TagUnitEngine(TomasuloEngine):
         if not self._free_tags:
             return None
         slot = self._free_tags.pop()
-        old_slot = self._reg_tag.get(dest)
+        old_slot = self._reg_tag[dest_id]
         if old_slot is not None:
             self._tag_unit[old_slot].latest = False
         entry = self._tag_unit[slot]
-        entry.register = dest
+        entry.register = dest_id
         entry.free = False
         entry.latest = True
-        self._reg_tag[dest] = slot
+        self._reg_tag[dest_id] = slot
         return slot
 
     def _writeback(self, entry: WindowEntry) -> None:
@@ -83,15 +82,16 @@ class TagUnitEngine(TomasuloEngine):
         the same cycle.
         """
         slot = entry.dest_tag
+        dest = entry.inst.dest_id
         tu_entry = self._tag_unit[slot]
-        if tu_entry.free or tu_entry.register != entry.inst.dest:
+        if tu_entry.free or tu_entry.register != dest:
             raise SimulationError(
                 f"tag {slot} does not belong to {entry.inst.dest}"
             )
         if tu_entry.latest:
-            self.regs.write(entry.inst.dest, entry.result)
-            if self._reg_tag.get(entry.inst.dest) == slot:
-                del self._reg_tag[entry.inst.dest]
+            self.regs.values[dest] = entry.result
+            if self._reg_tag[dest] == slot:
+                self._reg_tag[dest] = None
         tu_entry.register = None
         tu_entry.free = True
         tu_entry.latest = False

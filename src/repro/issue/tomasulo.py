@@ -28,17 +28,17 @@ mirroring how the paper evolves the design (§3.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, List, Optional
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import FUClass
-from ..isa.registers import Register
+from ..isa.registers import TOTAL_REGISTERS
 from ..isa.semantics import coerce_for_bank, evaluate
 from ..machine.engine import Engine
-from ..machine.faults import FAULT_TYPES, SimulationError
+from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
 from ..memdep import FROM_MEMORY, MemoryDependencyUnit
-from .common import Operand, WindowEntry
+from .common import Operand, WakeupIndex, WindowEntry
 
 
 class TomasuloEngine(Engine):
@@ -54,10 +54,11 @@ class TomasuloEngine(Engine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.mdu = MemoryDependencyUnit(self.config.n_load_registers)
-        self._stations: Dict[FUClass, List[WindowEntry]] = {
-            fu: [] for fu in FUClass
-        }
-        self._reg_tag: Dict[Register, object] = {}
+        #: Reservation stations per functional unit, by FU index.
+        self._stations: List[List[WindowEntry]] = [[] for _ in FUClass]
+        #: Latest tag of each register (None: not busy), by register id.
+        self._reg_tag: List[Optional[int]] = [None] * TOTAL_REGISTERS
+        self._waiting = WakeupIndex()
         self._unresolved: Deque[WindowEntry] = deque()
         self._pending_publish: List[WindowEntry] = []
         self._inflight = 0
@@ -77,14 +78,15 @@ class TomasuloEngine(Engine):
         # Read sources *before* tagging the destination: an instruction
         # like ``A_ADDI A1, A1, 1`` must take A1's previous tag, not its
         # own freshly allocated one.
-        operands = [self._source_operand(reg) for reg in inst.sources]
+        operands = [self._source_operand(reg) for reg in inst.source_ids]
         dest_tag = None
-        if inst.dest is not None:
-            dest_tag = self._allocate_dest_tag(inst.dest, seq)
+        if inst.dest_id is not None:
+            dest_tag = self._allocate_dest_tag(inst.dest_id, seq)
             if dest_tag is None:
                 self.stall(StallReason.NO_TAG)
                 return False
         entry = WindowEntry(seq, inst, operands, dest_tag=dest_tag)
+        self._waiting.add(entry)
         self._insert_entry(entry)
         if inst.is_memory:
             self.mdu.add(seq, inst.is_store)
@@ -94,38 +96,38 @@ class TomasuloEngine(Engine):
         self.note(seq, "issue")
         return True
 
-    def _source_operand(self, reg: Register) -> Operand:
+    def _source_operand(self, reg_id: int) -> Operand:
         """Register-file read or tag capture, per the busy bit."""
-        tag = self._reg_tag.get(reg)
+        tag = self._reg_tag[reg_id]
         if tag is None:
-            return Operand(True, self.regs.read(reg))
+            return Operand(True, self.regs.values[reg_id])
         return Operand(False, tag=tag)
 
     # -- hooks specialized by the Tag Unit / RS pool / RSTU engines -----
 
     def _station_available(self, inst: Instruction) -> bool:
-        return len(self._stations[inst.fu]) < self.config.window_size
+        return len(self._stations[inst.fu_index]) < self.config.window_size
 
     def _insert_entry(self, entry: WindowEntry) -> None:
-        self._stations[entry.inst.fu].append(entry)
+        self._stations[entry.inst.fu_index].append(entry)
 
-    def _allocate_dest_tag(self, dest: Register, seq: int):
+    def _allocate_dest_tag(self, dest_id: int, seq: int):
         """Tomasulo proper: an unbounded tag space (tag = dynamic seq)."""
-        self._reg_tag[dest] = seq
+        self._reg_tag[dest_id] = seq
         return seq
 
     def _writeback(self, entry: WindowEntry) -> None:
         """Update the register file and clear the busy bit if this result
         carries the *latest* tag for its destination register."""
-        dest = entry.inst.dest
-        if self._reg_tag.get(dest) == entry.dest_tag:
-            self.regs.write(dest, entry.result)
-            del self._reg_tag[dest]
+        dest = entry.inst.dest_id
+        if self._reg_tag[dest] == entry.dest_tag:
+            self.regs.values[dest] = entry.result
+            self._reg_tag[dest] = None
 
     def _release_entry(self, entry: WindowEntry) -> None:
         """Free the reservation station.  Tomasulo/TagUnit/RSPool release
         at dispatch; the RSTU overrides to release at completion."""
-        self._stations[entry.inst.fu].remove(entry)
+        self._stations[entry.inst.fu_index].remove(entry)
 
     def _entry_released_at_dispatch(self) -> bool:
         return True
@@ -147,7 +149,7 @@ class TomasuloEngine(Engine):
         unknown address blocks all younger memory ops (paper §3.2.1.2)."""
         while self._unresolved:
             entry = self._unresolved[0]
-            if not entry.address_computable():
+            if not entry.operands[-1].ready:
                 break
             self.mdu.resolve(entry.seq, entry.compute_address())
             self._unresolved.popleft()
@@ -168,7 +170,7 @@ class TomasuloEngine(Engine):
     def _dispatch_from_stations(self) -> None:
         """Each functional unit independently dispatches its oldest ready
         instruction (distributed stations: no shared dispatch port)."""
-        for fu, stations in self._stations.items():
+        for stations in self._stations:
             for entry in stations:
                 if entry.dispatched:
                     continue
@@ -185,11 +187,11 @@ class TomasuloEngine(Engine):
                 return False
             if inst.is_store:
                 return (
-                    entry.operands_ready()
+                    not entry.missing
                     and self.mdu.store_may_dispatch(entry.seq)
                 )
             return self.mdu.load_source_ready(entry.seq)
-        return entry.operands_ready()
+        return not entry.missing
 
     def _dispatch(self, entry: WindowEntry) -> bool:
         """Send one ready entry to its functional unit.
@@ -198,16 +200,17 @@ class TomasuloEngine(Engine):
         cancels the dispatch (retried next cycle).
         """
         inst = entry.inst
-        if not self.fus.can_accept(inst.fu, self.cycle):
+        if not self.fus.can_accept(inst.fu_index, self.cycle):
             return False
         latency = self._execution_latency(entry)
         done_cycle = self.cycle + latency
-        if inst.dest is not None and not self.result_bus.is_free(done_cycle):
+        if inst.dest_id is not None \
+                and not self.result_bus.is_free(done_cycle):
             self.result_bus.conflicts += 1
             return False
         self._execute(entry)
-        self.fus.accept(inst.fu, self.cycle)
-        if inst.dest is not None:
+        self.fus.accept(inst.fu_index, self.cycle)
+        if inst.dest_id is not None:
             self.result_bus.reserve(done_cycle)
         entry.dispatched = True
         if inst.is_memory:
@@ -223,7 +226,7 @@ class TomasuloEngine(Engine):
         if entry.inst.is_load and \
                 self.mdu.binding_of(entry.seq) is not FROM_MEMORY:
             return self.config.forward_latency
-        return self.config.latency(entry.inst.fu)
+        return self.fus.latency[entry.inst.fu_index]
 
     def _execute(self, entry: WindowEntry) -> None:
         """Compute the entry's result (delivered at its completion cycle).
@@ -270,11 +273,12 @@ class TomasuloEngine(Engine):
                 return
             self._inflight -= 1
             entry.executed_cycle = self.cycle
-            if entry.inst.dest is not None:
-                self._broadcast(entry.dest_tag, entry.result)
+            inst = entry.inst
+            if inst.dest_id is not None:
+                self._waiting.wake(entry.dest_tag, entry.result)
                 self._writeback(entry)
-            if entry.inst.is_memory:
-                if entry.inst.is_load:
+            if inst.is_memory:
+                if inst.is_load:
                     self.mdu.publish(entry.seq, entry.result)
                 self.mdu.finish(entry.seq)
             if not self._entry_released_at_dispatch():
@@ -282,24 +286,13 @@ class TomasuloEngine(Engine):
             self.note(entry.seq, "complete")
             self._note_retired(entry.seq)
 
-    def _broadcast(self, tag, value) -> None:
-        """Drive (tag, value) on the result bus: every waiting station
-        operand with a matching tag captures the value."""
-        for entry in self._iter_entries():
-            entry.snoop(tag, value)
-
-    def _iter_entries(self) -> Iterable[WindowEntry]:
-        for stations in self._stations.values():
-            for entry in stations:
-                yield entry
-
     def _occupied(self) -> int:
-        return sum(len(stations) for stations in self._stations.values())
+        return sum(len(stations) for stations in self._stations)
 
     # ------------------------------------------------------------------
 
-    def _register_pending(self, reg: Register) -> bool:
-        return reg in self._reg_tag
+    def _register_pending(self, reg_id: int) -> bool:
+        return self._reg_tag[reg_id] is not None
 
     def _drained(self) -> bool:
         return self._inflight == 0 and self._occupied() == 0

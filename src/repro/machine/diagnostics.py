@@ -144,15 +144,7 @@ class EngineDiagnostic:
         }
 
 
-def _tag_name(tag) -> str:
-    """Render a snooped tag: RUU tags are (Register, instance) pairs."""
-    if isinstance(tag, tuple) and len(tag) == 2:
-        reg, instance = tag
-        return f"{reg!r}#{instance}"
-    return repr(tag)
-
-
-def _window_entry(entry) -> WaitingInstruction:
+def _window_entry(engine, entry) -> WaitingInstruction:
     """Describe one reservation-station style entry (WindowEntry shape)."""
     if getattr(entry, "executed", False):
         state = "done"
@@ -161,7 +153,7 @@ def _window_entry(entry) -> WaitingInstruction:
     else:
         state = "waiting"
     waiting_on = [
-        f"tag {_tag_name(op.tag)}"
+        f"tag {engine.tag_name(op.tag)}"
         for op in getattr(entry, "operands", [])
         if not op.ready
     ]
@@ -199,11 +191,9 @@ def _collect_waiting(engine) -> List[WaitingInstruction]:
     for attribute in ("window", "stack", "_pool"):
         container = getattr(engine, attribute, None)
         if container is not None:
-            waiting += [_window_entry(entry) for entry in container]
-    stations = getattr(engine, "_stations", None)
-    if isinstance(stations, dict):
-        for per_fu in stations.values():
-            waiting += [_window_entry(entry) for entry in per_fu]
+            waiting += [_window_entry(engine, entry) for entry in container]
+    for per_fu in getattr(engine, "_stations", ()):
+        waiting += [_window_entry(engine, entry) for entry in per_fu]
     waiting.sort(key=lambda w: w.seq)
     return waiting
 

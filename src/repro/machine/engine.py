@@ -28,15 +28,14 @@ finish with exactly the golden model's architectural state.
 from __future__ import annotations
 
 import abc
-import heapq
 import time
 from collections import Counter
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
-from ..isa.registers import Register, RegisterFile
+from ..isa.registers import RegisterFile
 from ..isa.semantics import branch_taken
 from .config import CRAY1_LIKE, MachineConfig
 from .diagnostics import capture_diagnostic
@@ -87,8 +86,9 @@ class Engine(abc.ABC):
         self.interrupt_count = 0
         self.squashed = 0
         self.mispredictions = 0
-        self._completions: List[Tuple[int, int, object]] = []
-        self._completion_ids = 0
+        #: Functional-unit results in flight: cycle -> payloads, in
+        #: scheduling order.
+        self._completions: Dict[int, List[object]] = {}
         #: Optional per-instruction pipeline recorder (see
         #: :mod:`repro.machine.timeline`); attach before ``run()``.
         self.timeline = None
@@ -194,6 +194,15 @@ class Engine(abc.ABC):
         counters (see :mod:`repro.machine.checkpoint`).  Default: no-op.
         """
 
+    def invariant_checks(self, checker) -> None:
+        """Hook: run this engine family's own post-cycle invariants on
+        ``checker`` (an :class:`~repro.machine.invariants.
+        InvariantChecker`).  Default: only the generic checks apply."""
+
+    def tag_name(self, tag) -> str:
+        """Render an operand tag for diagnostics."""
+        return repr(tag)
+
     def tick(self) -> None:
         """Advance one clock cycle through the four phases."""
         self._phase_complete()
@@ -265,7 +274,8 @@ class Engine(abc.ABC):
         if self.interrupt_record is not None:
             return
         for _ in range(self.config.issue_width):
-            self._refill_decode()
+            if self.decode_slot is None:
+                self._refill_decode()
             inst = self.decode_slot
             if inst is None:
                 return
@@ -273,7 +283,7 @@ class Engine(abc.ABC):
                 self.fetch_done = True
                 self.decode_slot = None
                 return
-            if inst.opcode is Opcode.NOP:
+            if inst.is_nop:
                 self._note_retired(self.decode_seq)
                 self.decode_slot = None
                 continue
@@ -290,7 +300,7 @@ class Engine(abc.ABC):
     # ------------------------------------------------------------------
 
     def _refill_decode(self) -> None:
-        if self.decode_slot is not None or self.fetch_done:
+        if self.fetch_done:
             return
         if self.cycle < self.fetch_resume_cycle:
             self.stall(StallReason.BRANCH_DEAD)
@@ -320,7 +330,7 @@ class Engine(abc.ABC):
         if inst.opcode is Opcode.JMP:
             taken = True
         else:
-            ready, value = self._branch_operand(inst.srcs[0])
+            ready, value = self._branch_operand(inst.src_ids[0])
             if not ready:
                 self.stall(StallReason.BRANCH_WAIT)
                 return
@@ -339,18 +349,19 @@ class Engine(abc.ABC):
         self._note_retired(self.decode_seq)
         self.decode_slot = None
 
-    def _branch_operand(self, reg: Register) -> Tuple[bool, object]:
-        """Can the decode stage read ``reg`` now?  Default: the register
-        must have no pending writes, then the register file is current.
-        Engines with bypass paths override this.
+    def _branch_operand(self, reg_id: int) -> Tuple[bool, object]:
+        """Can the decode stage read register ``reg_id`` now?  Default:
+        the register must have no pending writes, then the register file
+        is current.  Engines with bypass paths override this.
         """
-        if self._register_pending(reg):
+        if self._register_pending(reg_id):
             return False, None
-        return True, self.regs.read(reg)
+        return True, self.regs.values[reg_id]
 
     @abc.abstractmethod
-    def _register_pending(self, reg: Register) -> bool:
-        """Is there an uncompleted write to ``reg`` in flight?"""
+    def _register_pending(self, reg_id: int) -> bool:
+        """Is there an uncompleted write to register ``reg_id`` in
+        flight?"""
 
     @abc.abstractmethod
     def _try_issue(self, inst: Instruction, seq: int) -> bool:
@@ -388,24 +399,22 @@ class Engine(abc.ABC):
             self.recorder.on_retire(seq, self.cycle)
 
     def _schedule_completion(self, cycle: int, payload: object) -> None:
-        """Register a functional-unit result for delivery at ``cycle``."""
-        self._completion_ids += 1
-        heapq.heappush(
-            self._completions, (cycle, self._completion_ids, payload)
-        )
+        """Register a functional-unit result for delivery at ``cycle``
+        (a later cycle: this cycle's results have been delivered)."""
+        if cycle <= self.cycle:
+            raise SimulationError(
+                f"{self.name}: completion for cycle {cycle} scheduled at "
+                f"cycle {self.cycle} would be delivered late"
+            )
+        pending = self._completions.get(cycle)
+        if pending is None:
+            self._completions[cycle] = [payload]
+        else:
+            pending.append(payload)
 
-    def _pop_completions(self) -> List[object]:
+    def _pop_completions(self) -> Sequence[object]:
         """Pop every payload scheduled for the current cycle."""
-        ready: List[object] = []
-        while self._completions and self._completions[0][0] <= self.cycle:
-            cycle, _, payload = heapq.heappop(self._completions)
-            if cycle < self.cycle:
-                raise SimulationError(
-                    f"{self.name}: completion for cycle {cycle} delivered "
-                    f"late at cycle {self.cycle}"
-                )
-            ready.append(payload)
-        return ready
+        return self._completions.pop(self.cycle, ())
 
     def _take_interrupt(self, cause: Exception, seq: int, pc: int,
                         precise: bool) -> None:

@@ -10,8 +10,8 @@ result bus (:mod:`repro.machine.result_bus`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, List
 
 from ..isa.opcodes import FUClass
 from .config import MachineConfig
@@ -41,30 +41,38 @@ class FunctionalUnit:
 
 
 class FUPool:
-    """The full complement of functional units for a machine config."""
+    """The full complement of functional units for a machine config.
+
+    Units are addressed by FU index (``Instruction.fu_index``, the
+    position of the class in ``FUClass`` order); ``latency`` is the
+    matching per-index latency table.
+    """
 
     def __init__(self, config: MachineConfig) -> None:
-        self._units: Dict[FUClass, FunctionalUnit] = {
-            fu: FunctionalUnit(fu, config.latency(fu)) for fu in FUClass
-        }
+        self._units: List[FunctionalUnit] = [
+            FunctionalUnit(fu, config.latency(fu)) for fu in FUClass
+        ]
+        #: Latency in cycles of each unit, by FU index.
+        self.latency: List[int] = [unit.latency for unit in self._units]
 
-    def __getitem__(self, fu: FUClass) -> FunctionalUnit:
-        return self._units[fu]
+    def __getitem__(self, fu_index: int) -> FunctionalUnit:
+        return self._units[fu_index]
 
     def __iter__(self) -> Iterator[FunctionalUnit]:
-        return iter(self._units.values())
+        return iter(self._units)
 
-    def can_accept(self, fu: FUClass, cycle: int) -> bool:
-        return self._units[fu].can_accept(cycle)
+    def can_accept(self, fu_index: int, cycle: int) -> bool:
+        return self._units[fu_index].last_accept_cycle != cycle
 
-    def accept(self, fu: FUClass, cycle: int) -> int:
-        """Dispatch to unit ``fu`` at ``cycle``; returns the result cycle."""
-        return self._units[fu].accept(cycle)
+    def accept(self, fu_index: int, cycle: int) -> int:
+        """Dispatch to unit ``fu_index`` at ``cycle``; returns the result
+        cycle."""
+        return self._units[fu_index].accept(cycle)
 
-    def result_cycle(self, fu: FUClass, cycle: int) -> int:
+    def result_cycle(self, fu_index: int, cycle: int) -> int:
         """When would an op dispatched at ``cycle`` produce its result?"""
-        return cycle + self._units[fu].latency
+        return cycle + self.latency[fu_index]
 
     def utilization(self) -> Dict[FUClass, int]:
         """Operations executed per functional unit."""
-        return {fu: unit.operations for fu, unit in self._units.items()}
+        return {unit.fu_class: unit.operations for unit in self._units}

@@ -16,10 +16,14 @@ structural properties the design relies on:
   ``r`` when one exists;
 * every non-ready operand carries a tag that a live producer will
   still satisfy (no orphaned waiters -> no deadlocks);
+* the wake-up index holds exactly the window's waiting operands, and
+  each entry's ``missing`` count matches them;
 * dispatched-but-not-executed entries are within the window;
 * the memory queue's in-flight population matches the window's
   un-finished memory instructions.
 
+The RUU engines opt into these checks through the engine's
+``invariant_checks`` hook (counted in ``ruu_cycles_checked``).
 Engines without RUU bookkeeping (simple, Tomasulo, RSTU, ...) still get
 generic post-cycle checks: the retired count never shrinks except
 across an interrupt or misprediction recovery, the retire log mirrors
@@ -34,9 +38,10 @@ on every cycle of real workloads, not just its architectural outputs.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Optional
+from typing import Dict, List, Optional
 
+from ..core.ruu import tag_parts
+from ..isa.registers import REGISTERS, TOTAL_REGISTERS
 from .faults import SimulationError
 
 
@@ -50,6 +55,9 @@ class InvariantChecker:
     def __init__(self, engine) -> None:
         self.engine = engine
         self.cycles_checked = 0
+        #: Cycles on which the RUU-family checks ran (via the engine's
+        #: ``invariant_checks`` hook).
+        self.ruu_cycles_checked = 0
         self._original_tick = engine.tick
         self._last_retired = engine.retired
         self._last_recoveries = self._recoveries()
@@ -79,8 +87,7 @@ class InvariantChecker:
         self.cycles_checked += 1
         engine = self.engine
         self._check_generic(engine)
-        if hasattr(engine, "window") and hasattr(engine, "_ni"):
-            self._check_ruu(engine)
+        engine.invariant_checks(self)
 
     def _check_generic(self, engine) -> None:
         """Post-cycle checks every engine must satisfy."""
@@ -114,7 +121,9 @@ class InvariantChecker:
             f"cycle {self.engine.cycle}: {message}"
         )
 
-    def _check_ruu(self, engine) -> None:
+    def check_ruu(self, engine) -> None:
+        """The RUU family's structural invariants (NI/LI, tags, queue)."""
+        self.ruu_cycles_checked += 1
         window = list(engine.window)
 
         # (1) queue order
@@ -123,28 +132,30 @@ class InvariantChecker:
             self._fail(f"window out of program order: {seqs}")
 
         # (2) NI consistency and bound
-        live_counts: Counter = Counter()
-        youngest_instance = {}
+        live_counts = [0] * TOTAL_REGISTERS
+        youngest_instance: Dict[int, int] = {}
         for entry in window:
             if entry.dest_tag is not None:
-                reg, instance = entry.dest_tag
+                reg, instance = tag_parts(entry.dest_tag)
                 live_counts[reg] += 1
                 youngest_instance[reg] = instance
-        if dict(live_counts) != dict(engine._ni):
+        if live_counts != list(engine._ni):
             self._fail(
-                f"NI mismatch: counters {dict(engine._ni)} vs live "
-                f"{dict(live_counts)}"
+                f"NI mismatch: counters {_by_name(engine._ni)} vs live "
+                f"{_by_name(live_counts)}"
             )
         limit = engine.config.max_instances
-        for reg, count in live_counts.items():
+        for reg, count in enumerate(live_counts):
             if count > limit:
-                self._fail(f"{reg.name} has {count} instances > {limit}")
+                self._fail(
+                    f"{REGISTERS[reg].name} has {count} instances > {limit}"
+                )
 
         # (3) LI points at the youngest live instance
         for reg, instance in youngest_instance.items():
-            if engine._li.get(reg, 0) != instance:
+            if engine._li[reg] != instance:
                 self._fail(
-                    f"LI[{reg.name}] = {engine._li.get(reg, 0)} but the "
+                    f"LI[{REGISTERS[reg].name}] = {engine._li[reg]} but the "
                     f"youngest live instance is {instance}"
                 )
 
@@ -159,22 +170,61 @@ class InvariantChecker:
                     continue
                 if operand.tag not in live_tags:
                     self._fail(
-                        f"#{entry.seq} waits on {operand.tag} with no "
-                        f"live producer"
+                        f"#{entry.seq} waits on "
+                        f"{engine.tag_name(operand.tag)} with no live "
+                        f"producer"
                     )
 
-        # (5) the _live index mirrors the window
+        # (5) the wake-up index mirrors the waiting operands exactly
+        indexed = sum(len(waiting) for waiting in engine._waiting.values())
+        waiting_operands = 0
+        for entry in window:
+            missing = 0
+            for operand in entry.operands:
+                if operand.ready:
+                    continue
+                missing += 1
+                if not any(waiter is operand for _, waiter in
+                           engine._waiting.get(operand.tag, ())):
+                    self._fail(
+                        f"#{entry.seq} waits on "
+                        f"{engine.tag_name(operand.tag)} but is not in "
+                        f"the wake-up index"
+                    )
+            if entry.missing != missing:
+                self._fail(
+                    f"#{entry.seq} counts {entry.missing} missing "
+                    f"operands, has {missing}"
+                )
+            waiting_operands += missing
+        if indexed != waiting_operands:
+            self._fail(
+                f"wake-up index holds {indexed} operands, the window "
+                f"waits on {waiting_operands}"
+            )
+
+        # (6) the _live index mirrors the window
         for tag, producer in engine._live.items():
             if producer.dest_tag != tag or producer.squashed:
-                self._fail(f"stale _live mapping for {tag}")
+                self._fail(
+                    f"stale _live mapping for {engine.tag_name(tag)}"
+                )
 
-        # (6) memory-queue population matches the window
+        # (7) memory-queue population matches the window
         window_mem = sum(1 for entry in window if entry.inst.is_memory)
         if engine.mdu.in_flight() != window_mem:
             self._fail(
                 f"mdu tracks {engine.mdu.in_flight()} memory ops, window "
                 f"holds {window_mem}"
             )
+
+
+def _by_name(counts: List[int]) -> Dict[str, int]:
+    """Non-zero per-register counts, keyed by register name."""
+    return {
+        REGISTERS[reg].name: count
+        for reg, count in enumerate(counts) if count
+    }
 
 
 def run_checked(engine, max_cycles: Optional[int] = None):

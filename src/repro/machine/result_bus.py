@@ -37,6 +37,10 @@ class ResultBus:
         """Garbage-collect reservations at or before ``now``."""
         self._reserved = {cycle for cycle in self._reserved if cycle > now}
 
+    def reservations(self) -> int:
+        """How many reservations are outstanding (unsorted count)."""
+        return len(self._reserved)
+
     def reserved_cycles(self) -> List[int]:
         """All outstanding reservations, sorted (for debugging/tests)."""
         return sorted(self._reserved)

@@ -52,7 +52,8 @@ def structure_occupancy(engine) -> Dict[str, int]:
     Duck-typed over the zoo exactly like ``diagnostics._collect_waiting``:
     ``window`` (RUU), ``stack`` (dispatch stack), ``_pool`` (RS pool),
     ``buffer`` (in-order precise engines), ``_stations`` (Tomasulo
-    family dict) and ``_pending_branches`` (speculative RUU).
+    family, one list per functional unit) and ``_pending_branches``
+    (speculative RUU).
     """
     occupancy: Dict[str, int] = {}
     for attr, label in (
@@ -66,10 +67,8 @@ def structure_occupancy(engine) -> Dict[str, int]:
         if holder is not None:
             occupancy[label] = len(holder)
     stations = getattr(engine, "_stations", None)
-    if isinstance(stations, dict):
-        occupancy["stations"] = sum(
-            len(entries) for entries in stations.values()
-        )
+    if stations is not None:
+        occupancy["stations"] = sum(len(entries) for entries in stations)
     return occupancy
 
 
@@ -184,7 +183,7 @@ class TraceRecorder:
             self.samples.append((
                 engine.cycle,
                 structure_occupancy(engine),
-                len(engine.result_bus.reserved_cycles()),
+                engine.result_bus.reservations(),
                 engine.next_seq - engine.retired,
             ))
 

@@ -63,6 +63,35 @@ class TestCheckedRuns:
         run_checked(engine)
 
 
+class TestRUUHook:
+    """The RUU family opts into its checks explicitly; they must run."""
+
+    @pytest.mark.parametrize(
+        "engine_name",
+        ["ruu-bypass", "ruu-nobypass", "ruu-limited", "spec-ruu"],
+    )
+    def test_ruu_checks_ran(self, engine_name):
+        workload = all_loops()[0]
+        engine = ENGINE_FACTORIES[engine_name](
+            workload.program, MachineConfig(window_size=10),
+            workload.make_memory(),
+        )
+        result, checker = run_checked(engine)
+        assert checker.ruu_cycles_checked > 0
+        assert checker.ruu_cycles_checked == result.cycles
+
+    @pytest.mark.parametrize("engine_name", ["simple", "tomasulo", "rstu"])
+    def test_other_engines_skip_them(self, engine_name):
+        workload = all_loops()[0]
+        engine = ENGINE_FACTORIES[engine_name](
+            workload.program, MachineConfig(window_size=10),
+            workload.make_memory(),
+        )
+        _, checker = run_checked(engine)
+        assert checker.cycles_checked > 0
+        assert checker.ruu_cycles_checked == 0
+
+
 class TestGenericChecks:
     """Every engine -- not just the RUU -- gets post-cycle assertions."""
 
@@ -158,11 +187,34 @@ class TestDetection:
         def corrupted(inst, seq):
             ok = original_try_issue(inst, seq)
             if seq == 2:
-                engine._ni[S(2)] = 5
+                engine._ni[S(2).flat_index] = 5
             return ok
 
         engine._try_issue = corrupted
         with pytest.raises(InvariantViolation):
+            engine.run()
+
+    def test_detects_stale_missing_count(self):
+        from repro.isa import assemble
+        source = """
+            S_IMM S1, 1.0
+            F_ADD S2, S1, S1
+            F_ADD S3, S2, S2
+            HALT
+        """
+        engine = RUUEngine(assemble(source), MachineConfig(window_size=8),
+                           bypass=BypassMode.NONE)
+        InvariantChecker.attach(engine)
+        original = engine._try_issue
+
+        def miscounting(inst, seq):
+            ok = original(inst, seq)
+            if seq == 2:
+                engine.window[-1].missing += 1
+            return ok
+
+        engine._try_issue = miscounting
+        with pytest.raises(InvariantViolation, match="missing"):
             engine.run()
 
     def test_detects_window_disorder(self):

@@ -1,9 +1,24 @@
 """Unit tests for Instruction construction rules and opcode metadata."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.isa import A, FUClass, Instruction, OpKind, Opcode, S
-from repro.isa.opcodes import DEFAULT_LATENCY
+from repro.isa.opcodes import DEFAULT_LATENCY, FU_INDEX
+
+
+def example(opcode: Opcode) -> Instruction:
+    """A well-formed instruction for any opcode."""
+    return Instruction(
+        opcode,
+        dest=S(1) if opcode.has_dest else None,
+        srcs=(S(2), S(3))[:opcode.n_srcs],
+        base=A(4) if opcode.is_memory else None,
+        imm=1 if opcode.uses_immediate else None,
+        target=0 if opcode.is_control_flow else None,
+    )
 
 
 class TestInstructionValidation:
@@ -89,3 +104,52 @@ class TestOpcodeMetadata:
         assert Opcode.MOV.fu is FUClass.TRANSMIT
         assert Opcode.S_SHR.fu is FUClass.SCALAR_SHIFT
         assert Opcode.LOAD_T.fu is FUClass.MEMORY
+
+
+class TestDecodedRecord:
+    @pytest.mark.parametrize("opcode", list(Opcode))
+    def test_flags_equal_the_opcode_predicates(self, opcode):
+        inst = example(opcode)
+        assert inst.is_load == opcode.is_load
+        assert inst.is_store == opcode.is_store
+        assert inst.is_memory == opcode.is_memory
+        assert inst.is_branch == opcode.is_branch
+        assert inst.is_control_flow == opcode.is_control_flow
+        assert inst.is_halt == (opcode is Opcode.HALT)
+        assert inst.is_nop == (opcode is Opcode.NOP)
+        assert inst.fu is opcode.fu
+        assert inst.fu_index == FU_INDEX[opcode.fu]
+
+    @pytest.mark.parametrize("opcode", list(Opcode))
+    def test_register_ids_and_masks(self, opcode):
+        inst = example(opcode)
+        assert inst.dest_id == (
+            None if inst.dest is None else inst.dest.flat_index
+        )
+        assert inst.src_ids == tuple(reg.flat_index for reg in inst.srcs)
+        assert inst.source_ids == tuple(
+            reg.flat_index for reg in inst.sources
+        )
+        assert inst.src_mask == sum(
+            1 << reg_id for reg_id in set(inst.source_ids)
+        )
+        assert inst.dest_mask == (
+            0 if inst.dest_id is None else 1 << inst.dest_id
+        )
+
+    def test_replace_re_derives_the_record(self):
+        inst = Instruction(Opcode.F_ADD, dest=S(1), srcs=(S(2), S(3)))
+        assert inst.source_ids == (S(2).flat_index, S(3).flat_index)
+        moved = dataclasses.replace(inst, dest=A(5), srcs=(S(6), S(6)))
+        assert moved.dest_id == A(5).flat_index
+        assert moved.source_ids == (S(6).flat_index,) * 2
+        assert moved.src_mask == 1 << S(6).flat_index
+        assert moved.dest_mask == 1 << A(5).flat_index
+
+    def test_record_is_not_pickled(self):
+        inst = example(Opcode.LOAD_S)
+        assert inst.is_memory  # decoded here
+        clone = pickle.loads(pickle.dumps(inst))
+        assert "is_memory" not in vars(clone)
+        assert clone == inst
+        assert clone.is_memory and clone.base_id == A(4).flat_index

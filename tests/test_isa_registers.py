@@ -1,7 +1,16 @@
 """Unit tests for the register model."""
 
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.isa import (
     TOTAL_REGISTERS,
     A,
@@ -13,6 +22,7 @@ from repro.isa import (
     T,
     all_registers,
 )
+from repro.isa.registers import REGISTERS
 
 
 class TestRegister:
@@ -67,6 +77,74 @@ class TestRegister:
         assert len(regs) == 144
 
 
+class TestInterning:
+    """Registers are interned values: equality and hashing are identity."""
+
+    def test_parse_returns_the_interned_register(self):
+        assert Register.parse("A1") is A(1)
+        assert Register.parse(" t12 ") is T(12)
+
+    def test_constructor_returns_the_interned_register(self):
+        assert Register(RegBank.S, 5) is S(5)
+
+    def test_pickle_returns_the_interned_register(self):
+        for reg in all_registers():
+            assert pickle.loads(pickle.dumps(reg)) is reg
+
+    def test_copy_and_deepcopy_return_the_interned_register(self):
+        assert copy.copy(B(40)) is B(40)
+        assert copy.deepcopy([A(1), T(63)])[1] is T(63)
+
+    def test_register_table_is_indexed_by_id(self):
+        assert len(REGISTERS) == TOTAL_REGISTERS
+        for reg in all_registers():
+            assert REGISTERS[reg.flat_index] is reg
+
+    def test_registers_are_immutable(self):
+        with pytest.raises(AttributeError):
+            A(1).index = 2
+
+    def test_results_do_not_depend_on_the_hash_seed(self):
+        """Run a few zoo points under two hash seeds: identity hashing of
+        registers must not leak into simulated results."""
+        script = (
+            "import hashlib, json\n"
+            "from repro.analysis.sweeps import ENGINE_FACTORIES\n"
+            "from repro.machine.config import CRAY1_LIKE\n"
+            "from repro.serve.protocol import canonical_result_bytes\n"
+            "from repro.workloads.suites import livermore_suite\n"
+            "loops = livermore_suite('quick')[:2]\n"
+            "config = CRAY1_LIKE.with_(window_size=12)\n"
+            "out = {}\n"
+            "for name in ('simple', 'tomasulo', 'dispatch-stack',\n"
+            "             'ruu-limited', 'spec-ruu', 'future-file'):\n"
+            "    for loop in loops:\n"
+            "        result = ENGINE_FACTORIES[name](\n"
+            "            loop.program, config, loop.make_memory()).run()\n"
+            "        out[f'{name}|{loop.name}|w12'] = hashlib.sha256(\n"
+            "            canonical_result_bytes(result)).hexdigest()\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        digests = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True, timeout=300,
+            )
+            digests.append(json.loads(completed.stdout))
+        assert digests[0] == digests[1]
+        golden = Path(src).parent / "perfbench" / "digest.json"
+        if golden.exists():
+            with open(golden, encoding="utf-8") as handle:
+                zoo = json.load(handle)["zoo"]
+            assert {key: zoo[key] for key in digests[0]} == digests[0]
+
+
 class TestRegisterFile:
     def test_initially_zero(self):
         rf = RegisterFile()
@@ -104,6 +182,12 @@ class TestRegisterFile:
         rf = RegisterFile()
         rf.write(B(10), 42)
         assert rf.nonzero() == {"B10": 42}
+
+    def test_values_are_indexed_by_register_id(self):
+        rf = RegisterFile()
+        rf.write(T(3), 1.25)
+        assert len(rf.values) == TOTAL_REGISTERS
+        assert rf.values[T(3).flat_index] == 1.25
 
     def test_snapshot_has_all_registers(self):
         assert len(RegisterFile().snapshot()) == 144

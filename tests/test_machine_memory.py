@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import FUClass
+from repro.isa.opcodes import FU_INDEX
 from repro.machine import (
     FUPool,
     MachineConfig,
@@ -144,26 +145,28 @@ class TestBroadcastBus:
 class TestFunctionalUnits:
     def test_pipelined_one_per_cycle(self):
         pool = FUPool(MachineConfig())
-        assert pool.can_accept(FUClass.FLOAT_ADD, 0)
-        done = pool.accept(FUClass.FLOAT_ADD, 0)
+        float_add = FU_INDEX[FUClass.FLOAT_ADD]
+        assert pool.can_accept(float_add, 0)
+        done = pool.accept(float_add, 0)
         assert done == 6  # CRAY-1 float add time
-        assert not pool.can_accept(FUClass.FLOAT_ADD, 0)
-        assert pool.can_accept(FUClass.FLOAT_ADD, 1)
+        assert not pool.can_accept(float_add, 0)
+        assert pool.can_accept(float_add, 1)
 
     def test_units_independent(self):
         pool = FUPool(MachineConfig())
-        pool.accept(FUClass.FLOAT_ADD, 0)
-        assert pool.can_accept(FUClass.FLOAT_MUL, 0)
+        pool.accept(FU_INDEX[FUClass.FLOAT_ADD], 0)
+        assert pool.can_accept(FU_INDEX[FUClass.FLOAT_MUL], 0)
 
     def test_latency_override(self):
         config = MachineConfig().with_latency(FUClass.MEMORY, 3)
         pool = FUPool(config)
-        assert pool.accept(FUClass.MEMORY, 10) == 13
+        assert pool.accept(FU_INDEX[FUClass.MEMORY], 10) == 13
+        assert pool.latency[FU_INDEX[FUClass.MEMORY]] == 3
 
     def test_utilization_counts(self):
         pool = FUPool(MachineConfig())
-        pool.accept(FUClass.TRANSMIT, 0)
-        pool.accept(FUClass.TRANSMIT, 1)
+        pool.accept(FU_INDEX[FUClass.TRANSMIT], 0)
+        pool.accept(FU_INDEX[FUClass.TRANSMIT], 1)
         assert pool.utilization()[FUClass.TRANSMIT] == 2
 
 

@@ -75,7 +75,7 @@ class TestCorrectness:
         engine, result = run_spec(wl.program, AlwaysTakenPredictor,
                                   memory=wl.make_memory())
         assert result.mispredictions > 0
-        assert engine._ni == {}
+        assert not any(engine._ni)
         assert not engine._pending_branches
 
     def test_wrong_path_stores_never_reach_memory(self):
