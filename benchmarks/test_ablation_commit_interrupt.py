@@ -12,7 +12,8 @@ latency cost of a big window, a trade-off the paper does not quantify.
 
 from repro.analysis import ENGINE_FACTORIES, run_suite
 from repro.core import RUUEngine
-from repro.machine import MachineConfig, Timeline
+from repro.machine import MachineConfig
+from repro.obs import TraceRecorder
 from repro.workloads import fault_probe
 
 from conftest import emit
@@ -74,11 +75,11 @@ def test_interrupt_response_and_squash_cost(benchmark, results_dir):
                 workload.program, MachineConfig(window_size=size),
                 memory=memory,
             )
-            engine.timeline = Timeline()
+            engine.recorder = TraceRecorder()
             engine.run()
             record = engine.interrupt_record
             assert record is not None and record.claims_precise
-            detected = engine.timeline.events_for(record.seq)["complete"]
+            detected = engine.recorder.stages[record.seq]["complete"]
             rows.append(
                 (size, record.cycle - detected, engine.squashed)
             )

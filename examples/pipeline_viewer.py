@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Watch instructions move through each machine's pipeline.
 
-Attaches a timeline recorder to three machines, runs the same code, and
+Attaches a trace recorder to three machines, runs the same code, and
 renders the classic pipeline diagrams side by side -- the difference
 between blocking issue, out-of-order completion, and in-order commit is
 directly visible.
@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.issue import RSTUEngine
 from repro.machine import Timeline
+from repro.obs import TraceRecorder
 
 SOURCE = """
     A_IMM A1, 100
@@ -40,12 +41,13 @@ def show(cls, label, **kwargs) -> None:
     memory.write_array(100, [1.5, 2.0, 2.5])
     engine = cls(program, MachineConfig(window_size=10), memory=memory,
                  **kwargs)
-    engine.timeline = Timeline()
+    engine.recorder = TraceRecorder()
     result = engine.run()
+    timeline = Timeline.of(engine.recorder)
     print(f"=== {label}: {result.cycles} cycles "
           f"(rate {result.issue_rate:.3f}) ===")
-    print(engine.timeline.gantt(first=0, last=15, width=68))
-    print(engine.timeline.summary())
+    print(timeline.gantt(first=0, last=15, width=68))
+    print(timeline.summary())
     print()
 
 

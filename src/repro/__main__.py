@@ -59,27 +59,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = MachineConfig(window_size=args.window)
     builder = ENGINE_FACTORIES[args.engine]
     engine = builder(program, config, Memory())
+    recorder = None
     if args.timeline or args.timeline_json:
-        from .machine.timeline import Timeline
+        from .obs import TraceRecorder
 
-        engine.timeline = Timeline()
+        recorder = engine.recorder = TraceRecorder()
     result = engine.run()
     print(result.describe())
     if engine.interrupt_record is not None:
         print(engine.interrupt_record.describe())
-    if args.timeline and engine.timeline is not None:
-        print()
-        print(engine.timeline.gantt(
-            program=program, first=args.first, last=args.last
-        ))
-        print()
-        print(engine.timeline.summary())
-    if args.timeline_json and engine.timeline is not None:
-        with open(args.timeline_json, "w") as handle:
-            json.dump(engine.timeline.to_json(), handle, indent=1,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.timeline_json}")
+    if recorder is not None:
+        from .machine.timeline import Timeline
+
+        timeline = Timeline.of(recorder)
+        if args.timeline:
+            print()
+            print(timeline.gantt(
+                program=program, first=args.first, last=args.last
+            ))
+            print()
+            print(timeline.summary())
+        if args.timeline_json:
+            with open(args.timeline_json, "w") as handle:
+                json.dump(timeline.to_json(), handle, indent=1,
+                          sort_keys=True)
+                handle.write("\n")
+            print(f"wrote {args.timeline_json}")
     if args.registers:
         for name, value in sorted(engine.regs.nonzero().items()):
             print(f"  {name:>4s} = {value}")

@@ -43,17 +43,13 @@ Three bypass configurations from section 6 are supported:
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.registers import REGISTERS, TOTAL_REGISTERS, RegBank
-from ..isa.semantics import coerce_for_bank, evaluate
-from ..machine.engine import Engine
-from ..machine.faults import FAULT_TYPES, PageFault
+from ..machine.faults import PageFault
 from ..machine.stats import StallReason
-from ..memdep import FROM_MEMORY, MemoryDependencyUnit
-from ..issue.common import Operand, WakeupIndex, WindowEntry
+from ..issue.common import Operand, WindowedEngine, WindowEntry
 
 #: An RUU tag names one instance of one register, ``instance << 8 | id``
 #: (the paper's register number concatenated with LI).
@@ -75,19 +71,23 @@ class BypassMode(enum.Enum):
     LIMITED = "limited"   # Table 6: future file for the A registers only
 
 
-class RUUEngine(Engine):
-    """Queue-managed reservation stations with in-order commit."""
+class RUUEngine(WindowedEngine):
+    """Queue-managed reservation stations with in-order commit.
+
+    The window is the queue: entries leave it only at the head, at
+    commit, and stores write memory there.
+    """
 
     name = "ruu"
     claims_precise_interrupts = True
+    release_at_dispatch = False
+    stores_at_commit = True
 
     def __init__(self, *args, bypass: BypassMode = BypassMode.FULL,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.bypass = bypass
         self.name = f"ruu-{bypass.value}"
-        self.mdu = MemoryDependencyUnit(self.config.n_load_registers)
-        self.window: Deque[WindowEntry] = deque()
         #: NI and LI counters (paper §5.1), by register id.
         self._ni: List[int] = [0] * TOTAL_REGISTERS
         self._li: List[int] = [0] * TOTAL_REGISTERS
@@ -99,56 +99,39 @@ class RUUEngine(Engine):
             self._bypass_allows(reg.bank) for reg in REGISTERS
         ]
         self._live: Dict[Tag, WindowEntry] = {}
-        self._waiting = WakeupIndex()
-        self._unresolved: Deque[WindowEntry] = deque()
-        self._pending_publish: List[WindowEntry] = []
         self._decode_watch_tag: Optional[Tag] = None
         self._decode_watch_value = None
         self._decode_watch_hit = False
-        self._inflight = 0
         self.max_ni_observed = 0
-        self.occupancy_accum = 0
 
     # ------------------------------------------------------------------
     # issue (tail of the queue)
     # ------------------------------------------------------------------
 
-    def _try_issue(self, inst: Instruction, seq: int) -> bool:
+    def _issue_stall(self, inst: Instruction) -> Optional[str]:
         if len(self.window) >= self.config.window_size:
-            self.stall(StallReason.WINDOW_FULL)
-            return False
+            return StallReason.WINDOW_FULL
         if inst.is_memory and not self.mdu.can_accept():
-            self.stall(StallReason.NO_LOAD_REGISTER)
-            return False
+            return StallReason.NO_LOAD_REGISTER
         dest = inst.dest_id
         if dest is not None and self._ni[dest] >= self._max_instances:
-            self.stall(StallReason.INSTANCE_LIMIT)
-            return False
+            return StallReason.INSTANCE_LIMIT
+        return None
 
-        # Sources first (an instruction may read its own destination's
-        # previous instance), then create the new destination instance.
-        operands = [self._source_operand(reg) for reg in inst.source_ids]
-        dest_tag: Optional[Tag] = None
-        if dest is not None:
-            ni = self._ni[dest] + 1
-            self._ni[dest] = ni
-            if ni > self.max_ni_observed:
-                self.max_ni_observed = ni
-            li = (self._li[dest] + 1) & self._li_mask
-            self._li[dest] = li
-            dest_tag = li << TAG_ID_BITS | dest
-        entry = WindowEntry(seq, inst, operands, dest_tag=dest_tag)
-        self._waiting.add(entry)
+    def _allocate_dest_tag(self, dest_id: int, seq: int) -> Tag:
+        """Create the new destination instance: NI and LI step up."""
+        ni = self._ni[dest_id] + 1
+        self._ni[dest_id] = ni
+        if ni > self.max_ni_observed:
+            self.max_ni_observed = ni
+        li = (self._li[dest_id] + 1) & self._li_mask
+        self._li[dest_id] = li
+        return li << TAG_ID_BITS | dest_id
+
+    def _insert_entry(self, entry: WindowEntry) -> None:
         self.window.append(entry)
-        if dest_tag is not None:
-            self._live[dest_tag] = entry
-        if inst.is_memory:
-            self.mdu.add(seq, inst.is_store)
-            self._unresolved.append(entry)
-            if inst.is_store:
-                self._pending_publish.append(entry)
-        self.note(seq, "issue")
-        return True
+        if entry.dest_tag is not None:
+            self._live[entry.dest_tag] = entry
 
     def _source_operand(self, reg: int) -> Operand:
         """Register-file read, RUU bypass read, or tag to snoop.
@@ -162,12 +145,21 @@ class RUUEngine(Engine):
         if not self._ni[reg]:
             return Operand(True, self.regs.values[reg])
         tag = self._li[reg] << TAG_ID_BITS | reg
+        producer = self._bypass_producer(reg, tag)
+        if producer is not None:
+            return Operand(True, producer.result)
+        return Operand(False, tag=tag)
+
+    def _bypass_producer(self, reg: int, tag: Tag) -> Optional[WindowEntry]:
+        """The RUU entry whose result a read of ``tag`` may take now: the
+        bypass mode lets ``reg`` read the RUU, and the producer has
+        executed without a fault.  None otherwise."""
         if self._bypass_ok[reg]:
             producer = self._live.get(tag)
             if producer is not None and producer.executed_cycle is not None \
                     and producer.fault is None:
-                return Operand(True, producer.result)
-        return Operand(False, tag=tag)
+                return producer
+        return None
 
     def _bypass_allows(self, bank: RegBank) -> bool:
         if self.bypass is BypassMode.FULL:
@@ -177,132 +169,11 @@ class RUUEngine(Engine):
         return False
 
     # ------------------------------------------------------------------
-    # dispatch (RUU -> functional units)
-    # ------------------------------------------------------------------
-
-    def _phase_dispatch(self) -> None:
-        if self.interrupt_record is not None:
-            return
-        self._resolve_addresses()
-        self._publish_store_data()
-        self.occupancy_accum += len(self.window)
-        budget = self.config.dispatch_paths
-        budget = self._dispatch_pass(budget, memory_only=True)
-        self._dispatch_pass(budget, memory_only=False)
-
-    def _dispatch_pass(self, budget: int, memory_only: bool) -> int:
-        """One priority class, oldest first (paper: loads/stores first,
-        then the instruction that entered the RUU earliest)."""
-        if budget <= 0:
-            return 0
-        for entry in self.window:
-            if budget == 0:
-                break
-            if entry.dispatched or entry.inst.is_memory != memory_only:
-                continue
-            if not self._entry_ready(entry):
-                continue
-            if self._dispatch(entry):
-                budget -= 1
-        return budget
-
-    def _resolve_addresses(self) -> None:
-        """Effective addresses resolve strictly in program order."""
-        while self._unresolved:
-            entry = self._unresolved[0]
-            if not entry.operands[-1].ready:
-                break
-            self.mdu.resolve(entry.seq, entry.compute_address())
-            self._unresolved.popleft()
-
-    def _publish_store_data(self) -> None:
-        still_waiting: List[WindowEntry] = []
-        for entry in self._pending_publish:
-            if entry.squashed:
-                continue
-            if entry.datum_operand.ready:
-                self.mdu.publish(entry.seq, entry.datum_operand.value)
-                entry.datum_published = True
-            else:
-                still_waiting.append(entry)
-        self._pending_publish = still_waiting
-
-    def _entry_ready(self, entry: WindowEntry) -> bool:
-        inst = entry.inst
-        if inst.is_memory:
-            if not self.mdu.is_resolved(entry.seq):
-                return False
-            if inst.is_store:
-                return (
-                    not entry.missing
-                    and self.mdu.store_may_dispatch(entry.seq)
-                )
-            return self.mdu.load_source_ready(entry.seq)
-        return not entry.missing
-
-    def _execution_latency(self, entry: WindowEntry) -> int:
-        inst = entry.inst
-        if inst.is_store:
-            return self.config.store_execute_latency
-        if inst.is_load and self.mdu.binding_of(entry.seq) is not FROM_MEMORY:
-            return self.config.forward_latency
-        return self.fus.latency[inst.fu_index]
-
-    def _dispatch(self, entry: WindowEntry) -> bool:
-        """Send a ready entry to its functional unit, reserving the
-        result bus for its completion cycle (paper: "The RUU reserves
-        the result bus when it issues an instruction")."""
-        inst = entry.inst
-        if not self.fus.can_accept(inst.fu_index, self.cycle):
-            return False
-        done_cycle = self.cycle + self._execution_latency(entry)
-        if inst.dest_id is not None \
-                and not self.result_bus.is_free(done_cycle):
-            self.result_bus.conflicts += 1
-            return False
-        self._execute(entry)
-        self.fus.accept(inst.fu_index, self.cycle)
-        if inst.dest_id is not None:
-            self.result_bus.reserve(done_cycle)
-        entry.dispatched = True
-        if inst.is_memory:
-            self.mdu.mark_dispatched(entry.seq)
-        self._schedule_completion(done_cycle, entry)
-        self._inflight += 1
-        self.note(entry.seq, "dispatch")
-        return True
-
-    def _execute(self, entry: WindowEntry) -> None:
-        """Compute the result now; it reaches the buses at completion.
-
-        Loads read memory here (at dispatch): uncommitted older stores
-        cannot be missed because a same-address pending store would have
-        captured the load at binding time, and memory itself is only
-        written by in-order commits.  Stores touch nothing until commit.
-        """
-        inst = entry.inst
-        try:
-            if inst.is_load:
-                if self.mdu.binding_of(entry.seq) is FROM_MEMORY:
-                    raw = self.memory.read(entry.address)
-                else:
-                    raw = self.mdu.forwarded_value(entry.seq)
-                entry.result = coerce_for_bank(inst.dest, raw)
-            elif inst.is_store:
-                pass  # memory is written at commit, in program order
-            else:
-                raw = evaluate(inst.opcode, entry.operand_values(), inst.imm)
-                entry.result = coerce_for_bank(inst.dest, raw)
-        except FAULT_TYPES as fault:
-            entry.fault = fault
-
-    # ------------------------------------------------------------------
     # completion (functional units -> result bus)
     # ------------------------------------------------------------------
 
     def _phase_complete(self) -> None:
         for entry in self._pop_completions():
-            self._inflight -= 1
             if entry.squashed:
                 continue
             entry.executed_cycle = self.cycle
@@ -334,15 +205,16 @@ class RUUEngine(Engine):
             entry = self.window[0]
             if not entry.executed or entry.executed_cycle >= self.cycle:
                 return
-            if entry.fault is not None:
-                self._interrupt_at(entry)
-                return
             if not self._commit_head(entry):
                 return
             budget -= 1
 
     def _commit_head(self, entry: WindowEntry) -> bool:
-        """Retire the head entry, updating the architectural state."""
+        """Retire the executed head entry, updating the architectural
+        state, or take its trap."""
+        if entry.fault is not None:
+            self._interrupt_at(entry)
+            return False
         inst = entry.inst
         if inst.is_store:
             try:
@@ -379,23 +251,8 @@ class RUUEngine(Engine):
         self._take_interrupt(
             entry.fault, seq=entry.seq, pc=entry.inst.pc, precise=True
         )
-        # Branches and NOPs retire in the decode stage; any that were
-        # younger than the trap will re-execute, so un-count them.
-        doomed = sum(1 for seq in self.retire_log if seq >= entry.seq)
-        if doomed:
-            self.retired -= doomed
-            self.retire_log = [
-                seq for seq in self.retire_log if seq < entry.seq
-            ]
         self._squash_all()
-        self.pc = entry.inst.pc
-        self.decode_slot = None
-        # The squashed instructions (the faulting one included) will be
-        # refetched; recycle their sequence numbers so ``seq`` remains
-        # the dynamic program-order index across resumes.
-        self.next_seq = entry.seq
-        self.fetch_done = False
-        self.fetch_resume_cycle = self.cycle + 1
+        self._restart_at(entry.seq, entry.inst.pc)
 
     def _squash_all(self) -> None:
         for entry in self.window:
@@ -409,10 +266,6 @@ class RUUEngine(Engine):
         self._pending_publish.clear()
         self.mdu.squash_from(0)
         self._clear_decode_watch()
-
-    def _prepare_resume(self) -> None:
-        """Nothing to rebuild: ``_interrupt_at`` already restored a clean
-        machine (empty RUU, zero NI counters, PC at the trap)."""
 
     # ------------------------------------------------------------------
     # branches in the decode stage
@@ -430,12 +283,10 @@ class RUUEngine(Engine):
             self._clear_decode_watch()
             return True, self.regs.values[reg]
         tag = self._li[reg] << TAG_ID_BITS | reg
-        if self._bypass_ok[reg]:
-            producer = self._live.get(tag)
-            if producer is not None and producer.executed \
-                    and producer.fault is None:
-                self._clear_decode_watch()
-                return True, producer.result
+        producer = self._bypass_producer(reg, tag)
+        if producer is not None:
+            self._clear_decode_watch()
+            return True, producer.result
         if self._decode_watch_tag == tag and self._decode_watch_hit:
             value = self._decode_watch_value
             self._clear_decode_watch()
@@ -460,16 +311,8 @@ class RUUEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def _drained(self) -> bool:
-        return not self.window and self._inflight == 0
-
     def result(self):
         sim_result = super().result()
-        if self.cycle:
-            sim_result.extra["avg_window_occupancy"] = (
-                self.occupancy_accum / self.cycle
-            )
-        sim_result.extra["memory_forwards"] = self.mdu.forwards
         sim_result.extra["max_ni_observed"] = self.max_ni_observed
         sim_result.extra["bypass_mode"] = self.bypass.value
         return sim_result

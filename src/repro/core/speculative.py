@@ -30,8 +30,8 @@ and never trap (interrupts are commit-gated).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
@@ -85,11 +85,7 @@ class SpeculativeRUUEngine(RUUEngine):
         if ready:
             taken = branch_taken(inst.opcode, value)
             self.predictor.update(inst, taken)
-            self._redirect_after_branch(inst, taken)
-            self.note(self.decode_seq, "issue")
-            self.note(self.decode_seq, "commit")
-            self._note_retired(self.decode_seq)
-            self.decode_slot = None
+            self._resolve_in_decode(inst, taken)
             return
         if len(self._pending_branches) >= self.config.spec_max_branches:
             self.stall(StallReason.BRANCH_WAIT)
@@ -113,18 +109,6 @@ class SpeculativeRUUEngine(RUUEngine):
             penalty = 0
         self.fetch_resume_cycle = self.cycle + 1 + penalty
         self.decode_slot = None
-
-    def _redirect_after_branch(self, inst: Instruction, taken: bool) -> None:
-        """Non-speculative resolution in decode (condition was readable)."""
-        self.branches += 1
-        if taken:
-            self.branches_taken += 1
-            self.pc = inst.target
-            penalty = self.config.branch_taken_penalty
-        else:
-            self.pc = inst.pc + 1
-            penalty = self.config.branch_not_taken_penalty
-        self.fetch_resume_cycle = self.cycle + 1 + penalty
 
     # ------------------------------------------------------------------
     # condition arrival and resolution
@@ -164,16 +148,15 @@ class SpeculativeRUUEngine(RUUEngine):
         condition once the producing instance has committed (the
         register file is then current) or through the bypass path."""
         reg, _ = tag_parts(pending.tag)
-        producer = self._live.get(pending.tag)
-        if producer is None:
+        if pending.tag not in self._live:
             # Producer left the RUU: committed (value in the register
             # file) or squashed along with this branch's own squash --
             # the latter cannot happen while the branch is still listed.
             pending.value = self.regs.values[reg]
             pending.value_ready = True
             return True
-        if self._bypass_ok[reg] and producer.executed \
-                and producer.fault is None:
+        producer = self._bypass_producer(reg, pending.tag)
+        if producer is not None:
             pending.value = producer.result
             pending.value_ready = True
             return True
@@ -183,26 +166,11 @@ class SpeculativeRUUEngine(RUUEngine):
     # commit gating
     # ------------------------------------------------------------------
 
-    def _phase_commit(self) -> None:
-        if self.interrupt_record is not None:
-            return
-        gate = (
-            self._pending_branches[0].seq
-            if self._pending_branches else None
-        )
-        budget = self.config.commit_paths
-        while budget > 0 and self.window:
-            entry = self.window[0]
-            if gate is not None and entry.seq > gate:
-                return  # conditional: not yet proven on the correct path
-            if not entry.executed or entry.executed_cycle >= self.cycle:
-                return
-            if entry.fault is not None:
-                self._interrupt_at(entry)
-                return
-            if not self._commit_head(entry):
-                return
-            budget -= 1
+    def _commit_head(self, entry) -> bool:
+        if self._pending_branches \
+                and entry.seq > self._pending_branches[0].seq:
+            return False  # conditional: not yet proven on the correct path
+        return super()._commit_head(entry)
 
     # ------------------------------------------------------------------
     # misprediction recovery
@@ -235,24 +203,9 @@ class SpeculativeRUUEngine(RUUEngine):
             pending for pending in self._pending_branches
             if pending.seq < boundary_seq
         ]
-        doomed = sum(1 for seq in self.retire_log if seq >= boundary_seq)
-        if doomed:
-            self.retired -= doomed
-            self.retire_log = [
-                seq for seq in self.retire_log if seq < boundary_seq
-            ]
-        self.decode_slot = None
-        self.fetch_done = False
         self._clear_decode_watch()
-        # Wrong-path instructions consumed sequence numbers; give them
-        # back so ``seq`` stays the dynamic program-order index.  The
-        # interrupt machinery (and the checkpoint drill) rely on
-        # ``record.seq`` meaning "first seq instructions completed".
-        self.next_seq = boundary_seq
-        self.pc = correct_pc
-        self.fetch_resume_cycle = (
-            self.cycle + 1 + self.config.spec_mispredict_penalty
-        )
+        self._restart_at(boundary_seq, correct_pc,
+                         self.config.spec_mispredict_penalty)
 
     def _squash_all(self) -> None:
         super()._squash_all()
@@ -262,6 +215,11 @@ class SpeculativeRUUEngine(RUUEngine):
 
     def _drained(self) -> bool:
         return super()._drained() and not self._pending_branches
+
+    def occupancy(self) -> Dict[str, int]:
+        occupancy = super().occupancy()
+        occupancy["pending_branches"] = len(self._pending_branches)
+        return occupancy
 
     def result(self):
         sim_result = super().result()

@@ -25,7 +25,7 @@ Issue remains strictly in order and blocking -- dependency *resolution*
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.registers import TOTAL_REGISTERS, RegisterFile
@@ -54,9 +54,17 @@ class _BufEntry:
         self.old_value = None
         self.squashed = False
 
+    #: Operands are read at issue, so nothing to snoop for.
+    waiting_tags = ()
+
     @property
     def done(self) -> bool:
         return self.done_cycle is not None
+
+    @property
+    def state(self) -> str:
+        """In-order issue is dispatch: ``dispatched`` until ``done``."""
+        return "done" if self.done_cycle is not None else "dispatched"
 
 
 class InOrderPreciseEngine(Engine):
@@ -224,27 +232,12 @@ class InOrderPreciseEngine(Engine):
         self._take_interrupt(
             entry.fault, seq=entry.seq, pc=entry.inst.pc, precise=True
         )
-        doomed = sum(1 for seq in self.retire_log if seq >= entry.seq)
-        if doomed:
-            self.retired -= doomed
-            self.retire_log = [
-                seq for seq in self.retire_log if seq < entry.seq
-            ]
         self._recover_precise_state(entry.seq)
         for victim in self.buffer:
             victim.squashed = True
         self.buffer.clear()
         self._busy = [None] * TOTAL_REGISTERS
-        self.pc = entry.inst.pc
-        self.decode_slot = None
-        # Recycle the squashed sequence numbers (see RUUEngine
-        # ``_interrupt_at``): ``seq`` stays the dynamic index.
-        self.next_seq = entry.seq
-        self.fetch_done = False
-        self.fetch_resume_cycle = self.cycle + 1
-
-    def _prepare_resume(self) -> None:
-        """``_interrupt_at`` already left a clean, restartable machine."""
+        self._restart_at(entry.seq, entry.inst.pc)
 
     # ------------------------------------------------------------------
 
@@ -256,6 +249,12 @@ class InOrderPreciseEngine(Engine):
 
     def _drained(self) -> bool:
         return not self.buffer
+
+    def waiting_entries(self) -> Sequence[_BufEntry]:
+        return self.buffer
+
+    def occupancy(self) -> Dict[str, int]:
+        return {"buffer": len(self.buffer)}
 
 
 class ReorderBufferEngine(InOrderPreciseEngine):

@@ -2,10 +2,11 @@
 
 ``SimpleEngine`` -> ``TomasuloEngine`` -> ``TagUnitEngine`` ->
 ``RSPoolEngine`` -> ``RSTUEngine``; the RUU itself lives in
-:mod:`repro.core` as the paper's contribution.
+:mod:`repro.core` as the paper's contribution.  Tomasulo's family and
+the RUU share one core, :class:`~repro.issue.common.WindowedEngine`.
 """
 
-from .common import Operand, WindowEntry
+from .common import Operand, WindowedEngine, WindowEntry
 from .dispatch_stack import DispatchStackEngine
 from .rspool import RSPoolEngine
 from .rstu import RSTUEngine
@@ -22,5 +23,6 @@ __all__ = [
     "TagUnitEngine",
     "TagUnitEntry",
     "TomasuloEngine",
+    "WindowedEngine",
     "WindowEntry",
 ]

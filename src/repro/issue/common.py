@@ -1,18 +1,29 @@
-"""Shared reservation-station machinery for the windowed engines.
+"""The windowed-engine core shared by Tomasulo's family and the RUU.
 
 Tomasulo, the Tag Unit, the RS pool, the RSTU and the RUU all hold
 waiting instructions in entries of the same shape: per-source operand
 slots that either have a value or snoop a tag, a destination tag, and
-execution bookkeeping.  The engines differ in how tags are *allocated*
-and when entries are *freed* -- that logic stays in each engine.
+execution bookkeeping.  The paper builds each machine from the one
+before by changing only how tags are *allocated*, how the stations are
+laid out, and when a station is *freed* (§3.2, §5).
+:class:`WindowedEngine` is that ladder's common rung: issue, in-order
+address resolution, store-data publication, readiness, dispatch and
+execution live here once, and each engine supplies only the hooks that
+differ.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import abc
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.semantics import effective_address
+from ..isa.semantics import coerce_for_bank, effective_address, evaluate
+from ..machine.engine import Engine
+from ..machine.faults import FAULT_TYPES
+from ..machine.stats import StallReason
+from ..memdep import FROM_MEMORY, MemoryDependencyUnit
 
 
 class Operand:
@@ -91,16 +102,25 @@ class WindowEntry:
     def executed(self) -> bool:
         return self.executed_cycle is not None
 
+    @property
+    def state(self) -> str:
+        """``waiting``, ``dispatched`` or ``done`` (for diagnostics)."""
+        if self.executed_cycle is not None:
+            return "done"
+        return "dispatched" if self.dispatched else "waiting"
+
+    @property
+    def waiting_tags(self) -> List[object]:
+        """The tags of the operands still missing."""
+        return [operand.tag for operand in self.operands if not operand.ready]
+
     def operand_values(self) -> List[object]:
         """Values of the explicit sources (excludes the address base)."""
         count = len(self.inst.srcs)
         return [operand.value for operand in self.operands[:count]]
 
     def __repr__(self) -> str:
-        state = "done" if self.executed else (
-            "dispatched" if self.dispatched else "waiting"
-        )
-        return f"<#{self.seq} {self.inst} [{state}]>"
+        return f"<#{self.seq} {self.inst} [{self.state}]>"
 
 
 class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
@@ -139,3 +159,241 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
                 self[tag] = live
             else:
                 del self[tag]
+
+
+class WindowedEngine(Engine):
+    """Issue into a window of reservation stations, dispatch out of order.
+
+    ``window`` holds every occupied station in program order.  Subclasses
+    implement the hooks: :meth:`_issue_stall`, :meth:`_source_operand`,
+    :meth:`_allocate_dest_tag`, :meth:`_register_pending` and
+    :meth:`_phase_complete` (plus :meth:`_phase_commit` for in-order
+    commit), and set :attr:`release_at_dispatch`,
+    :attr:`stores_at_commit` and :attr:`structure`.
+    """
+
+    #: Is a station freed when its instruction dispatches (Tomasulo, the
+    #: Tag Unit, the RS pool)?  Otherwise the engine frees it later: at
+    #: completion (the RSTU) or at commit (the RUU).
+    release_at_dispatch = True
+    #: Do stores write memory at commit, in program order (the RUU)?
+    #: Otherwise they write at dispatch.  A store that waits for commit
+    #: occupies its unit for ``config.store_execute_latency`` cycles.
+    stores_at_commit = False
+    #: The name traces give the window's occupancy counter.
+    structure = "window"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.mdu = MemoryDependencyUnit(self.config.n_load_registers)
+        self.window: Deque[WindowEntry] = deque()
+        self._waiting = WakeupIndex()
+        #: Memory ops whose address is not yet known, in program order.
+        self._unresolved: Deque[WindowEntry] = deque()
+        #: Stores whose datum loads may not yet forward.
+        self._pending_publish: List[WindowEntry] = []
+        self.occupancy_accum = 0
+
+    # ------------------------------------------------------------------
+    # hooks
+    # ------------------------------------------------------------------
+
+    @abc.abstractmethod
+    def _issue_stall(self, inst: Instruction) -> Optional[str]:
+        """The reason ``inst`` cannot take a station now, or None."""
+
+    @abc.abstractmethod
+    def _source_operand(self, reg_id: int) -> Operand:
+        """Read source register ``reg_id``: a value or a tag to snoop."""
+
+    @abc.abstractmethod
+    def _allocate_dest_tag(self, dest_id: int, seq: int):
+        """Tag the new instance of ``dest_id``; None when no tag is free."""
+
+    def _insert_entry(self, entry: WindowEntry) -> None:
+        """Occupy a station with the newly issued ``entry``."""
+        self.window.append(entry)
+
+    # ------------------------------------------------------------------
+    # issue
+    # ------------------------------------------------------------------
+
+    def _try_issue(self, inst: Instruction, seq: int) -> bool:
+        reason = self._issue_stall(inst)
+        if reason is not None:
+            self.stall(reason)
+            return False
+        # Read sources *before* tagging the destination: an instruction
+        # like ``A_ADDI A1, A1, 1`` must take A1's previous tag, not its
+        # own freshly allocated one.
+        operands = [self._source_operand(reg) for reg in inst.source_ids]
+        dest_tag = None
+        if inst.dest_id is not None:
+            dest_tag = self._allocate_dest_tag(inst.dest_id, seq)
+            if dest_tag is None:
+                self.stall(StallReason.NO_TAG)
+                return False
+        entry = WindowEntry(seq, inst, operands, dest_tag=dest_tag)
+        self._waiting.add(entry)
+        self._insert_entry(entry)
+        if inst.is_memory:
+            self.mdu.add(seq, inst.is_store)
+            self._unresolved.append(entry)
+            if inst.is_store:
+                self._pending_publish.append(entry)
+        self.note(seq, "issue")
+        return True
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+
+    def _phase_dispatch(self) -> None:
+        if self.interrupt_record is not None:
+            return
+        self._resolve_addresses()
+        self._publish_store_data()
+        self.occupancy_accum += len(self.window)
+        self._dispatch_ready()
+
+    def _resolve_addresses(self) -> None:
+        """Compute effective addresses strictly in program order: an
+        unknown address blocks all younger memory ops (paper §3.2.1.2)."""
+        while self._unresolved:
+            entry = self._unresolved[0]
+            if not entry.operands[-1].ready:
+                break
+            self.mdu.resolve(entry.seq, entry.compute_address())
+            self._unresolved.popleft()
+
+    def _publish_store_data(self) -> None:
+        """Make store data visible to forwarded loads once available."""
+        still_waiting: List[WindowEntry] = []
+        for entry in self._pending_publish:
+            if entry.squashed:
+                continue
+            if entry.datum_operand.ready:
+                self.mdu.publish(entry.seq, entry.datum_operand.value)
+                entry.datum_published = True
+            else:
+                still_waiting.append(entry)
+        self._pending_publish = still_waiting
+
+    def _dispatch_ready(self) -> None:
+        """Up to ``dispatch_paths`` instructions leave the window per
+        cycle: loads and stores first, then the one that entered the
+        window earliest (the paper's RUU rule, §5.1)."""
+        budget = self.config.dispatch_paths
+        if budget <= 0:
+            return
+        # A snapshot: dispatch may free stations.
+        candidates = [entry for entry in self.window if not entry.dispatched]
+        for memory in (True, False):
+            for entry in candidates:
+                if entry.inst.is_memory == memory \
+                        and self._entry_ready(entry) \
+                        and self._dispatch(entry):
+                    budget -= 1
+                    if budget == 0:
+                        return
+
+    def _entry_ready(self, entry: WindowEntry) -> bool:
+        """Operands present plus the memory-ordering conditions."""
+        inst = entry.inst
+        if inst.is_memory:
+            if not self.mdu.is_resolved(entry.seq):
+                return False
+            if inst.is_store:
+                return (
+                    not entry.missing
+                    and self.mdu.store_may_dispatch(entry.seq)
+                )
+            return self.mdu.load_source_ready(entry.seq)
+        return not entry.missing
+
+    def _dispatch(self, entry: WindowEntry) -> bool:
+        """Send one ready entry to its functional unit.
+
+        Reserves the result bus for the completion cycle (paper: "The
+        RUU reserves the result bus when it issues an instruction"); a
+        bus conflict cancels the dispatch (retried next cycle).
+        """
+        inst = entry.inst
+        if not self.fus.can_accept(inst.fu_index, self.cycle):
+            return False
+        done_cycle = self.cycle + self._execution_latency(entry)
+        if inst.dest_id is not None \
+                and not self.result_bus.is_free(done_cycle):
+            self.result_bus.conflicts += 1
+            return False
+        self._execute(entry)
+        self.fus.accept(inst.fu_index, self.cycle)
+        if inst.dest_id is not None:
+            self.result_bus.reserve(done_cycle)
+        entry.dispatched = True
+        if inst.is_memory:
+            self.mdu.mark_dispatched(entry.seq)
+        if self.release_at_dispatch:
+            self.window.remove(entry)
+        self._schedule_completion(done_cycle, entry)
+        self.note(entry.seq, "dispatch")
+        return True
+
+    def _execution_latency(self, entry: WindowEntry) -> int:
+        inst = entry.inst
+        if inst.is_store and self.stores_at_commit:
+            return self.config.store_execute_latency
+        if inst.is_load and \
+                self.mdu.binding_of(entry.seq) is not FROM_MEMORY:
+            return self.config.forward_latency
+        return self.fus.latency[inst.fu_index]
+
+    def _execute(self, entry: WindowEntry) -> None:
+        """Compute the entry's result (delivered at its completion cycle).
+
+        Loads read memory here, at dispatch.  A store written here
+        becomes visible out of program order relative to other
+        instructions -- the imprecise behaviour under study -- but in
+        per-address order (``store_may_dispatch`` and the in-order
+        address resolution).  With in-order commit a load cannot miss
+        an uncommitted older store: a same-address pending store would
+        have captured it at binding time.
+        """
+        inst = entry.inst
+        try:
+            if inst.is_load:
+                if self.mdu.binding_of(entry.seq) is FROM_MEMORY:
+                    raw = self.memory.read(entry.address)
+                else:
+                    raw = self.mdu.forwarded_value(entry.seq)
+                entry.result = coerce_for_bank(inst.dest, raw)
+            elif inst.is_store:
+                if not self.stores_at_commit:
+                    self.memory.write(
+                        entry.address, entry.datum_operand.value
+                    )
+            else:
+                raw = evaluate(inst.opcode, entry.operand_values(), inst.imm)
+                entry.result = coerce_for_bank(inst.dest, raw)
+        except FAULT_TYPES as fault:
+            entry.fault = fault
+
+    # ------------------------------------------------------------------
+
+    def waiting_entries(self) -> Sequence[WindowEntry]:
+        return self.window
+
+    def occupancy(self) -> Dict[str, int]:
+        return {self.structure: len(self.window)}
+
+    def _drained(self) -> bool:
+        return not self.window and not self._completions
+
+    def result(self):
+        sim_result = super().result()
+        if self.cycle:
+            sim_result.extra["avg_window_occupancy"] = (
+                self.occupancy_accum / self.cycle
+            )
+        sim_result.extra["memory_forwards"] = self.mdu.forwards
+        return sim_result

@@ -22,7 +22,7 @@ instances simply remove (ablation A3).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..isa.instruction import Instruction
 from ..isa.registers import TOTAL_REGISTERS
@@ -48,6 +48,15 @@ class _StackEntry:
         self.fault: Optional[Exception] = None
         self.address: Optional[int] = None
 
+    #: No operand capture, so nothing to snoop for.
+    waiting_tags = ()
+
+    @property
+    def state(self) -> str:
+        if self.done:
+            return "done"
+        return "dispatched" if self.dispatched else "waiting"
+
 
 class DispatchStackEngine(Engine):
     """Centralized out-of-order issue with no register renaming.
@@ -66,7 +75,6 @@ class DispatchStackEngine(Engine):
         self.stack: List[_StackEntry] = []
         #: Unfinished writers in the stack, by register id.
         self._pending_writes: List[int] = [0] * TOTAL_REGISTERS
-        self._inflight = 0
         self.occupancy_accum = 0
 
     # ------------------------------------------------------------------
@@ -183,7 +191,6 @@ class DispatchStackEngine(Engine):
         if inst.is_memory:
             self.mdu.mark_dispatched(entry.seq)
         self._schedule_completion(done_cycle, entry)
-        self._inflight += 1
         self.note(entry.seq, "dispatch")
         return True
 
@@ -191,7 +198,6 @@ class DispatchStackEngine(Engine):
 
     def _phase_complete(self) -> None:
         for entry in self._pop_completions():
-            self._inflight -= 1
             if entry.fault is not None:
                 self._take_interrupt(
                     entry.fault, seq=entry.seq, pc=entry.inst.pc,
@@ -217,7 +223,13 @@ class DispatchStackEngine(Engine):
         return self._pending_writes[reg_id] > 0
 
     def _drained(self) -> bool:
-        return not self.stack and self._inflight == 0
+        return not self.stack and not self._completions
+
+    def waiting_entries(self) -> Sequence[_StackEntry]:
+        return self.stack
+
+    def occupancy(self) -> Dict[str, int]:
+        return {"stack": len(self.stack)}
 
     def result(self):
         sim_result = super().result()

@@ -13,52 +13,31 @@ Tags still come from the separate Tag Unit (``config.n_tags``).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 from ..isa.instruction import Instruction
-from .common import WindowEntry
+from ..machine.stats import StallReason
+from .common import WindowedEngine
 from .tagunit import TagUnitEngine
 
 
 class RSPoolEngine(TagUnitEngine):
-    """A common reservation-station pool in front of all functional units."""
+    """A common reservation-station pool in front of all functional units.
+
+    The pool is the window itself, with one capacity for all units;
+    up to ``dispatch_paths`` instructions leave it per cycle, memory
+    operations first, then the oldest.
+    """
 
     name = "rspool"
+    structure = "pool"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._pool: List[WindowEntry] = []
+    def _issue_stall(self, inst: Instruction) -> Optional[str]:
+        if inst.is_memory and not self.mdu.can_accept():
+            return StallReason.NO_LOAD_REGISTER
+        if len(self.window) >= self.config.window_size:
+            return StallReason.WINDOW_FULL
+        return None
 
-    # -- station organization -------------------------------------------
-
-    def _station_available(self, inst: Instruction) -> bool:
-        return len(self._pool) < self.config.window_size
-
-    def _insert_entry(self, entry: WindowEntry) -> None:
-        self._pool.append(entry)
-
-    def _release_entry(self, entry: WindowEntry) -> None:
-        self._pool.remove(entry)
-
-    def _occupied(self) -> int:
-        return len(self._pool)
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _dispatch_from_stations(self) -> None:
-        """Up to ``dispatch_paths`` instructions leave the pool per cycle.
-
-        Selection priority follows the paper's RUU rule: memory
-        operations first, then age.  (The pool list is in program
-        order; a snapshot is taken because dispatch removes entries.)
-        """
-        budget = self.config.dispatch_paths
-        candidates = [e for e in self._pool if not e.dispatched]
-        candidates.sort(key=lambda e: (not e.inst.is_memory, e.seq))
-        for entry in candidates:
-            if budget == 0:
-                break
-            if not self._entry_ready(entry):
-                continue
-            if self._dispatch(entry):
-                budget -= 1
+    #: The shared dispatch, not Tomasulo's one port per unit.
+    _dispatch_ready = WindowedEngine._dispatch_ready

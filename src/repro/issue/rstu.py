@@ -33,22 +33,13 @@ class RSTUEngine(RSPoolEngine):
     """
 
     name = "rstu"
+    #: Entries persist through execution and free at completion.
+    release_at_dispatch = False
 
-    # -- tags are the entries themselves --------------------------------
-
-    def _allocate_dest_tag(self, dest_id: int, seq: int):
-        """Reserving the station reserved the tag: use the dynamic seq as
-        the unique identifier of this entry's slot.  Capacity was already
-        checked by ``_station_available``; the old latest copy (if any)
-        is superseded by updating the latest-tag map."""
-        self._reg_tag[dest_id] = seq
-        return seq
-
+    #: Reserving the station reserved the tag: the dynamic seq names the
+    #: entry's slot, capacity was checked at issue, and the old latest
+    #: copy (if any) is superseded in the latest-tag map.
+    _allocate_dest_tag = TomasuloEngine._allocate_dest_tag
     #: Write the register file only from the latest copy (Tomasulo's
     #: rule, not the Tag Unit's slot bookkeeping).
     _writeback = TomasuloEngine._writeback
-
-    # -- entries persist through execution --------------------------------
-
-    def _entry_released_at_dispatch(self) -> bool:
-        return False

@@ -54,7 +54,6 @@ class SimpleEngine(Engine):
         super().__init__(*args, **kwargs)
         #: Busy bits: a mask over register ids with a write in flight.
         self._busy = 0
-        self._inflight = 0
 
     # ------------------------------------------------------------------
 
@@ -80,7 +79,6 @@ class SimpleEngine(Engine):
             self.result_bus.reserve(done_cycle)
             self._busy |= inst.dest_mask
         self._schedule_completion(done_cycle, _Completion(seq, inst, value, fault))
-        self._inflight += 1
         self.note(seq, "issue")
         self.note(seq, "dispatch")  # issue is dispatch on this machine
         return True
@@ -114,7 +112,6 @@ class SimpleEngine(Engine):
 
     def _phase_complete(self) -> None:
         for completion in self._pop_completions():
-            self._inflight -= 1
             if completion.fault is not None:
                 self._take_interrupt(
                     completion.fault,
@@ -134,4 +131,4 @@ class SimpleEngine(Engine):
         return bool(self._busy >> reg_id & 1)
 
     def _drained(self) -> bool:
-        return self._inflight == 0
+        return not self._completions

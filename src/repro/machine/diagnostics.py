@@ -8,11 +8,10 @@ decode/fetch state and a recent timeline window -- so a
 :class:`~repro.machine.faults.DeadlockError` is debuggable from the
 exception alone, without re-running under a tracer.
 
-The capture is duck-typed over the engine zoo: windowed engines expose
-``window`` (a deque of :class:`~repro.issue.common.WindowEntry`), the
-in-order precise engines expose ``buffer`` (``_BufEntry`` slots), and
-Tomasulo/Tag Unit engines expose per-FU ``stations``.  Anything else
-still yields the shared fetch/decode/stall picture.
+Every engine describes itself: the capture lists
+:meth:`~repro.machine.engine.Engine.waiting_entries` and reads the
+recent stage history from an attached detail
+:class:`~repro.obs.events.TraceRecorder`.
 """
 
 from __future__ import annotations
@@ -144,20 +143,11 @@ class EngineDiagnostic:
         }
 
 
-def _window_entry(engine, entry) -> WaitingInstruction:
-    """Describe one reservation-station style entry (WindowEntry shape)."""
-    if getattr(entry, "executed", False):
-        state = "done"
-    elif getattr(entry, "dispatched", False):
-        state = "dispatched"
-    else:
-        state = "waiting"
-    waiting_on = [
-        f"tag {engine.tag_name(op.tag)}"
-        for op in getattr(entry, "operands", [])
-        if not op.ready
-    ]
-    if state == "done" and getattr(entry, "fault", None) is not None:
+def _waiting_instruction(engine, entry) -> WaitingInstruction:
+    """Describe one entry of ``engine.waiting_entries()``."""
+    state = entry.state
+    waiting_on = [f"tag {engine.tag_name(tag)}" for tag in entry.waiting_tags]
+    if state == "done" and entry.fault is not None:
         waiting_on.append(f"pending trap: {entry.fault}")
     return WaitingInstruction(
         seq=entry.seq,
@@ -166,55 +156,32 @@ def _window_entry(engine, entry) -> WaitingInstruction:
         state=state,
         waiting_on=waiting_on,
     )
-
-
-def _buffer_entry(entry) -> WaitingInstruction:
-    """Describe one in-order reorder/history-buffer slot (_BufEntry)."""
-    state = "done" if getattr(entry, "done", False) else "dispatched"
-    waiting_on: List[str] = []
-    if state == "done" and getattr(entry, "fault", None) is not None:
-        waiting_on.append(f"pending trap: {entry.fault}")
-    return WaitingInstruction(
-        seq=entry.seq,
-        pc=entry.inst.pc,
-        text=str(entry.inst),
-        state=state,
-        waiting_on=waiting_on,
-    )
-
-
-def _collect_waiting(engine) -> List[WaitingInstruction]:
-    waiting: List[WaitingInstruction] = []
-    buffer = getattr(engine, "buffer", None)
-    if buffer is not None:
-        waiting += [_buffer_entry(entry) for entry in buffer]
-    for attribute in ("window", "stack", "_pool"):
-        container = getattr(engine, attribute, None)
-        if container is not None:
-            waiting += [_window_entry(engine, entry) for entry in container]
-    for per_fu in getattr(engine, "_stations", ()):
-        waiting += [_window_entry(engine, entry) for entry in per_fu]
-    waiting.sort(key=lambda w: w.seq)
-    return waiting
 
 
 def capture_diagnostic(engine, recent: int = 8) -> EngineDiagnostic:
-    """Snapshot ``engine``'s pipeline state (duck-typed, read-only)."""
-    waiting = _collect_waiting(engine)
-    recent_events: Dict[int, Dict[str, int]] = {}
-    timeline = getattr(engine, "timeline", None)
-    if timeline is not None:
-        for seq in timeline.sequences()[-recent:]:
-            recent_events[seq] = timeline.events_for(seq)
+    """Snapshot ``engine``'s pipeline state (read-only).
+
+    ``recent_events`` holds the stage maps of the last ``recent``
+    instructions when a detail recorder is attached.
+    """
+    waiting = sorted(
+        (_waiting_instruction(engine, entry)
+         for entry in engine.waiting_entries()),
+        key=lambda w: w.seq,
+    )
+    stages = engine.recorder.stages if engine.recorder is not None else {}
+    recent_events = {
+        seq: dict(stages[seq]) for seq in sorted(stages)[-recent:]
+    }
     return EngineDiagnostic(
         engine=engine.name,
         workload=engine.program.name,
         cycle=engine.cycle,
         pc=engine.pc,
-        last_commit_cycle=getattr(engine, "last_commit_cycle", 0),
+        last_commit_cycle=engine.last_commit_cycle,
         retired=engine.retired,
         occupancy=len(waiting),
-        inflight=getattr(engine, "_inflight", 0),
+        inflight=engine.inflight(),
         fetch_done=engine.fetch_done,
         fetch_resume_cycle=engine.fetch_resume_cycle,
         decode=(

@@ -89,14 +89,13 @@ class Engine(abc.ABC):
         #: Functional-unit results in flight: cycle -> payloads, in
         #: scheduling order.
         self._completions: Dict[int, List[object]] = {}
-        #: Optional per-instruction pipeline recorder (see
-        #: :mod:`repro.machine.timeline`); attach before ``run()``.
-        self.timeline = None
         #: Optional observability recorder (see
         #: :mod:`repro.obs.events`); attach before ``run()``.  Receives
         #: every ``note``/``stall``/retire event plus one end-of-tick
         #: callback per cycle, so it can attribute every cycle of the
-        #: run.  None (the default) costs one attribute test per event.
+        #: run; :meth:`repro.machine.timeline.Timeline.of` renders its
+        #: stage map.  None (the default) costs one attribute test per
+        #: event.
         self.recorder = None
         #: Optional instruction-buffer model (see
         #: :mod:`repro.machine.fetch`); when None, fetch always hits --
@@ -185,8 +184,9 @@ class Engine(abc.ABC):
         return self.run(max_cycles)
 
     def _prepare_resume(self) -> None:
-        """Hook: restore engine bookkeeping before resuming from a trap."""
-        raise NotImplementedError
+        """Hook: restore engine bookkeeping before resuming from a trap.
+        Default: nothing -- a precise trap (:meth:`_restart_at`) already
+        left a clean machine with the PC at the faulting instruction."""
 
     def _on_restore(self) -> None:
         """Hook: resynchronize derived state after a checkpoint restore
@@ -202,6 +202,29 @@ class Engine(abc.ABC):
     def tag_name(self, tag) -> str:
         """Render an operand tag for diagnostics."""
         return repr(tag)
+
+    # ------------------------------------------------------------------
+    # introspection (diagnostics and traces)
+    # ------------------------------------------------------------------
+
+    def waiting_entries(self) -> Sequence:
+        """The instructions this engine holds between issue and
+        retirement.  Each entry has ``seq``, ``inst``, ``fault``, a
+        ``state`` (``waiting``, ``dispatched`` or ``done``) and the
+        ``waiting_tags`` it still snoops for;
+        :func:`~repro.machine.diagnostics.capture_diagnostic` lists
+        them.  Default: none (no window)."""
+        return ()
+
+    def occupancy(self) -> Dict[str, int]:
+        """Entries held per instruction-holding structure, by name; a
+        detail :class:`~repro.obs.events.TraceRecorder` samples it every
+        cycle.  Default: no structures."""
+        return {}
+
+    def inflight(self) -> int:
+        """Functional-unit results scheduled but not yet delivered."""
+        return sum(len(payloads) for payloads in self._completions.values())
 
     def tick(self) -> None:
         """Advance one clock cycle through the four phases."""
@@ -335,6 +358,11 @@ class Engine(abc.ABC):
                 self.stall(StallReason.BRANCH_WAIT)
                 return
             taken = branch_taken(inst.opcode, value)
+        self._resolve_in_decode(inst, taken)
+
+    def _resolve_in_decode(self, inst: Instruction, taken: bool) -> None:
+        """Redirect fetch past a resolved branch, charge its dead
+        cycles, and retire it from the decode stage."""
         self.branches += 1
         if taken:
             self.branches_taken += 1
@@ -384,9 +412,7 @@ class Engine(abc.ABC):
             self.recorder.on_stall(reason, self.cycle)
 
     def note(self, seq: int, stage: str) -> None:
-        """Record a pipeline event if a timeline is attached."""
-        if self.timeline is not None:
-            self.timeline.record(seq, stage, self.cycle)
+        """Record a pipeline event if a recorder is attached."""
         if self.recorder is not None:
             self.recorder.on_stage(seq, stage, self.cycle)
 
@@ -415,6 +441,28 @@ class Engine(abc.ABC):
     def _pop_completions(self) -> Sequence[object]:
         """Pop every payload scheduled for the current cycle."""
         return self._completions.pop(self.cycle, ())
+
+    def _restart_at(self, seq: int, pc: int, penalty: int = 0) -> None:
+        """Refetch from ``pc`` after squashing every instruction from
+        ``seq`` on (a precise trap or a misprediction).
+
+        Branches and NOPs retire in the decode stage; any of the
+        squashed ones will re-execute, so they are un-counted.  Their
+        sequence numbers are recycled so ``seq`` stays the dynamic
+        program-order index across resumes: an interrupt record's
+        ``seq`` means "the first ``seq`` instructions completed".
+        """
+        doomed = sum(1 for done in self.retire_log if done >= seq)
+        if doomed:
+            self.retired -= doomed
+            self.retire_log = [
+                done for done in self.retire_log if done < seq
+            ]
+        self.pc = pc
+        self.decode_slot = None
+        self.next_seq = seq
+        self.fetch_done = False
+        self.fetch_resume_cycle = self.cycle + 1 + penalty
 
     def _take_interrupt(self, cause: Exception, seq: int, pc: int,
                         precise: bool) -> None:

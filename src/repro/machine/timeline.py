@@ -1,11 +1,12 @@
 """Per-instruction pipeline timelines (a software pipeline viewer).
 
-Attach a :class:`Timeline` to any engine before running::
+A :class:`Timeline` renders the stage map a detail
+:class:`~repro.obs.events.TraceRecorder` collects::
 
     engine = RUUEngine(program, config)
-    engine.timeline = Timeline()
+    engine.recorder = TraceRecorder()
     engine.run()
-    print(engine.timeline.gantt(engine.program, first=0, last=30))
+    print(Timeline.of(engine.recorder).gantt(first=0, last=30))
 
 Engines record one event per stage transition -- ``decode``, ``issue``
 (instruction leaves decode into the machine), ``dispatch`` (reservation
@@ -18,8 +19,7 @@ examples (e.g. "how long did instruction 17 wait in the RUU?").
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 #: Canonical stage ordering for rendering.
 STAGES = ("decode", "issue", "dispatch", "complete", "commit")
@@ -34,15 +34,19 @@ _STAGE_GLYPH = {
 
 
 class Timeline:
-    """Records (dynamic seq, stage) -> cycle events."""
+    """A rendering view over a ``seq -> {stage: first cycle}`` map."""
 
-    def __init__(self) -> None:
-        self._events: Dict[int, Dict[str, int]] = defaultdict(dict)
+    def __init__(self, events: Optional[Dict[int, Dict[str, int]]] = None
+                 ) -> None:
+        self._events: Dict[int, Dict[str, int]] = \
+            events if events is not None else {}
 
-    def record(self, seq: int, stage: str, cycle: int) -> None:
-        """First occurrence wins (re-execution after a squash gets a
-        fresh sequence number, so duplicates indicate replays)."""
-        self._events[seq].setdefault(stage, cycle)
+    @classmethod
+    def of(cls, recorder) -> "Timeline":
+        """A live view of a detail ``TraceRecorder``'s stage map."""
+        if not recorder.detail:
+            raise ValueError("a Timeline needs a TraceRecorder(detail=True)")
+        return cls(recorder.stages)
 
     def events_for(self, seq: int) -> Dict[str, int]:
         return dict(self._events.get(seq, {}))
@@ -66,11 +70,11 @@ class Timeline:
         schema = payload.get("schema")
         if schema != 1:
             raise ValueError(f"unknown timeline schema: {schema!r}")
-        timeline = cls()
-        for seq, stages in payload.get("events", {}).items():
-            for stage, cycle in stages.items():
-                timeline.record(int(seq), str(stage), int(cycle))
-        return timeline
+        return cls({
+            int(seq): {str(stage): int(cycle)
+                       for stage, cycle in stages.items()}
+            for seq, stages in payload.get("events", {}).items()
+        })
 
     def stage_delay(self, seq: int, from_stage: str,
                     to_stage: str) -> Optional[int]:

@@ -31,7 +31,7 @@ from .diff import (
     diff_recorders,
     diff_stage_events,
 )
-from .events import TraceRecorder, structure_occupancy
+from .events import TraceRecorder
 
 __all__ = [
     "BUCKET_ORDER",
@@ -47,7 +47,6 @@ __all__ = [
     "diff_against_iss",
     "diff_recorders",
     "diff_stage_events",
-    "structure_occupancy",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

@@ -1,7 +1,6 @@
 """Structured per-cycle event recording for any engine in the zoo.
 
-A :class:`TraceRecorder` is attached exactly like a
-:class:`~repro.machine.timeline.Timeline`::
+Attach a :class:`TraceRecorder` to an engine before running::
 
     engine = RUUEngine(program, config)
     engine.recorder = TraceRecorder()
@@ -17,8 +16,9 @@ decode metadata -- plus one end-of-tick callback per cycle
 (``on_cycle``).  The per-cycle callback is what makes *full-cycle*
 accounting possible: it folds the cycle's events into exactly one
 attribution bucket (see :mod:`repro.obs.attribution`) and, in detail
-mode, samples structure occupancy duck-typed over the whole engine zoo
-the way :mod:`repro.machine.diagnostics` does.
+mode, samples the engine's own ``occupancy()``.  A detail recorder's
+stage map is also what :class:`~repro.machine.timeline.Timeline`
+renders and what deadlock diagnostics quote as recent history.
 
 Two modes:
 
@@ -44,32 +44,6 @@ ISSUED = "issued"
 INTERRUPT = "interrupt"
 DRAIN = "drain"
 UNACCOUNTED = "unaccounted"
-
-
-def structure_occupancy(engine) -> Dict[str, int]:
-    """How full is each instruction-holding structure right now?
-
-    Duck-typed over the zoo exactly like ``diagnostics._collect_waiting``:
-    ``window`` (RUU), ``stack`` (dispatch stack), ``_pool`` (RS pool),
-    ``buffer`` (in-order precise engines), ``_stations`` (Tomasulo
-    family, one list per functional unit) and ``_pending_branches``
-    (speculative RUU).
-    """
-    occupancy: Dict[str, int] = {}
-    for attr, label in (
-        ("window", "window"),
-        ("stack", "stack"),
-        ("_pool", "pool"),
-        ("buffer", "buffer"),
-        ("_pending_branches", "pending_branches"),
-    ):
-        holder = getattr(engine, attr, None)
-        if holder is not None:
-            occupancy[label] = len(holder)
-    stations = getattr(engine, "_stations", None)
-    if stations is not None:
-        occupancy["stations"] = sum(len(entries) for entries in stations)
-    return occupancy
 
 
 class TraceRecorder:
@@ -103,7 +77,7 @@ class TraceRecorder:
         self.commit_order: List[int] = []
 
         # -- detail mode -----------------------------------------------
-        #: seq -> {stage: first cycle}; same shape as Timeline events.
+        #: seq -> {stage: first cycle} (what ``Timeline.of`` renders).
         self.stages: Dict[int, Dict[str, int]] = {}
         #: seq -> (pc, fu name or None, disassembly text).
         self.insts: Dict[int, Tuple[int, Optional[str], str]] = {}
@@ -182,7 +156,7 @@ class TraceRecorder:
         if engine.cycle % self.sample_every == 0:
             self.samples.append((
                 engine.cycle,
-                structure_occupancy(engine),
+                engine.occupancy(),
                 engine.result_bus.reservations(),
                 engine.next_seq - engine.retired,
             ))

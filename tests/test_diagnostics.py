@@ -11,26 +11,40 @@ from repro.machine import (
     capture_diagnostic,
 )
 from repro.machine.faults import SimulationError
+from repro.obs import TraceRecorder
 from repro.workloads import lll3
 
 CONFIG = MachineConfig(window_size=10)
 
 
-def frozen_engine(name="ruu-bypass", warmup=10):
+#: Every engine of the zoo except the test-only chaos engines.
+ZOO = sorted(name for name in ENGINE_FACTORIES
+             if not name.startswith("chaos-"))
+
+
+def warmed_engine(name="ruu-bypass", warmup=10, recorder=None):
+    """An engine ticked by hand for ``warmup`` cycles: real in-flight
+    state, caught mid-run."""
+    workload = lll3(n=40)
+    engine = ENGINE_FACTORIES[name](
+        workload.program, CONFIG, workload.make_memory()
+    )
+    engine.recorder = recorder
+    for _ in range(warmup):
+        engine.tick()
+        engine.cycle += 1
+    assert not engine.done()
+    return engine
+
+
+def frozen_engine(name="ruu-bypass", warmup=10, recorder=None):
     """An engine with real in-flight state whose pipeline then freezes.
 
     Ticking by hand fills the window; replacing ``tick`` with a no-op
     models a wedged pipeline (a scheduling bug, a lost wakeup): cycles
     keep counting but nothing completes or commits ever again.
     """
-    workload = lll3(n=40)
-    engine = ENGINE_FACTORIES[name](
-        workload.program, CONFIG, workload.make_memory()
-    )
-    for _ in range(warmup):
-        engine.tick()
-        engine.cycle += 1
-    assert not engine.done()
+    engine = warmed_engine(name, warmup, recorder)
     engine.tick = lambda: None
     return engine
 
@@ -135,3 +149,40 @@ class TestDiagnostic:
         assert engine.regs.snapshot() == before
         assert diagnostic.cycle == engine.cycle
         engine.run()  # capture must not have perturbed the machine
+
+
+class TestZooCoverage:
+    """Every engine reports itself through ``waiting_entries()``; none
+    can drop out of the diagnostics silently."""
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_lists_exactly_the_waiting_entries(self, name):
+        engine = warmed_engine(name)
+        seqs = sorted(entry.seq for entry in engine.waiting_entries())
+        diagnostic = capture_diagnostic(engine)
+        assert [w.seq for w in diagnostic.waiting] == seqs
+        assert diagnostic.occupancy == len(seqs)
+        if name == "simple":
+            assert not seqs
+        else:
+            assert seqs, f"{name} holds no instructions mid-run"
+
+    def test_reorder_buffer_reports_in_flight_results(self):
+        engine = warmed_engine("reorder-buffer", warmup=4)
+        diagnostic = capture_diagnostic(engine)
+        assert diagnostic.inflight > 0
+        assert diagnostic.inflight == engine.inflight()
+        assert "in-flight=0" not in diagnostic.describe()
+
+    def test_deadlock_carries_recent_events_from_the_recorder(self):
+        engine = frozen_engine(recorder=TraceRecorder())
+        engine.config = engine.config.with_(watchdog_cycles=50)
+        with pytest.raises(DeadlockError) as excinfo:
+            engine.run()
+        recent = excinfo.value.diagnostic.recent_events
+        assert recent
+        stages = engine.recorder.stages
+        assert sorted(recent) == sorted(stages)[-len(recent):]
+        for seq, events in recent.items():
+            assert events == stages[seq]
+        assert "recent timeline" in excinfo.value.diagnostic.describe()

@@ -81,13 +81,14 @@ class TestCommitBusTiming:
         """
         program = assemble(source)
         from repro.machine import Timeline
+        from repro.obs import TraceRecorder
         runs = {}
         for mode in (BypassMode.FULL, BypassMode.NONE):
             engine = RUUEngine(program, MachineConfig(window_size=16),
                                bypass=mode)
-            engine.timeline = Timeline()
+            engine.recorder = TraceRecorder()
             engine.run()
-            runs[mode] = engine.timeline
+            runs[mode] = Timeline.of(engine.recorder)
         seq_producer, seq_consumer = 3, 12
         for mode, timeline in runs.items():
             # the scenario is real: producer executed before the

@@ -27,7 +27,6 @@ from repro.obs import (
     diff_against_iss,
     diff_recorders,
     diff_stage_events,
-    structure_occupancy,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -71,16 +70,12 @@ class TestRecorder:
 
     def test_stage_events_match_the_timeline(self, livermore_loops,
                                              config):
-        workload = livermore_loops[0]
-        builder = ENGINE_FACTORIES["ruu-bypass"]
-        engine = builder(workload.program, config, workload.make_memory())
-        engine.timeline = Timeline()
-        recorder = TraceRecorder()
-        engine.recorder = recorder
-        engine.run()
-        for seq in engine.timeline.sequences():
+        engine, recorder, _ = recorded_run(livermore_loops[0], config)
+        timeline = Timeline.of(recorder)
+        assert timeline.sequences() == list(range(engine.next_seq))
+        for seq in timeline.sequences():
             assert recorder.stages.get(seq) \
-                == engine.timeline.events_for(seq), seq
+                == timeline.events_for(seq), seq
 
     def test_streaming_mode_keeps_no_detail(self, livermore_loops,
                                             config):
@@ -121,22 +116,40 @@ class TestRecorder:
         with pytest.raises(ValueError):
             TraceRecorder(sample_every=0)
 
-    def test_occupancy_duck_typing(self, livermore_loops, config):
-        expectations = {
-            "ruu-bypass": "window",
-            "dispatch-stack": "stack",
-            "tomasulo": "stations",
-        }
-        workload = livermore_loops[0]
-        for engine_name, key in expectations.items():
-            _, recorder, _ = recorded_run(workload, config, engine_name)
-            keys = set()
-            for _, occupancy, _, _ in recorder.samples:
-                keys.update(occupancy)
-            assert key in keys, engine_name
-        engine = RUUEngine(workload.program, config,
-                           memory=workload.make_memory())
-        assert "window" in structure_occupancy(engine)
+    #: Every non-chaos engine's occupancy keys, as its samples carry them.
+    OCCUPANCY_KEYS = {
+        "simple": [],
+        "dispatch-stack": ["stack"],
+        "tomasulo": ["stations"],
+        "tagunit": ["stations"],
+        "rspool": ["pool"],
+        "rstu": ["pool"],
+        "ruu-bypass": ["window"],
+        "ruu-nobypass": ["window"],
+        "ruu-limited": ["window"],
+        "spec-ruu": ["window", "pending_branches"],
+        "reorder-buffer": ["buffer"],
+        "rob-bypass": ["buffer"],
+        "history-buffer": ["buffer"],
+        "future-file": ["buffer"],
+    }
+
+    def test_occupancy_table_covers_the_zoo(self):
+        engines = {name for name in ENGINE_FACTORIES
+                   if not name.startswith("chaos-")}
+        assert set(self.OCCUPANCY_KEYS) == engines
+
+    @pytest.mark.parametrize("engine_name", sorted(OCCUPANCY_KEYS))
+    def test_occupancy_keys(self, engine_name, livermore_loops, config):
+        _, recorder, _ = recorded_run(livermore_loops[0], config,
+                                      engine_name)
+        expected = self.OCCUPANCY_KEYS[engine_name]
+        assert recorder.samples
+        for _, occupancy, _, _ in recorder.samples:
+            assert list(occupancy) == expected, engine_name
+        if expected:
+            assert any(sum(occupancy.values())
+                       for _, occupancy, _, _ in recorder.samples)
 
     def test_describe_mentions_buckets(self, livermore_loops, config):
         _, recorder, _ = recorded_run(livermore_loops[0], config)
@@ -327,9 +340,9 @@ class TestDiff:
         workload = livermore_loops[0]
         builder = ENGINE_FACTORIES["ruu-bypass"]
         engine = builder(workload.program, config, workload.make_memory())
-        engine.timeline = Timeline()
+        engine.recorder = TraceRecorder()
         engine.run()
-        events = Timeline.from_json(engine.timeline.to_json())
+        events = Timeline.from_json(Timeline.of(engine.recorder).to_json())
         maps = {
             seq: events.events_for(seq) for seq in events.sequences()
         }

@@ -1,4 +1,4 @@
-"""Tests for the pipeline timeline recorder and viewer."""
+"""Tests for the pipeline timeline viewer over a detail recorder."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.isa import assemble
 from repro.issue import RSTUEngine, SimpleEngine
 from repro.machine import MachineConfig
 from repro.machine.timeline import Timeline
+from repro.obs import TraceRecorder
 
 SOURCE = """
     S_IMM S1, 1.0
@@ -20,9 +21,9 @@ SOURCE = """
 
 def run_with_timeline(cls, source=SOURCE, **kwargs):
     engine = cls(assemble(source), MachineConfig(window_size=8), **kwargs)
-    engine.timeline = Timeline()
+    engine.recorder = TraceRecorder()
     engine.run()
-    return engine, engine.timeline
+    return engine, Timeline.of(engine.recorder)
 
 
 class TestRecording:
@@ -102,9 +103,10 @@ class TestRendering:
         workload = lll3()
         engine = RSTUEngine(workload.program, MachineConfig(window_size=8),
                             memory=workload.make_memory())
-        engine.timeline = Timeline()
+        engine.recorder = TraceRecorder()
         engine.run()
-        chart = engine.timeline.gantt(first=0, last=60, width=40)
+        chart = Timeline.of(engine.recorder).gantt(first=0, last=60,
+                                                   width=40)
         assert "each column" in chart
 
     def test_summary_renders(self):
@@ -143,3 +145,9 @@ class TestJsonRoundTrip:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):
             Timeline.from_json({"schema": 99, "events": {}})
+
+
+class TestRecorderView:
+    def test_streaming_recorder_rejected(self):
+        with pytest.raises(ValueError):
+            Timeline.of(TraceRecorder(detail=False))
