@@ -92,7 +92,7 @@ def _fingerprint_value(value):
     return repr(value)
 
 
-def _config_fingerprint(config: MachineConfig) -> str:
+def _config_fingerprint(config: MachineConfig) -> bytes:
     """Every ``MachineConfig`` field, derived automatically.
 
     Walking ``dataclasses.fields`` (instead of a hand-kept list) means a
@@ -103,10 +103,10 @@ def _config_fingerprint(config: MachineConfig) -> str:
         field.name: _fingerprint_value(getattr(config, field.name))
         for field in dataclasses.fields(MachineConfig)
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True).encode()
 
 
-def _memory_fingerprint(memory: Memory) -> str:
+def _memory_fingerprint(memory: Memory) -> bytes:
     return json.dumps(
         {
             "words": sorted(
@@ -116,18 +116,58 @@ def _memory_fingerprint(memory: Memory) -> str:
             "faulting": sorted(memory.faulting_addresses),
         },
         sort_keys=True,
-    )
+    ).encode()
+
+
+def _digest(engine_name: str, program: bytes, memory: bytes,
+            config: bytes) -> str:
+    return hashlib.sha256(
+        engine_name.encode() + program + memory + config
+    ).hexdigest()
 
 
 def cache_key(engine_name: str, workload: Workload,
               config: MachineConfig) -> str:
     """Content hash identifying one simulation."""
-    digest = hashlib.sha256()
-    digest.update(engine_name.encode())
-    digest.update(encode_program(workload.program))
-    digest.update(_memory_fingerprint(workload.initial_memory).encode())
-    digest.update(_config_fingerprint(config).encode())
-    return digest.hexdigest()
+    return _digest(
+        engine_name,
+        encode_program(workload.program),
+        _memory_fingerprint(workload.initial_memory),
+        _config_fingerprint(config),
+    )
+
+
+class KeyMemo:
+    """:func:`cache_key` for a batch of points, each input encoded once.
+
+    A sweep grid repeats a few programs, memories and configs across
+    many points; the memo encodes each distinct object (by identity)
+    once and then only hashes.  Keys are byte-identical to
+    :func:`cache_key`.
+
+    A memo must not outlive one batch: :class:`Memory` is mutable
+    (``poke``, ``inject_fault``), so a memory edited after its first
+    fingerprint would keep its stale key.  The memo holds each object
+    it has seen, so no ``id`` is reused while it lives.
+    """
+
+    def __init__(self) -> None:
+        self._parts: dict = {}
+
+    def _part(self, obj, encode) -> bytes:
+        entry = self._parts.get(id(obj))
+        if entry is None:
+            entry = self._parts[id(obj)] = (obj, encode(obj))
+        return entry[1]
+
+    def key(self, engine_name: str, workload: Workload,
+            config: MachineConfig) -> str:
+        return _digest(
+            engine_name,
+            self._part(workload.program, encode_program),
+            self._part(workload.initial_memory, _memory_fingerprint),
+            self._part(config, _config_fingerprint),
+        )
 
 
 def _extra_to_json(extra: dict) -> dict:

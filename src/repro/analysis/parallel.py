@@ -13,14 +13,21 @@ guarantees the serial harness provides:
   Retries and fallback do not perturb this: the simulations are
   deterministic, so a point's result is the same however many attempts
   it took.
-* **Safe cache sharing** -- workers share one on-disk
-  :class:`~repro.analysis.cache.ResultCache` directory.  The cache
-  writes atomically (temp file + ``os.replace``) and treats corrupt
-  entries as misses, so concurrent runners never serve partial JSON.
+* **Cache hits stay in the caller** -- with ``cache_dir`` set, the
+  runner derives every untraced point's key (each distinct program,
+  memory and config encoded once per call, see
+  :class:`~repro.analysis.cache.KeyMemo`) and probes one
+  :class:`~repro.analysis.cache.ResultCache` before submitting
+  anything.  Hits never cross the pool; only misses go out, each with
+  its key, and the worker simulates and publishes the entry without
+  re-deriving it.  The cache writes atomically (temp file +
+  ``os.replace``) and treats corrupt entries as misses, so concurrent
+  runners never serve partial JSON.
 * **Host-perf accounting** -- per-point host wall time comes back in
   ``SimResult.extra`` and the runner aggregates totals
   (:attr:`ParallelRunner.host_seconds`, :attr:`points_run`,
-  :attr:`wall_seconds`) for the bench trajectory.
+  :attr:`wall_seconds`) for the bench trajectory; only freshly
+  simulated points add to ``host_seconds``.
 * **Fault tolerance** -- a sweep *always completes or says exactly
   which points failed and why*.  Python-level failures inside a point
   come back as values (the pool survives).  A worker process that dies
@@ -36,10 +43,12 @@ guarantees the serial harness provides:
   attempt, retry, timeout and degraded point is recorded in
   :attr:`ParallelRunner.fleet`.
 
-``jobs=1`` (or a single point) runs in-process with no executor, so the
+``jobs=1`` (or a single miss) runs in-process with no executor, so the
 serial path stays available on one-core hosts and under profilers --
 except with ``reuse_pool``, where even one job runs in a worker process
-so that process isolation and timeout-kill always hold.
+so that process isolation and timeout-kill always hold.  A one-shot
+pool is sized by the number of misses; a call with none builds no
+pool at all.
 
 Usage::
 
@@ -62,7 +71,7 @@ from ..machine.config import CRAY1_LIKE, MachineConfig
 from ..machine.stats import SimResult, aggregate, speedup
 from ..workloads.base import Workload
 from ..workloads.livermore import all_loops
-from .cache import ResultCache
+from .cache import KeyMemo, ResultCache
 from .sweeps import ENGINE_FACTORIES, Sweep, SweepRow
 
 
@@ -85,51 +94,45 @@ class SimPoint:
     trace: bool = False
 
 
-def run_point(point: SimPoint,
-              cache: Optional[ResultCache] = None) -> SimResult:
-    """Execute one point (in this process), optionally through a cache."""
-    builder = ENGINE_FACTORIES[point.engine]
-    if getattr(point, "trace", False):
-        from ..obs import TraceRecorder, attribute_cycles
-
-        engine = builder(
-            point.workload.program, point.config,
-            point.workload.make_memory(),
-        )
-        recorder = TraceRecorder(detail=False)
-        engine.recorder = recorder
-        result = engine.run()
-        result.extra["attribution"] = attribute_cycles(
-            result, recorder
-        ).to_json()
-        return result
-    if cache is not None:
-        return cache.run(builder, point.engine, point.workload, point.config)
-    engine = builder(
+def run_point(point: SimPoint) -> SimResult:
+    """Simulate one point in this process (no cache)."""
+    engine = ENGINE_FACTORIES[point.engine](
         point.workload.program, point.config, point.workload.make_memory()
     )
-    return engine.run()
+    if not point.trace:
+        return engine.run()
+    from ..obs import TraceRecorder, attribute_cycles
+
+    recorder = TraceRecorder(detail=False)
+    engine.recorder = recorder
+    result = engine.run()
+    result.extra["attribution"] = attribute_cycles(
+        result, recorder
+    ).to_json()
+    return result
 
 
-def _worker(job: Tuple[SimPoint, Optional[str]]) -> Tuple[SimResult, bool]:
-    """Pool entry point: run one point, report whether it was a cache hit.
+#: One miss as it travels to a worker: the point, and the cache
+#: directory and key to publish its result under (both None when the
+#: point is not cached).
+Job = Tuple[SimPoint, Optional[str], Optional[str]]
+
+
+def _worker(job: Job) -> SimResult:
+    """Pool entry point: simulate one miss and publish it to the cache.
 
     Must stay a module-level function so the pool can pickle it by
-    reference.  Each call opens the cache directory fresh -- cheap, and
-    it keeps hit/miss counters per-point instead of per-process.
+    reference.  The parent already probed the cache and derived the
+    key, so the worker neither reads the cache nor re-derives the key.
     """
-    point, cache_dir = job
-    if cache_dir is None or getattr(point, "trace", False):
-        return run_point(point), False
-    cache = ResultCache(cache_dir)
-    result = cache.run(
-        ENGINE_FACTORIES[point.engine], point.engine,
-        point.workload, point.config,
-    )
-    return result, cache.hits > 0
+    point, cache_dir, key = job
+    result = run_point(point)
+    if key is not None:
+        ResultCache(cache_dir).put(key, result)
+    return result
 
 
-def _guarded_worker(job: Tuple[SimPoint, Optional[str]]) -> Tuple:
+def _guarded_worker(job: Job) -> Tuple:
     """Run one point, returning failures as values.
 
     A Python exception inside a simulation (a real engine bug, a
@@ -143,8 +146,7 @@ def _guarded_worker(job: Tuple[SimPoint, Optional[str]]) -> Tuple:
     waiting for*, not just that it stalled.
     """
     try:
-        result, hit = _worker(job)
-        return ("ok", result, hit)
+        return ("ok", _worker(job))
     except Exception as exc:  # noqa: BLE001 - converted to a report entry
         diagnostic = getattr(exc, "diagnostic", None)
         if diagnostic is not None:
@@ -226,13 +228,15 @@ class PointOutcome:
 class FleetReport:
     """What it took to complete (or fail) a fan-out.
 
-    A clean run has ``submissions == points`` and every other counter
-    zero.  Anything else is the self-healing machinery earning its keep.
+    ``points`` counts every point, cache hits included; hits are
+    answered in the caller and never submitted.  A clean run has one
+    submission per miss and every other counter zero.  Anything else
+    is the self-healing machinery earning its keep.
     """
 
     jobs: int = 0
     points: int = 0
-    submissions: int = 0   # point-submissions, including retries
+    submissions: int = 0   # miss-submissions, including retries
     retries: int = 0       # resubmissions after a failed round
     timeouts: int = 0      # per-point result deadlines that expired
     crashes: int = 0       # pool-breaking worker deaths observed
@@ -318,9 +322,10 @@ class ParallelRunner:
 
     Attributes (cumulative across :meth:`run_points` calls):
         hits / misses: cache outcomes, when ``cache_dir`` is set.
-        points_run: simulation points executed.
-        host_seconds: summed per-point simulator wall time (the work
-            done, across all workers).
+        points_run: points that produced a result, cache hits included.
+        host_seconds: summed simulator wall time of the freshly
+            simulated points (the work done, across all workers); a
+            cache hit adds nothing.
         wall_seconds: elapsed wall time spent inside ``run_points``
             (the time you waited); ``host_seconds / wall_seconds`` is
             the achieved parallelism.
@@ -346,11 +351,11 @@ class ParallelRunner:
             request.  A crashed or timed-out round still kills and
             rebuilds the pool (the self-healing contract is unchanged);
             call :meth:`close` to release the workers.  With
-            ``reuse_pool`` the per-call ``jobs`` clamp to the point
+            ``reuse_pool`` the per-call ``jobs`` clamp to the miss
             count is skipped so the pool keeps a stable size, and both
-            a single point and ``jobs=1`` still run in a worker
-            process rather than inline (isolation and timeout-kill
-            apply to them too).
+            a single miss and ``jobs=1`` still run in a worker process
+            rather than inline (isolation and timeout-kill apply to
+            them too).  Cache hits never touch the pool either way.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -362,13 +367,6 @@ class ParallelRunner:
                  reuse_pool: bool = False) -> None:
         self.jobs = jobs if jobs else (os.cpu_count() or 1)
         self.cache_dir = cache_dir
-        if cache_dir is not None:
-            # A failing makedirs must not kill the sweep: ResultCache
-            # rechecks per process and degrades to uncached runs.
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-            except OSError:
-                pass
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
@@ -444,39 +442,38 @@ class ParallelRunner:
     def _execute(self, points: List[SimPoint],
                  jobs: Optional[int]
                  ) -> Tuple[List[PointOutcome], FleetReport]:
-        jobs = jobs if jobs else self.jobs
-        if not self.reuse_pool:
-            # A persistent pool keeps its size across calls; a one-shot
-            # pool shrinks to the work at hand.
-            jobs = max(1, min(jobs, len(points) or 1))
         unknown = sorted({p.engine for p in points} - set(ENGINE_FACTORIES))
         if unknown:
             raise KeyError(f"unknown engine(s): {', '.join(unknown)}")
-        fleet = FleetReport(jobs=jobs, points=len(points))
-        jobs_args = [(point, self.cache_dir) for point in points]
         results: List[Optional[SimResult]] = [None] * len(points)
-        hit_flags: List[bool] = [False] * len(points)
         errors: List[Optional[str]] = [None] * len(points)
         diags: List[Optional[Dict[str, Any]]] = [None] * len(points)
         attempts: List[int] = [0] * len(points)
 
         started = time.perf_counter()
+        jobs_args = self._probe(points, results)
+        misses = [index for index, job in enumerate(jobs_args)
+                  if job is not None]
+        jobs = jobs if jobs else self.jobs
+        if not self.reuse_pool:
+            # A persistent pool keeps its size across calls; a one-shot
+            # pool shrinks to the misses at hand.
+            jobs = max(1, min(jobs, len(misses) or 1))
+        fleet = FleetReport(jobs=jobs, points=len(points))
         try:
             # A persistent (serve-able) runner never runs inline, even
             # with one job: the pooled path is what provides process
             # isolation and timeout-kill for long-lived callers.
             if jobs == 1 and not self.reuse_pool:
-                for index, job in enumerate(jobs_args):
+                for index in misses:
                     fleet.submissions += 1
                     attempts[index] += 1
-                    self._record(
-                        index, _guarded_worker(job),
-                        results, hit_flags, errors, diags,
-                    )
+                    self._record(index, _guarded_worker(jobs_args[index]),
+                                 results, errors, diags)
             else:
                 self._run_rounds(
-                    jobs_args, jobs, fleet,
-                    results, hit_flags, errors, diags, attempts,
+                    jobs_args, misses, jobs, fleet,
+                    results, errors, diags, attempts,
                 )
         finally:
             self.wall_seconds += time.perf_counter() - started
@@ -499,12 +496,12 @@ class ParallelRunner:
         for index, result in enumerate(results):
             if result is None:
                 continue
-            if self.cache_dir is not None:
-                if hit_flags[index]:
-                    self.hits += 1
-                else:
-                    self.misses += 1
             self.points_run += 1
+            if jobs_args[index] is None:
+                self.hits += 1
+                continue
+            if self.cache_dir is not None:
+                self.misses += 1
             self.host_seconds += float(
                 result.extra.get("host_seconds", 0.0)
             )
@@ -516,12 +513,41 @@ class ParallelRunner:
                     diags[index] if results[index] is None else None
                 ),
                 attempts=attempts[index],
-                cache_hit=bool(results[index] is not None
-                               and hit_flags[index]),
+                cache_hit=jobs_args[index] is None,
             )
             for index in range(len(points))
         ]
         return outcomes, fleet
+
+    def _probe(self, points: List[SimPoint],
+               results: List[Optional[SimResult]]
+               ) -> List[Optional[Job]]:
+        """Answer cache hits into ``results``; return one job per point.
+
+        The job is None where the point was a hit.  Traced
+        points are never probed (cached entries carry no attribution),
+        and an unusable cache directory (one warning) leaves every point
+        a miss with no key, so workers do not touch the cache either.
+        The key memo lives for this call only.
+        """
+        cache = None if self.cache_dir is None \
+            else ResultCache(self.cache_dir)
+        if cache is None or cache.disabled:
+            return [(point, None, None) for point in points]
+        memo = KeyMemo()
+        jobs_args: List[Optional[Job]] = []
+        for index, point in enumerate(points):
+            if point.trace:
+                jobs_args.append((point, None, None))
+                continue
+            key = memo.key(point.engine, point.workload, point.config)
+            cached = cache.get(key)
+            if cached is None:
+                jobs_args.append((point, self.cache_dir, key))
+            else:
+                results[index] = cached
+                jobs_args.append(None)
+        return jobs_args
 
     # ------------------------------------------------------------------
     # self-healing internals
@@ -530,26 +556,23 @@ class ParallelRunner:
     @staticmethod
     def _record(index: int, outcome: Tuple,
                 results: List[Optional[SimResult]],
-                hit_flags: List[bool],
                 errors: List[Optional[str]],
                 diags: List[Optional[Dict[str, Any]]]) -> None:
         if outcome[0] == "ok":
             results[index] = outcome[1]
-            hit_flags[index] = outcome[2]
             errors[index] = None
             diags[index] = None
         else:
             errors[index] = outcome[1]
             diags[index] = outcome[2] if len(outcome) > 2 else None
 
-    def _run_rounds(self, jobs_args: List[Tuple], jobs: int,
+    def _run_rounds(self, jobs_args: List[Optional[Job]],
+                    remaining: List[int], jobs: int,
                     fleet: FleetReport,
                     results: List[Optional[SimResult]],
-                    hit_flags: List[bool],
                     errors: List[Optional[str]],
                     diags: List[Optional[Dict[str, Any]]],
                     attempts: List[int]) -> None:
-        remaining = list(range(len(jobs_args)))
         for round_number in range(self.max_retries + 1):
             if not remaining:
                 return
@@ -558,16 +581,14 @@ class ParallelRunner:
                 time.sleep(self.backoff * (2 ** (round_number - 1)))
             remaining = self._one_round(
                 jobs_args, remaining, jobs, fleet,
-                results, hit_flags, errors, diags, attempts,
+                results, errors, diags, attempts,
             )
         if remaining and self.serial_fallback:
             for index in remaining:
                 fleet.submissions += 1
                 attempts[index] += 1
-                self._record(
-                    index, _guarded_worker(jobs_args[index]),
-                    results, hit_flags, errors, diags,
-                )
+                self._record(index, _guarded_worker(jobs_args[index]),
+                             results, errors, diags)
                 if results[index] is not None:
                     point = jobs_args[index][0]
                     fleet.degraded.append({
@@ -590,10 +611,10 @@ class ParallelRunner:
         fleet.pools += 1
         return self._pool
 
-    def _one_round(self, jobs_args: List[Tuple], remaining: List[int],
+    def _one_round(self, jobs_args: List[Optional[Job]],
+                   remaining: List[int],
                    jobs: int, fleet: FleetReport,
                    results: List[Optional[SimResult]],
-                   hit_flags: List[bool],
                    errors: List[Optional[str]],
                    diags: List[Optional[Dict[str, Any]]],
                    attempts: List[int]) -> List[int]:
@@ -641,11 +662,10 @@ class ParallelRunner:
                     errors[index] = f"{type(exc).__name__}: {exc}"
                     broken = True
                 else:
-                    self._record(index, outcome,
-                                 results, hit_flags, errors, diags)
+                    self._record(index, outcome, results, errors, diags)
         finally:
             if broken:
-                self._harvest(futures, results, hit_flags, errors, diags)
+                self._harvest(futures, results, errors, diags)
                 _kill_pool(pool)
                 if self.reuse_pool:
                     self._pool = None
@@ -661,7 +681,6 @@ class ParallelRunner:
 
     def _harvest(self, futures: Dict[int, Any],
                  results: List[Optional[SimResult]],
-                 hit_flags: List[bool],
                  errors: List[Optional[str]],
                  diags: List[Optional[Dict[str, Any]]]) -> None:
         """Collect results that completed before the pool broke."""
@@ -672,7 +691,7 @@ class ParallelRunner:
                 outcome = future.result(timeout=0)
             except Exception:  # broken/cancelled future
                 continue
-            self._record(index, outcome, results, hit_flags, errors, diags)
+            self._record(index, outcome, results, errors, diags)
 
 
 def run_suite_parallel(

@@ -6,8 +6,10 @@ import os
 
 import pytest
 
-from repro.analysis import ENGINE_FACTORIES
+from repro.analysis import ENGINE_FACTORIES, ParallelRunner, SimPoint, \
+    paper_data
 from repro.analysis.cache import (
+    KeyMemo,
     ResultCache,
     _result_from_json,
     _result_to_json,
@@ -15,7 +17,7 @@ from repro.analysis.cache import (
 )
 from repro.isa.opcodes import FUClass
 from repro.machine import MachineConfig
-from repro.workloads import dependency_chain, fault_probe, lll3
+from repro.workloads import all_loops, dependency_chain, fault_probe, lll3
 
 
 @pytest.fixture
@@ -58,6 +60,10 @@ class TestKeying:
         out of the cache key and serve stale results."""
         workload = dependency_chain(30)
         base_key = cache_key("rstu", workload, CONFIG)
+        # One memo across every perturbation: distinct config objects
+        # must never share a memoized fingerprint.
+        memo = KeyMemo()
+        assert memo.key("rstu", workload, CONFIG) == base_key
         for field in dataclasses.fields(MachineConfig):
             value = getattr(CONFIG, field.name)
             if field.name == "latencies":
@@ -74,6 +80,67 @@ class TestKeying:
                 )
             assert cache_key("rstu", workload, perturbed) != base_key, \
                 f"config field {field.name!r} does not perturb the key"
+            assert memo.key("rstu", workload, perturbed) == \
+                cache_key("rstu", workload, perturbed), \
+                f"config field {field.name!r}: memo key differs"
+
+
+class TestKeyMemo:
+    """KeyMemo encodes each distinct input once per batch; its keys must
+    stay byte-identical to ``cache_key`` so existing cache directories
+    keep hitting."""
+
+    def test_paper_grid_keys_equal_cache_key(self):
+        loops = all_loops()
+        grid = [("simple", CONFIG)]
+        for engine, sizes, overrides in (
+            ("rstu", paper_data.RSTU_SIZES, {}),
+            ("rstu", paper_data.RSTU_SIZES, {"dispatch_paths": 2}),
+            ("ruu-bypass", paper_data.RUU_SIZES, {}),
+            ("ruu-nobypass", paper_data.RUU_SIZES, {}),
+            ("ruu-limited", paper_data.RUU_SIZES, {}),
+        ):
+            grid += [(engine, CONFIG.with_(window_size=size, **overrides))
+                     for size in sizes]
+        memo = KeyMemo()
+        keys = set()
+        for engine, config in grid:
+            for workload in loops:
+                key = memo.key(engine, workload, config)
+                assert key == cache_key(engine, workload, config)
+                keys.add(key)
+        assert len(keys) == len(grid) * len(loops)
+
+    def test_injected_faults_key_equals_cache_key(self):
+        workload = fault_probe()
+        clean_key = cache_key("ruu-bypass", workload, CONFIG)
+        workload.initial_memory.inject_fault(workload.fault_address)
+        memo_key = KeyMemo().key("ruu-bypass", workload, CONFIG)
+        assert memo_key == cache_key("ruu-bypass", workload, CONFIG)
+        assert memo_key != clean_key
+
+    def test_equal_memories_share_a_key(self):
+        a, b = dependency_chain(30), dependency_chain(30)
+        assert a.initial_memory is not b.initial_memory
+        memo = KeyMemo()
+        assert memo.key("rstu", a, CONFIG) == memo.key("rstu", b, CONFIG) \
+            == cache_key("rstu", a, CONFIG)
+
+    def test_memory_edited_between_calls_gets_a_new_key(self, tmp_path):
+        """The memo lives for one ``run_points`` call, so a memory poked
+        between calls is fingerprinted afresh: a miss, not a stale hit."""
+        workload = dependency_chain(30)
+        point = SimPoint("rstu", workload, CONFIG)
+        runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path / "cache"))
+        runner.run_points([point])
+        old_key = cache_key("rstu", workload, CONFIG)
+        workload.initial_memory.poke(1000, 42.0)
+        runner.run_points([point])
+        assert runner.hits == 0 and runner.misses == 2
+        new_key = cache_key("rstu", workload, CONFIG)
+        assert new_key != old_key
+        assert sorted(os.listdir(tmp_path / "cache")) == \
+            sorted([f"{old_key}.json", f"{new_key}.json"])
 
 
 class TestCaching:

@@ -9,7 +9,10 @@ This host may have a single core; nothing here asserts wall-clock
 speedup -- only correctness of the fan-out and of cache sharing.
 """
 
+import json
+import os
 import threading
+import warnings
 
 import pytest
 
@@ -22,8 +25,10 @@ from repro.analysis import (
     run_suite,
     sweep_sizes,
 )
+from repro.analysis.cache import ResultCache, cache_key
 from repro.analysis.parallel import run_point
 from repro.machine import MachineConfig
+from repro.serve.protocol import canonical_result_bytes
 from repro.workloads import SUITES, all_loops
 
 JOBS = 4
@@ -156,6 +161,19 @@ class TestHostPerf:
         assert runner.points_run == 3
         assert runner.wall_seconds > 0.0
         assert 0.0 <= runner.host_seconds <= runner.wall_seconds * 3
+
+    def test_fully_warm_run_reports_no_simulator_time(self, quick_loops,
+                                                      tmp_path):
+        """A cached result carries the host time of the run that filled
+        the cache; a pass of hits simulated nothing and must say so."""
+        cache_dir = str(tmp_path / "cache")
+        points = [SimPoint("rstu", w, CONFIG) for w in quick_loops[:4]]
+        ParallelRunner(jobs=2, cache_dir=cache_dir).run_points(points)
+        warm = ParallelRunner(jobs=2, cache_dir=cache_dir)
+        warm.run_points(points)
+        assert warm.hits == 4
+        assert warm.points_run == 4  # hits included
+        assert warm.host_seconds == 0.0
 
 
 class TestBench:
@@ -317,3 +335,115 @@ class TestPoolReuse:
 def healthy_points_for_reuse():
     loops = SUITES["quick"]()
     return [SimPoint("simple", w, CONFIG) for w in loops[:2]]
+
+
+class TestParentProbe:
+    """Cache hits are answered in the calling process; only misses,
+    each carrying its key, are submitted to the pool."""
+
+    @staticmethod
+    def _points(quick_loops):
+        return [SimPoint(engine, w, CONFIG)
+                for engine in ("rstu", "ruu-bypass")
+                for w in quick_loops[:3]]
+
+    @pytest.mark.parametrize("reuse_pool", [False, True])
+    def test_warm_pass_submits_nothing(self, quick_loops, tmp_path,
+                                       reuse_pool):
+        cache_dir = str(tmp_path / "cache")
+        points = self._points(quick_loops)
+        ParallelRunner(jobs=2, cache_dir=cache_dir).run_points(points)
+        with ParallelRunner(jobs=2, cache_dir=cache_dir,
+                            reuse_pool=reuse_pool) as runner:
+            warm = runner.run_points(points)
+            assert runner.last_fleet.submissions == 0
+            assert runner.last_fleet.pools == 0
+            assert runner._pool is None
+        assert runner.hits == len(points) and runner.misses == 0
+        assert all(r.extra.get("from_cache") for r in warm)
+
+    def test_mixed_pass_submits_exactly_the_misses(self, quick_loops,
+                                                   tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        points = self._points(quick_loops)
+        warmed = points[::2]
+        ParallelRunner(jobs=2, cache_dir=cache_dir).run_points(warmed)
+        runner = ParallelRunner(jobs=2, cache_dir=cache_dir)
+        outcomes = runner.run_points_settled(points)
+        assert runner.last_fleet.submissions == len(points) - len(warmed)
+        assert [o.cache_hit for o in outcomes] == \
+            [index % 2 == 0 for index in range(len(points))]
+        assert [(o.result.engine, o.result.workload) for o in outcomes] \
+            == [(r.engine, r.workload) for r in map(run_point, points)]
+
+    def test_results_byte_identical_to_serial(self, quick_loops, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        points = self._points(quick_loops)
+        serial = [canonical_result_bytes(run_point(p)) for p in points]
+        ParallelRunner(jobs=2, cache_dir=cache_dir).run_points(points[:2])
+        for _ in range(2):  # mixed, then fully warm
+            runner = ParallelRunner(jobs=2, cache_dir=cache_dir)
+            got = runner.run_points(points)
+            assert [canonical_result_bytes(r) for r in got] == serial
+
+    def test_corrupt_entry_is_resimulated_and_rewritten(self, quick_loops,
+                                                        tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        points = self._points(quick_loops)
+        ParallelRunner(jobs=2, cache_dir=cache_dir).run_points(points)
+        victim = points[1]
+        path = os.path.join(cache_dir, cache_key(
+            victim.engine, victim.workload, victim.config) + ".json")
+        with open(path, "w") as handle:
+            handle.write('{"schema": 3, "cyc')
+        runner = ParallelRunner(jobs=2, cache_dir=cache_dir)
+        outcomes = runner.run_points_settled(points)
+        assert [o.cache_hit for o in outcomes] == \
+            [index != 1 for index in range(len(points))]
+        assert runner.last_fleet.submissions == 1
+        assert canonical_result_bytes(outcomes[1].result) == \
+            canonical_result_bytes(run_point(victim))
+        with open(path) as handle:
+            assert json.load(handle)["cycles"] == outcomes[1].result.cycles
+        again = ParallelRunner(jobs=2, cache_dir=cache_dir)
+        again.run_points(points)
+        assert again.hits == len(points)
+
+    def test_unusable_cache_directory_warns_once(self, quick_loops,
+                                                 tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the cache directory must be")
+        points = self._points(quick_loops)
+        runner = ParallelRunner(jobs=1, cache_dir=str(blocker))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = runner.run_points(points)
+        assert len(caught) == 1
+        assert caught[0].category is RuntimeWarning
+        assert "continuing without" in str(caught[0].message)
+        assert [canonical_result_bytes(r) for r in results] == \
+            [canonical_result_bytes(run_point(p)) for p in points]
+        assert runner.hits == 0 and runner.misses == len(points)
+
+    def test_traced_points_are_never_probed(self, quick_loops, tmp_path,
+                                            monkeypatch):
+        cache_dir = str(tmp_path / "cache")
+        plain = self._points(quick_loops)[:2]
+        ParallelRunner(jobs=2, cache_dir=cache_dir).run_points(plain)
+        probed = []
+        real_get = ResultCache.get
+
+        def spy(cache, key):
+            probed.append(key)
+            return real_get(cache, key)
+
+        monkeypatch.setattr(ResultCache, "get", spy)
+        traced = [SimPoint(p.engine, p.workload, p.config, trace=True)
+                  for p in plain]
+        runner = ParallelRunner(jobs=2, cache_dir=cache_dir)
+        outcomes = runner.run_points_settled(traced + plain)
+        assert probed == [cache_key(p.engine, p.workload, p.config)
+                          for p in plain]
+        assert [o.cache_hit for o in outcomes] == [False, False, True, True]
+        assert all("attribution" in o.result.extra for o in outcomes[:2])
+        assert runner.last_fleet.submissions == 2

@@ -106,6 +106,31 @@ class TestSingleRun:
         b = canonical_result_bytes(wire_to_result(second["result"]))
         assert a == b
 
+    def test_repeat_hit_never_reaches_the_pool(self, client, server):
+        """A hit is answered by the dispatcher from the cache: no worker
+        submission, and the /metrics hit and miss counters still count
+        one miss then one hit."""
+        def counters():
+            text = client.metrics_text()
+            return [
+                float(line.split()[-1]) for name in (
+                    "repro_serve_cache_hits_total",
+                    "repro_serve_cache_misses_total",
+                )
+                for line in text.splitlines() if line.startswith(name)
+            ]
+
+        runner = server.service.runner
+        payload = {"workload": "LLL2", "config": {"window_size": 5}}
+        hits, misses = counters()
+        first = client.run_raw(payload, max_attempts=8)
+        submissions = runner.fleet.submissions
+        second = client.run_raw(payload, max_attempts=8)
+        assert first["cache_hit"] is False
+        assert second["cache_hit"] is True
+        assert runner.fleet.submissions == submissions
+        assert counters() == [hits + 1, misses + 1]
+
     def test_protocol_error_is_400_with_reason(self, client):
         status, _, body = client.request_json(
             "POST", "/run", {"workload": "LLL99"}
