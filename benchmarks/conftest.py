@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.machine import CRAY1_LIKE
 from repro.workloads import all_loops
 
@@ -22,7 +22,7 @@ def loops():
 @pytest.fixture(scope="session")
 def baseline(loops):
     """The simple-issue machine on the whole suite (the Table 1 total)."""
-    return run_suite(ENGINE_FACTORIES["simple"], loops, CRAY1_LIKE)
+    return run_suite("simple", loops, CRAY1_LIKE)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ commit-drain of everything older.  It grows with occupancy -- the
 latency cost of a big window, a trade-off the paper does not quantify.
 """
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.core import RUUEngine
 from repro.machine import MachineConfig
 from repro.obs import TraceRecorder
@@ -25,7 +25,7 @@ def test_commit_bandwidth(benchmark, loops, baseline, results_dir):
         for engine in ("ruu-bypass", "ruu-nobypass"):
             for paths in (1, 2):
                 config = MachineConfig(window_size=20, commit_paths=paths)
-                result = run_suite(ENGINE_FACTORIES[engine], loops, config)
+                result = run_suite(engine, loops, config)
                 rows.append((engine, paths, result.cycles,
                              result.issue_rate))
         return rows

@@ -6,7 +6,7 @@ width; asserts 3 bits are indeed enough (zero INSTANCE_LIMIT stalls) and
 that narrower counters cost performance.
 """
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.machine import MachineConfig, StallReason
 
 from conftest import emit
@@ -19,7 +19,7 @@ def test_counter_width_sweep(benchmark, loops, baseline, results_dir):
         rows = []
         for bits in WIDTHS:
             config = MachineConfig(window_size=20, counter_bits=bits)
-            result = run_suite(ENGINE_FACTORIES["ruu-bypass"], loops, config)
+            result = run_suite("ruu-bypass", loops, config)
             rows.append((
                 bits,
                 result.cycles,

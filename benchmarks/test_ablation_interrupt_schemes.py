@@ -9,7 +9,7 @@ making the reordering hardware *resolve* dependencies rather than
 aggravate them.
 """
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.machine import MachineConfig
 
 from conftest import emit
@@ -30,7 +30,7 @@ def test_interrupt_scheme_costs(benchmark, loops, baseline, results_dir):
     def run_schemes():
         rows = []
         for name in SCHEMES:
-            result = run_suite(ENGINE_FACTORIES[name], loops, config)
+            result = run_suite(name, loops, config)
             rows.append((name, result.cycles, result.issue_rate))
         return rows
 

@@ -8,7 +8,7 @@ second drain path pay.  This ablation widens decode to two instructions
 per cycle and crosses it with the dispatch-path count.
 """
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.machine import MachineConfig
 
 from conftest import emit
@@ -25,7 +25,7 @@ def test_issue_width_vs_dispatch_paths(benchmark, loops, baseline,
                 window_size=25, issue_width=width, dispatch_paths=paths
             )
             for engine in ("rstu", "ruu-bypass"):
-                result = run_suite(ENGINE_FACTORIES[engine], loops, config)
+                result = run_suite(engine, loops, config)
                 rows[(engine, width, paths)] = result
         return rows
 

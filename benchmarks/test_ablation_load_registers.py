@@ -5,7 +5,7 @@ Sweeps the count on a 20-entry RUU; asserts performance is monotone in
 the count and has saturated by 6.
 """
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.machine import MachineConfig
 
 from conftest import emit
@@ -18,7 +18,7 @@ def test_load_register_sweep(benchmark, loops, baseline, results_dir):
         rows = []
         for count in COUNTS:
             config = MachineConfig(window_size=20, n_load_registers=count)
-            result = run_suite(ENGINE_FACTORIES["ruu-bypass"], loops, config)
+            result = run_suite("ruu-bypass", loops, config)
             rows.append((count, result.cycles,
                          baseline.cycles / result.cycles,
                          result.issue_rate))

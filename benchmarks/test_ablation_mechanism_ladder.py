@@ -8,7 +8,7 @@ pool -- i.e. the pooled machines have *half* the stations of the
 distributed ones, which is exactly the sharing argument of §3.2.2.
 """
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.machine import MachineConfig
 
 from conftest import emit
@@ -28,7 +28,7 @@ def test_mechanism_ladder(benchmark, loops, baseline, results_dir):
     def run_ladder():
         rows = []
         for name, config in LADDER:
-            result = run_suite(ENGINE_FACTORIES[name], loops, config)
+            result = run_suite(name, loops, config)
             rows.append((name, result.cycles,
                          baseline.cycles / result.cycles,
                          result.issue_rate))

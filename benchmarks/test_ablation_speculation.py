@@ -8,7 +8,7 @@ late (the no-bypass machine), and prediction accuracy on loop code is
 high.
 """
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.core import (
     AlwaysTakenPredictor,
     BypassMode,
@@ -47,7 +47,7 @@ def test_speculation_ablation(benchmark, loops, baseline, results_dir):
             plain_name = (
                 "ruu-bypass" if bypass is BypassMode.FULL else "ruu-nobypass"
             )
-            plain = run_suite(ENGINE_FACTORIES[plain_name], loops, config)
+            plain = run_suite(plain_name, loops, config)
             rows.append((bypass.value, "none (blocking)", plain.cycles,
                          None))
             for label, predictor_cls in PREDICTORS:

@@ -11,7 +11,7 @@ Run:  python examples/compare_issue_mechanisms.py [loop numbers...]
 
 import sys
 
-from repro import ENGINE_FACTORIES, MachineConfig, run_suite
+from repro import MachineConfig, run_suite
 from repro.workloads import LIVERMORE_FACTORIES
 
 ORDER = [
@@ -58,7 +58,7 @@ def main(argv) -> None:
 
     baseline = None
     for name in ORDER:
-        result = run_suite(ENGINE_FACTORIES[name], workloads, config)
+        result = run_suite(name, workloads, config)
         if baseline is None:
             baseline = result
         print(

@@ -8,7 +8,7 @@ full > limited > none bypass ordering are visible at a glance.
 Run:  python examples/plot_curves.py
 """
 
-from repro import ENGINE_FACTORIES, run_suite, sweep_sizes
+from repro import run_suite, sweep_sizes
 from repro.analysis import ascii_chart
 from repro.workloads import all_loops
 
@@ -17,7 +17,7 @@ SIZES = [3, 5, 8, 12, 20, 30, 50]
 
 def main() -> None:
     loops = all_loops()
-    baseline = run_suite(ENGINE_FACTORIES["simple"], loops)
+    baseline = run_suite("simple", loops)
     curves = {}
     for engine in ("rstu", "ruu-bypass", "ruu-limited", "ruu-nobypass"):
         sweep = sweep_sizes(engine, SIZES, workloads=loops,

@@ -14,7 +14,7 @@ Run:  python examples/reproduce_paper.py            (~2-3 minutes)
 import argparse
 import time
 
-from repro import ENGINE_FACTORIES, run_suite
+from repro import aggregate
 from repro.analysis import (
     ParallelRunner,
     format_sweep_table,
@@ -31,14 +31,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the sweeps "
-                             "(default 1: serial)")
+                             "(default 1: in this process; 0: one per "
+                             "core)")
     parser.add_argument("--cache-dir", default=None,
-                        help="on-disk result cache shared by the workers")
+                        help="on-disk result cache shared by every run "
+                             "that names it")
     args = parser.parse_args()
 
-    runner = None
-    if args.jobs > 1 or args.cache_dir:
-        runner = ParallelRunner(jobs=args.jobs, cache_dir=args.cache_dir)
+    runner = ParallelRunner(jobs=args.jobs, cache_dir=args.cache_dir)
 
     start = time.time()
     loops = all_loops()
@@ -48,7 +48,7 @@ def main() -> None:
     print(format_table1(results, paper_data.TABLE1_BASELINE))
     print()
 
-    baseline = run_suite(ENGINE_FACTORIES["simple"], loops, runner=runner)
+    baseline = aggregate(results)
 
     tables = [
         ("Table 2: RSTU, one dispatch path", "rstu",
@@ -82,9 +82,9 @@ def main() -> None:
         print()
 
     print(f"total wall time: {time.time() - start:.1f}s")
-    if runner is not None and runner.points_run:
+    if runner.points_run:
         print(
-            f"parallel runner: {runner.points_run} points over "
+            f"sweep runner: {runner.points_run} points over "
             f"{runner.jobs} jobs, {runner.host_seconds:.1f}s simulator "
             f"time in {runner.wall_seconds:.1f}s wall, "
             f"cache {runner.hits} hits / {runner.misses} misses"

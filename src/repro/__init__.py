@@ -47,7 +47,6 @@ from .analysis import (
     format_sweep_table,
     format_table1,
     run_suite,
-    run_workload,
     sweep_sizes,
 )
 from .core import (
@@ -159,7 +158,6 @@ __all__ = [
     "run_suite",
     "run_with_page_fault",
     "run_with_recovery",
-    "run_workload",
     "speedup",
     "static_critical_path",
     "sweep_sizes",

@@ -13,9 +13,8 @@ Commands:
   reaching definitions, config cross-checks, critical-path bound)
 * ``compare [loops]`` -- compare all issue mechanisms on Livermore loops
 * ``tables``          -- regenerate the paper's Tables 1-6
-  (``--jobs N`` fans the sweeps over worker processes)
-* ``bench``           -- measure the sweep harness itself (serial vs
-  parallel, cache hit rate) and emit a ``BENCH_*.json`` perf baseline
+  (``--jobs N`` fans the sweeps over worker processes, ``--cache-dir``
+  reuses results across runs)
 * ``report``          -- generate a Markdown campaign report
 * ``verify``          -- check engines against the golden model
 * ``drill``           -- restart drill: inject a mid-program fault,
@@ -46,7 +45,7 @@ from .analysis import (
     sweep_sizes,
 )
 from .isa import assemble
-from .machine import MachineConfig, Memory
+from .machine import MachineConfig, Memory, aggregate
 from .trace import FunctionalExecutor
 from .workloads import LIVERMORE_FACTORIES, all_loops
 
@@ -224,8 +223,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     workloads = [LIVERMORE_FACTORIES[n]() for n in numbers]
     config = MachineConfig(window_size=args.window)
     results = {
-        name: run_suite(builder, workloads, config)
-        for name, builder in ENGINE_FACTORIES.items()
+        name: run_suite(name, workloads, config)
+        for name in ENGINE_FACTORIES
     }
     baseline = results["simple"]
     print(f"{'engine':>16s} {'cycles':>9s} {'speedup':>8s} {'rate':>7s}")
@@ -242,14 +241,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_tables(args: argparse.Namespace) -> int:
     from .analysis.parallel import ParallelRunner
 
-    runner = None
-    if getattr(args, "jobs", 1) and args.jobs > 1:
-        runner = ParallelRunner(jobs=args.jobs, cache_dir=args.cache_dir)
+    runner = ParallelRunner(jobs=args.jobs, cache_dir=args.cache_dir)
     loops = all_loops()
-    print(format_table1(per_loop_baseline(loops, runner=runner),
-                        paper_data.TABLE1_BASELINE))
+    table1 = per_loop_baseline(loops, runner=runner)
+    print(format_table1(table1, paper_data.TABLE1_BASELINE))
     print()
-    baseline = run_suite(ENGINE_FACTORIES["simple"], loops, runner=runner)
+    baseline = aggregate(table1)
     specs = [
         ("Table 2: RSTU (1 path)", "rstu", paper_data.RSTU_SIZES,
          paper_data.TABLE2_RSTU, {}),
@@ -267,7 +264,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                             baseline=baseline, runner=runner, **overrides)
         print(format_sweep_table(sweep, table, title))
         print()
-    if runner is not None and runner.points_run:
+    if runner.points_run:
         print(
             f"[{runner.points_run} points over {runner.jobs} jobs: "
             f"{runner.wall_seconds:.1f}s wall, "
@@ -277,37 +274,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         if not runner.fleet.clean:
             print(runner.fleet.describe())
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .analysis.bench import format_bench, run_bench, write_bench_json
-    from .workloads import SUITES
-
-    workloads = SUITES[args.suite]()
-    engines = args.engines or None
-    unknown = [name for name in (engines or [])
-               if name not in ENGINE_FACTORIES]
-    if unknown:
-        print(f"unknown engine(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
-        return 2
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-        cache_dir = args.cache_dir or scratch
-        kwargs = {}
-        if engines:
-            kwargs["engines"] = engines
-        if args.sizes:
-            kwargs["sizes"] = args.sizes
-        report = run_bench(
-            workloads, jobs=args.jobs, cache_dir=cache_dir, **kwargs
-        )
-    print(format_bench(report))
-    if args.json:
-        write_bench_json(report, args.json)
-        print(f"wrote {args.json}")
-    return 0 if report["identical_to_serial"] else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -550,32 +516,11 @@ def main(argv=None) -> int:
     p_tab = sub.add_parser("tables", help="regenerate Tables 1-6")
     p_tab.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweeps (default 1: "
-                            "serial)")
+                            "in this process; 0: one per core)")
     p_tab.add_argument("--cache-dir", default=None,
-                       help="shared on-disk result cache for the workers")
+                       help="on-disk result cache shared by every run "
+                            "that names it")
     p_tab.set_defaults(func=_cmd_tables)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the sweep harness (serial vs parallel) and emit "
-             "a BENCH JSON perf baseline",
-    )
-    p_bench.add_argument("--jobs", type=int, default=0,
-                         help="worker processes (default: cpu count)")
-    p_bench.add_argument("--json", default=None, metavar="FILE",
-                         help="write the machine-readable report here "
-                              "(e.g. BENCH_sweeps.json)")
-    p_bench.add_argument("--suite", default="quick",
-                         choices=["quick", "livermore", "paper",
-                                  "synthetic"])
-    p_bench.add_argument("--engines", nargs="*", default=None,
-                         help="engines to sweep (default: rstu ruu-bypass)")
-    p_bench.add_argument("--sizes", nargs="*", type=int, default=None,
-                         help="window sizes to sweep (default: 4 8 12)")
-    p_bench.add_argument("--cache-dir", default=None,
-                         help="result-cache directory (default: a "
-                              "temporary directory, discarded after)")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_report = sub.add_parser(
         "report", help="generate a Markdown campaign report"

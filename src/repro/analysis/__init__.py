@@ -1,7 +1,6 @@
 """Sweep harness, paper reference data, table rendering, shape metrics."""
 
 from . import paper_data
-from .bench import bench_points, format_bench, run_bench, write_bench_json
 from .cache import ResultCache, cache_key
 from .drill import DrillPoint, DrillReport, restart_drill
 from .parallel import (
@@ -10,10 +9,7 @@ from .parallel import (
     ParallelRunner,
     PointFailure,
     SimPoint,
-    per_loop_parallel,
     run_point,
-    run_suite_parallel,
-    sweep_sizes_parallel,
 )
 from .depgraph import (
     DataflowLimit,
@@ -43,7 +39,6 @@ from .sweeps import (
     SweepRow,
     per_loop_baseline,
     run_suite,
-    run_workload,
     sweep_sizes,
 )
 from .report import ReportSpec, build_report
@@ -70,16 +65,9 @@ __all__ = [
     "SimPoint",
     "Sweep",
     "SweepRow",
-    "bench_points",
     "build_report",
     "cache_key",
-    "format_bench",
-    "per_loop_parallel",
-    "run_bench",
     "run_point",
-    "run_suite_parallel",
-    "sweep_sizes_parallel",
-    "write_bench_json",
     "ascii_chart",
     "build_dependence_graph",
     "dataflow_limit",
@@ -96,7 +84,6 @@ __all__ = [
     "result_to_dict",
     "results_to_json",
     "run_suite",
-    "run_workload",
     "saturation_size",
     "shape_report",
     "spearman",

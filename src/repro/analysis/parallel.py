@@ -26,7 +26,7 @@ guarantees the serial harness provides:
 * **Host-perf accounting** -- per-point host wall time comes back in
   ``SimResult.extra`` and the runner aggregates totals
   (:attr:`ParallelRunner.host_seconds`, :attr:`points_run`,
-  :attr:`wall_seconds`) for the bench trajectory; only freshly
+  :attr:`wall_seconds`) for the sweep summaries; only freshly
   simulated points add to ``host_seconds``.
 * **Fault tolerance** -- a sweep *always completes or says exactly
   which points failed and why*.  Python-level failures inside a point
@@ -43,8 +43,9 @@ guarantees the serial harness provides:
   attempt, retry, timeout and degraded point is recorded in
   :attr:`ParallelRunner.fleet`.
 
-``jobs=1`` (or a single miss) runs in-process with no executor, so the
-serial path stays available on one-core hosts and under profilers --
+``jobs=1`` (or a single miss) runs in-process with no executor; that
+is the runner the sweep helpers in :mod:`repro.analysis.sweeps` use
+when given none, and the path for one-core hosts and profilers --
 except with ``reuse_pool``, where even one job runs in a worker process
 so that process isolation and timeout-kill always hold.  A one-shot
 pool is sized by the number of misses; a call with none builds no
@@ -54,7 +55,7 @@ Usage::
 
     runner = ParallelRunner(jobs=4, cache_dir=".repro-cache",
                             timeout=120.0)
-    sweep = sweep_sizes_parallel(runner, "rstu", paper_data.RSTU_SIZES)
+    sweep = sweep_sizes("rstu", paper_data.RSTU_SIZES, runner=runner)
 """
 
 from __future__ import annotations
@@ -65,14 +66,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..machine.config import CRAY1_LIKE, MachineConfig
-from ..machine.stats import SimResult, aggregate, speedup
+from ..machine.config import MachineConfig
+from ..machine.stats import SimResult
 from ..workloads.base import Workload
-from ..workloads.livermore import all_loops
 from .cache import KeyMemo, ResultCache
-from .sweeps import ENGINE_FACTORIES, Sweep, SweepRow
+from .sweeps import ENGINE_FACTORIES
 
 
 @dataclass(frozen=True)
@@ -693,84 +693,3 @@ class ParallelRunner:
                 continue
             self._record(index, outcome, results, errors, diags)
 
-
-def run_suite_parallel(
-    runner: ParallelRunner,
-    engine_name: str,
-    workloads: Optional[Sequence[Workload]] = None,
-    config: Optional[MachineConfig] = None,
-) -> SimResult:
-    """Parallel twin of :func:`~repro.analysis.sweeps.run_suite`."""
-    workloads = list(workloads) if workloads is not None else all_loops()
-    config = config or CRAY1_LIKE
-    results = runner.run_points(
-        SimPoint(engine_name, workload, config) for workload in workloads
-    )
-    return aggregate(results)
-
-
-def per_loop_parallel(
-    runner: ParallelRunner,
-    engine_name: str,
-    workloads: Optional[Sequence[Workload]] = None,
-    config: Optional[MachineConfig] = None,
-) -> List[SimResult]:
-    """Parallel twin of :func:`~repro.analysis.sweeps.per_loop_baseline`
-    (for any engine)."""
-    workloads = list(workloads) if workloads is not None else all_loops()
-    config = config or CRAY1_LIKE
-    return runner.run_points(
-        SimPoint(engine_name, workload, config) for workload in workloads
-    )
-
-
-def sweep_sizes_parallel(
-    runner: ParallelRunner,
-    engine_name: str,
-    sizes: Iterable[int],
-    workloads: Optional[Sequence[Workload]] = None,
-    base_config: Optional[MachineConfig] = None,
-    baseline: Optional[SimResult] = None,
-    **config_overrides,
-) -> Sweep:
-    """Parallel twin of :func:`~repro.analysis.sweeps.sweep_sizes`.
-
-    The whole (size x workload) grid -- plus the baseline suite when
-    one is not supplied -- goes out as a single flat fan-out, then rows
-    aggregate per size in submission order, so the resulting
-    :class:`Sweep` is identical to the serial one.
-    """
-    sizes = list(sizes)
-    workloads = list(workloads) if workloads is not None else all_loops()
-    config = base_config or CRAY1_LIKE
-    points: List[SimPoint] = []
-    if baseline is None:
-        points.extend(
-            SimPoint("simple", workload, config) for workload in workloads
-        )
-    swept_configs = [
-        config.with_(window_size=size, **config_overrides) for size in sizes
-    ]
-    for swept in swept_configs:
-        points.extend(
-            SimPoint(engine_name, workload, swept) for workload in workloads
-        )
-    results = runner.run_points(points)
-    cursor = 0
-    if baseline is None:
-        baseline = aggregate(results[:len(workloads)])
-        cursor = len(workloads)
-    sweep = Sweep(engine=engine_name, baseline=baseline)
-    for size in sizes:
-        chunk = results[cursor:cursor + len(workloads)]
-        cursor += len(workloads)
-        result = aggregate(chunk)
-        sweep.rows.append(
-            SweepRow(
-                size=size,
-                speedup=speedup(baseline, result),
-                issue_rate=result.issue_rate,
-                cycles=result.cycles,
-            )
-        )
-    return sweep

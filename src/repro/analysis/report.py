@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..machine.config import CRAY1_LIKE, MachineConfig
-from ..machine.stats import SimResult
+from ..machine.stats import SimResult, aggregate
 from ..workloads.base import Workload
 from ..workloads.livermore import all_loops
 from . import paper_data
-from .sweeps import ENGINE_FACTORIES, run_suite, run_workload, sweep_sizes
+from .sweeps import per_loop_baseline, sweep_sizes
 
 
 @dataclass
@@ -69,34 +69,29 @@ def build_report(
     )
 
     # -- per-loop baseline detail ---------------------------------------
-    per_loop: Dict[str, Dict[str, SimResult]] = {}
-    for engine in spec.engines:
-        builder = ENGINE_FACTORIES[engine]
-        cfg = base_config if engine == "simple" else engine_config
-        per_loop[engine] = {
-            workload.name: run_workload(builder, workload, cfg)
-            for workload in workloads
-        }
+    per_loop: Dict[str, List[SimResult]] = {
+        engine: per_loop_baseline(
+            workloads, base_config if engine == "simple" else engine_config,
+            engine=engine,
+        )
+        for engine in spec.engines
+    }
 
     if spec.include_per_loop:
         sections.append("## Per-loop issue rates\n")
         headers = ["loop"] + list(spec.engines)
         rows = []
-        for workload in workloads:
+        for index, workload in enumerate(workloads):
             row: List[object] = [workload.name]
             for engine in spec.engines:
-                row.append(_fmt(per_loop[engine][workload.name].issue_rate))
+                row.append(_fmt(per_loop[engine][index].issue_rate))
             rows.append(row)
         sections.append(_md_table(headers, rows) + "\n")
 
     # -- aggregate comparison ----------------------------------------------
     sections.append("## Aggregate comparison\n")
     aggregates = {
-        engine: run_suite(
-            ENGINE_FACTORIES[engine], workloads,
-            base_config if engine == "simple" else engine_config,
-        )
-        for engine in spec.engines
+        engine: aggregate(results) for engine, results in per_loop.items()
     }
     baseline = aggregates[spec.engines[0]]
     rows = []

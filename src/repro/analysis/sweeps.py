@@ -5,12 +5,18 @@ suite exactly as the paper aggregates Table 1 (total instructions over
 total cycles), ``sweep_sizes`` produces the size -> (speedup, rate) rows
 of Tables 2-6, and ``ENGINE_FACTORIES`` names every machine in the
 repository so benchmarks and examples can select them uniformly.
+
+Engines are named, never passed as builders: every sweep builds one
+flat :class:`~repro.analysis.parallel.SimPoint` list and runs it on a
+:class:`~repro.analysis.parallel.ParallelRunner` -- the caller's, or a
+``jobs=1`` one that simulates in this process.  A failing point raises
+:class:`~repro.analysis.parallel.FleetError` with its diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.prediction import BranchPredictor, TwoBitPredictor
 from ..core.ruu import BypassMode, RUUEngine
@@ -75,53 +81,40 @@ ENGINE_FACTORIES: Dict[str, EngineBuilder] = {
 }
 
 
-def engine_name_of(builder: EngineBuilder) -> Optional[str]:
-    """The registry name of ``builder``, if it is a registered factory.
+def _run_suites(
+    runner,
+    suites: Sequence[Tuple[str, MachineConfig]],
+    workloads: Sequence[Workload],
+) -> List[List[SimResult]]:
+    """Run each ``(engine, config)`` suite over ``workloads``.
 
-    The parallel runner ships engine *names* (the factory lambdas do not
-    pickle), so the suite helpers translate before delegating.
+    All suites go out as one flat :class:`~repro.analysis.parallel.
+    SimPoint` list on ``runner``; ``None`` means a ``jobs=1`` runner,
+    which simulates in this process with no pool.  Results come back
+    as one list per suite, in workload order, so aggregation is the
+    same whichever runner ran them.
     """
-    for name, candidate in ENGINE_FACTORIES.items():
-        if candidate is builder:
-            return name
-    return None
+    from .parallel import ParallelRunner, SimPoint  # parallel imports us
 
-
-def run_workload(
-    builder: EngineBuilder,
-    workload: Workload,
-    config: Optional[MachineConfig] = None,
-) -> SimResult:
-    """Run one engine on one workload with fresh memory."""
-    engine = builder(
-        workload.program, config or CRAY1_LIKE, workload.make_memory()
-    )
-    return engine.run()
+    points = [
+        SimPoint(engine, workload, config)
+        for engine, config in suites
+        for workload in workloads
+    ]
+    results = (runner or ParallelRunner(jobs=1)).run_points(points)
+    width = len(workloads)
+    return [results[i * width:(i + 1) * width] for i in range(len(suites))]
 
 
 def run_suite(
-    builder: EngineBuilder,
+    engine: str,
     workloads: Optional[Sequence[Workload]] = None,
     config: Optional[MachineConfig] = None,
     runner=None,
 ) -> SimResult:
-    """Run a workload suite and aggregate as the paper does.
-
-    With a :class:`~repro.analysis.parallel.ParallelRunner` the loops
-    fan out over worker processes; aggregation order (and therefore the
-    result) is identical to the serial path.  An unregistered builder
-    falls back to serial -- the runner can only ship engine names.
-    """
-    workloads = list(workloads) if workloads is not None else all_loops()
-    if runner is not None:
-        name = engine_name_of(builder)
-        if name is not None:
-            from .parallel import run_suite_parallel
-
-            return run_suite_parallel(runner, name, workloads, config)
-    return aggregate(
-        run_workload(builder, workload, config) for workload in workloads
-    )
+    """Run a workload suite on the named engine; aggregate as the paper
+    does (total instructions over total cycles)."""
+    return aggregate(per_loop_baseline(workloads, config, runner, engine))
 
 
 @dataclass
@@ -162,27 +155,25 @@ def sweep_sizes(
 
     ``baseline`` defaults to the simple engine on the same suite and
     config (the paper's Table 1 machine).  ``config_overrides`` apply to
-    the swept engine only (e.g. ``dispatch_paths=2`` for Table 3).
-    With a :class:`~repro.analysis.parallel.ParallelRunner` the whole
-    (size x workload) grid fans out at once and the rows come back
-    identical to the serial sweep.
+    the swept engine only (e.g. ``dispatch_paths=2`` for Table 3).  The
+    whole (size x workload) grid, plus the baseline suite when one is
+    not supplied, runs as a single fan-out on ``runner``.
     """
-    if runner is not None:
-        from .parallel import sweep_sizes_parallel
-
-        return sweep_sizes_parallel(
-            runner, engine_name, sizes, workloads=workloads,
-            base_config=base_config, baseline=baseline, **config_overrides,
-        )
+    sizes = list(sizes)
     workloads = list(workloads) if workloads is not None else all_loops()
     config = base_config or CRAY1_LIKE
+    suites = [
+        (engine_name, config.with_(window_size=size, **config_overrides))
+        for size in sizes
+    ]
     if baseline is None:
-        baseline = run_suite(ENGINE_FACTORIES["simple"], workloads, config)
-    builder = ENGINE_FACTORIES[engine_name]
+        suites.insert(0, ("simple", config))
+    totals = [aggregate(results)
+              for results in _run_suites(runner, suites, workloads)]
+    if baseline is None:
+        baseline = totals.pop(0)
     sweep = Sweep(engine=engine_name, baseline=baseline)
-    for size in sizes:
-        swept = config.with_(window_size=size, **config_overrides)
-        result = run_suite(builder, workloads, swept)
+    for size, result in zip(sizes, totals):
         sweep.rows.append(
             SweepRow(
                 size=size,
@@ -198,12 +189,10 @@ def per_loop_baseline(
     workloads: Optional[Sequence[Workload]] = None,
     config: Optional[MachineConfig] = None,
     runner=None,
+    engine: str = "simple",
 ) -> List[SimResult]:
-    """Table 1: the simple engine on each loop individually."""
+    """Table 1: the simple engine (or ``engine``) on each loop
+    individually, in workload order."""
     workloads = list(workloads) if workloads is not None else all_loops()
-    if runner is not None:
-        from .parallel import per_loop_parallel
-
-        return per_loop_parallel(runner, "simple", workloads, config)
-    builder = ENGINE_FACTORIES["simple"]
-    return [run_workload(builder, workload, config) for workload in workloads]
+    return _run_suites(runner, [(engine, config or CRAY1_LIKE)],
+                       workloads)[0]

@@ -7,7 +7,7 @@ Attach a :class:`TraceRecorder` to an engine before running::
     result = engine.run()
 
 With no recorder attached (the default) the engine pays one attribute
-test per event -- the bench suite gates on that path staying flat.
+test per event -- perfbench's ``trace`` workload times that path.
 
 The recorder listens to the four hook streams every engine already
 emits -- stage transitions (``Engine.note``), stall causes

@@ -237,15 +237,11 @@ def parse_sim_request(payload: Any,
             "bad_request", "a simulation request must be a JSON object",
         )
     engine = payload.get("engine", DEFAULT_ENGINE)
-    if not isinstance(engine, str) or engine not in ENGINE_FACTORIES \
-            or engine.startswith("chaos-"):
+    if not isinstance(engine, str) or engine not in ENGINE_FACTORIES:
         raise ProtocolError(
             "unknown_engine",
             f"unknown engine {engine!r}",
-            available=sorted(
-                name for name in ENGINE_FACTORIES
-                if not name.startswith("chaos-")
-            ),
+            available=sorted(ENGINE_FACTORIES),
         )
     label = payload.get("label", "")
     if not isinstance(label, str):

@@ -25,8 +25,8 @@ end-to-end:
 parent's :data:`~repro.analysis.sweeps.ENGINE_FACTORIES` are visible in
 workers without any pickling of the classes themselves.
 
-Test-support code, but shipped in the package so the CI chaos job and
-``pytest`` can share it.
+Test-support code: the package registry holds only real engines until
+a test (or the CI chaos job, as ``tests.chaos``) installs these.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import os
 import time
 from typing import Optional
 
-from ..issue.simple import SimpleEngine
-from ..machine.faults import SimulationError
-from ..machine.stats import SimResult
-from .sweeps import ENGINE_FACTORIES
+from repro.analysis.sweeps import ENGINE_FACTORIES
+from repro.issue.simple import SimpleEngine
+from repro.machine.faults import SimulationError
+from repro.machine.stats import SimResult
 
 #: Pid of the process that imported this module -- i.e. the test/CLI
 #: parent.  Forked pool workers inherit the value but have a new pid.

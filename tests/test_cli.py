@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -81,6 +83,25 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "simple" in out and "ruu-bypass" in out
         assert "speedup" in out
+
+
+class TestTablesCommand:
+    def test_cache_dir_serves_the_second_run(self, tmp_path, monkeypatch,
+                                             capsys):
+        """``--cache-dir`` is honoured at the default ``--jobs 1``: a
+        repeat run answers every point from the cache."""
+        from repro.workloads import lll1, lll3
+
+        monkeypatch.setattr("repro.__main__.all_loops",
+                            lambda: [lll1(n=20), lll3(n=20)])
+        cache_dir = str(tmp_path / "cache")
+        summaries = []
+        for _ in range(2):
+            assert main(["tables", "--cache-dir", cache_dir]) == 0
+            summaries.append(capsys.readouterr().out.splitlines()[-1])
+        points = re.match(r"\[(\d+) points", summaries[1]).group(1)
+        assert f"cache 0 hits / {points} misses]" in summaries[0]
+        assert f"cache {points} hits / 0 misses]" in summaries[1]
 
 
 class TestArgErrors:

@@ -1,6 +1,6 @@
 """Self-healing parallel runner under injected worker failures.
 
-The chaos engines (:mod:`repro.analysis.chaos`) misbehave only inside
+The chaos engines (:mod:`tests.chaos`) misbehave only inside
 pool workers, so every scenario here can check both halves of the
 contract: the sweep still completes (retry, timeout-kill, or serial
 fallback), and the :class:`~repro.analysis.parallel.FleetReport` says
@@ -9,11 +9,6 @@ exactly what it took.
 
 import pytest
 
-from repro.analysis.chaos import (
-    CHAOS_ENGINES,
-    install_chaos_engines,
-    remove_chaos_engines,
-)
 from repro.analysis.parallel import (
     FleetError,
     FleetReport,
@@ -23,6 +18,12 @@ from repro.analysis.parallel import (
 )
 from repro.machine import MachineConfig
 from repro.workloads import dependency_chain, lll3
+
+from tests.chaos import (
+    CHAOS_ENGINES,
+    install_chaos_engines,
+    remove_chaos_engines,
+)
 
 CONFIG = MachineConfig(window_size=8)
 

@@ -8,7 +8,6 @@ rests on.  EXPERIMENTS.md records the full-grid numbers.
 import pytest
 
 from repro.analysis import (
-    ENGINE_FACTORIES,
     monotonic_fraction,
     ordering_holds,
     paper_data,
@@ -25,7 +24,7 @@ RSTU_SIZES = [3, 6, 10, 20, 30]
 
 @pytest.fixture(scope="module")
 def baseline(livermore_loops):
-    return run_suite(ENGINE_FACTORIES["simple"], livermore_loops)
+    return run_suite("simple", livermore_loops)
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +141,8 @@ class TestSpeculationExtension:
     def test_speculative_ruu_at_least_as_fast(self, livermore_loops,
                                               baseline):
         config = MachineConfig(window_size=20)
-        plain = run_suite(ENGINE_FACTORIES["ruu-bypass"], livermore_loops,
+        plain = run_suite("ruu-bypass", livermore_loops,
                           config)
-        spec = run_suite(ENGINE_FACTORIES["spec-ruu"], livermore_loops,
+        spec = run_suite("spec-ruu", livermore_loops,
                          config)
         assert spec.cycles <= plain.cycles * 1.02

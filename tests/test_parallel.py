@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep runner and the bench harness.
+"""Tests for the parallel sweep runner.
 
 The load-bearing property is *equivalence*: fanning a sweep over worker
 processes must produce exactly the rows the serial harness produces
@@ -21,7 +21,6 @@ from repro.analysis import (
     ParallelRunner,
     SimPoint,
     per_loop_baseline,
-    run_bench,
     run_suite,
     sweep_sizes,
 )
@@ -60,9 +59,8 @@ class TestEquivalence:
         assert runner.points_run == len(loops) * 3  # baseline + 2 sizes
 
     def test_run_suite_identical_to_serial(self, quick_loops):
-        builder = ENGINE_FACTORIES["ruu-bypass"]
-        serial = run_suite(builder, quick_loops, CONFIG)
-        parallel = run_suite(builder, quick_loops, CONFIG,
+        serial = run_suite("ruu-bypass", quick_loops, CONFIG)
+        parallel = run_suite("ruu-bypass", quick_loops, CONFIG,
                              runner=ParallelRunner(jobs=JOBS))
         assert parallel.cycles == serial.cycles
         assert parallel.instructions == serial.instructions
@@ -176,43 +174,6 @@ class TestHostPerf:
         assert warm.host_seconds == 0.0
 
 
-class TestBench:
-    def test_bench_report_shape(self, quick_loops, tmp_path):
-        report = run_bench(
-            quick_loops[:4], jobs=2, cache_dir=str(tmp_path / "cache"),
-            engines=["rstu"], sizes=[4, 8],
-        )
-        assert report["identical_to_serial"] is True
-        assert report["grid"]["n_points"] == 8
-        assert report["serial"]["wall_seconds"] > 0
-        assert report["serial"]["points_per_sec"] > 0
-        assert report["parallel_cold"]["wall_seconds"] > 0
-        assert report["speedup_vs_serial"] > 0
-        assert report["cache"]["cold_misses"] == 8
-        assert report["cache"]["warm_hits"] == 8
-        assert report["cache"]["hit_rate"] == 1.0
-        assert report["simulated"]["instructions"] > 0
-        assert report["simulated"]["inst_per_host_sec"] >= 0
-
-    def test_bench_cli_writes_json(self, tmp_path, capsys):
-        import json
-
-        from repro.__main__ import main
-
-        out_path = tmp_path / "BENCH_sweeps.json"
-        code = main([
-            "bench", "--jobs", "2", "--suite", "quick",
-            "--engines", "rstu", "--sizes", "4",
-            "--json", str(out_path),
-        ])
-        assert code == 0
-        assert "identical to serial: True" in capsys.readouterr().out
-        payload = json.loads(out_path.read_text())
-        assert payload["identical_to_serial"] is True
-        assert payload["cache"]["hit_rate"] == 1.0
-        assert payload["jobs"] == 2
-
-
 class TestSettledOutcomes:
     """run_points_settled: per-point verdicts instead of FleetError.
 
@@ -281,6 +242,19 @@ class TestSettledOutcomes:
             runner.run_points(
                 [SimPoint("ruu-bypass", self._hang_workload(), config)]
             )
+
+    def test_suite_without_runner_raises_fleet_error(self):
+        """With no runner the sweep helpers run in-process on a
+        ``jobs=1`` runner, so a failing point still arrives as a
+        FleetError that carries the engine's diagnostic."""
+        from repro.analysis.parallel import FleetError
+
+        config = MachineConfig(window_size=8, max_cycles=2000)
+        with pytest.raises(FleetError) as excinfo:
+            run_suite("ruu-bypass", [self._hang_workload()], config)
+        failure = excinfo.value.report.failures[0]
+        assert "DeadlockError" in failure.error
+        assert failure.diagnostic["cycle"] > 0
 
     def test_settled_reports_cache_hits(self, quick_loops, tmp_path):
         runner = ParallelRunner(jobs=2, cache_dir=str(tmp_path))

@@ -1,8 +1,10 @@
 """Tests for the campaign report generator."""
 
+from collections import Counter
+
 import pytest
 
-from repro.analysis import ReportSpec, build_report
+from repro.analysis import ENGINE_FACTORIES, ReportSpec, build_report
 from repro.workloads import dependency_chain, independent_streams
 
 
@@ -62,3 +64,27 @@ class TestReport:
         spec = ReportSpec(engines=("simple",), sweep_engines=())
         workloads = [dependency_chain(40)]
         assert build_report(workloads, spec) == build_report(workloads, spec)
+
+    def test_each_pair_simulated_once(self, monkeypatch):
+        """The per-loop table and the aggregate comparison share one
+        run of every (engine, workload) pair."""
+        built = Counter()
+
+        def counting(name, real):
+            def build(program, config, memory):
+                built[(name, program.name)] += 1
+                return real(program, config, memory)
+            return build
+
+        for name in ("simple", "rstu"):
+            monkeypatch.setitem(
+                ENGINE_FACTORIES, name,
+                counting(name, ENGINE_FACTORIES[name]),
+            )
+        workloads = [dependency_chain(40), independent_streams(30)]
+        spec = ReportSpec(engines=("simple", "rstu"), sweep_engines=())
+        build_report(workloads, spec)
+        assert built == {
+            (name, workload.name): 1
+            for name in ("simple", "rstu") for workload in workloads
+        }

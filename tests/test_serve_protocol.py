@@ -104,8 +104,9 @@ class TestRejections:
         ) == "unknown_engine"
 
     def test_chaos_engines_not_serveable(self):
-        """Even when chaos engines are installed in the registry, the
-        service refuses them -- they exist to kill workers."""
+        """The chaos engines live in ``tests.chaos`` and only a fleet
+        test installs them, so the registry the service validates
+        against never offers an engine built to kill workers."""
         assert reason_of(
             {"workload": "LLL3", "engine": "chaos-crash-once"}
         ) == "unknown_engine"

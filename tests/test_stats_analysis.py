@@ -148,7 +148,7 @@ class TestSweepHarness:
         return [dependency_chain(80), independent_streams(40)]
 
     def test_run_suite_aggregates(self, tiny_suite):
-        result = run_suite(ENGINE_FACTORIES["simple"], tiny_suite)
+        result = run_suite("simple", tiny_suite)
         assert result.instructions > 0
         assert "+" in result.workload
 
@@ -164,7 +164,7 @@ class TestSweepHarness:
         assert two.rows[0].cycles <= one.rows[0].cycles
 
     def test_shared_baseline_reused(self, tiny_suite):
-        base = run_suite(ENGINE_FACTORIES["simple"], tiny_suite)
+        base = run_suite("simple", tiny_suite)
         sweep = sweep_sizes("rstu", [4], workloads=tiny_suite, baseline=base)
         assert sweep.baseline is base
 
@@ -174,8 +174,8 @@ class TestSweepHarness:
 
     def test_every_factory_runs(self, tiny_suite):
         config = MachineConfig(window_size=6)
-        for name, builder in ENGINE_FACTORIES.items():
-            result = run_suite(builder, tiny_suite, config)
+        for name in ENGINE_FACTORIES:
+            result = run_suite(name, tiny_suite, config)
             assert result.instructions > 0, name
 
 

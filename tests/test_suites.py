@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ENGINE_FACTORIES, run_suite
+from repro.analysis import run_suite
 from repro.machine import MachineConfig, speedup
 from repro.trace import FunctionalExecutor
 from repro.workloads.suites import SIZE_PRESETS, SUITES, livermore_suite
@@ -60,8 +60,8 @@ class TestSizeStability:
 
         def measure(preset):
             workloads = livermore_suite(preset)
-            base = run_suite(ENGINE_FACTORIES["simple"], workloads)
-            ruu = run_suite(ENGINE_FACTORIES["ruu-bypass"], workloads,
+            base = run_suite("simple", workloads)
+            ruu = run_suite("ruu-bypass", workloads,
                             config)
             return base.cycles / ruu.cycles
 
