@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.registers import REGISTERS, TOTAL_REGISTERS, RegBank
-from ..machine.faults import PageFault
+from ..machine.engine import InOrderCommit
 from ..machine.stats import StallReason
 from ..issue.common import Operand, WindowedEngine, WindowEntry
 
@@ -71,7 +71,7 @@ class BypassMode(enum.Enum):
     LIMITED = "limited"   # Table 6: future file for the A registers only
 
 
-class RUUEngine(WindowedEngine):
+class RUUEngine(InOrderCommit, WindowedEngine):
     """Queue-managed reservation stations with in-order commit.
 
     The window is the queue: entries leave it only at the head, at
@@ -81,7 +81,6 @@ class RUUEngine(WindowedEngine):
     name = "ruu"
     claims_precise_interrupts = True
     release_at_dispatch = False
-    stores_at_commit = True
 
     def __init__(self, *args, bypass: BypassMode = BypassMode.FULL,
                  **kwargs) -> None:
@@ -197,68 +196,23 @@ class RUUEngine(WindowedEngine):
     # commit (head of the queue -> architectural state)
     # ------------------------------------------------------------------
 
-    def _phase_commit(self) -> None:
-        if self.interrupt_record is not None:
-            return
-        budget = self.config.commit_paths
-        while budget > 0 and self.window:
-            entry = self.window[0]
-            if not entry.executed or entry.executed_cycle >= self.cycle:
-                return
-            if not self._commit_head(entry):
-                return
-            budget -= 1
-
     def _commit_head(self, entry: WindowEntry) -> bool:
-        """Retire the executed head entry, updating the architectural
-        state, or take its trap."""
-        if entry.fault is not None:
-            self._interrupt_at(entry)
-            return False
-        inst = entry.inst
-        if inst.is_store:
-            try:
-                self.memory.write(entry.address, entry.datum_operand.value)
-            except PageFault as fault:
-                entry.fault = fault
-                self._interrupt_at(entry)
-                return False
-        dest = inst.dest_id
-        if dest is not None:
-            self.regs.values[dest] = entry.result
-            self._ni[dest] -= 1
-            # The RUU-to-register-file bus is snooped like the result bus.
-            self._broadcast(entry.dest_tag, entry.result)
-            self._live.pop(entry.dest_tag, None)
-        if inst.is_memory:
+        """Commit, then free a retired load or store's load register."""
+        committed = super()._commit_head(entry)
+        if committed and entry.inst.is_memory:
             self.mdu.finish(entry.seq)
-        self.window.popleft()
-        self.note(entry.seq, "commit")
-        self._note_retired(entry.seq)
-        return True
+        return committed
 
-    # ------------------------------------------------------------------
-    # precise interrupts
-    # ------------------------------------------------------------------
-
-    def _interrupt_at(self, entry: WindowEntry) -> None:
-        """Take a precise trap at the head instruction.
-
-        Every younger instruction (all of which are in the RUU or still
-        in a functional-unit pipeline) is squashed; none has touched
-        architectural state.  The machine restarts at the faulting PC.
-        """
-        self._take_interrupt(
-            entry.fault, seq=entry.seq, pc=entry.inst.pc, precise=True
-        )
-        self._squash_all()
-        self._restart_at(entry.seq, entry.inst.pc)
+    def _commit_register(self, entry: WindowEntry) -> None:
+        dest = entry.inst.dest_id
+        self.regs.values[dest] = entry.result
+        self._ni[dest] -= 1
+        # The RUU-to-register-file bus is snooped like the result bus.
+        self._broadcast(entry.dest_tag, entry.result)
+        self._live.pop(entry.dest_tag, None)
 
     def _squash_all(self) -> None:
-        for entry in self.window:
-            entry.squashed = True
-        self.squashed += len(self.window)
-        self.window.clear()
+        super()._squash_all()
         self._live.clear()
         self._waiting.clear()
         self._ni = [0] * TOTAL_REGISTERS

@@ -19,7 +19,13 @@ machine so the paper's qualitative claims can be measured:
   plain simple engine.
 
 Issue remains strictly in order and blocking -- dependency *resolution*
-(the RUU's other half) is exactly what these machines lack.
+(the RUU's other half) is exactly what these machines lack.  So the
+code is the paper's construction: :class:`InOrderPreciseEngine` is the
+:class:`~repro.issue.simple.SimpleEngine` (issue and execution) plus
+the in-order commit and precise trap it shares with the RUU
+(:class:`~repro.machine.engine.InOrderCommit`).  Each scheme supplies
+only when a destination unblocks, what issue reads, and how a trap
+repairs the register file.
 """
 
 from __future__ import annotations
@@ -28,47 +34,15 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.registers import TOTAL_REGISTERS, RegisterFile
-from ..isa.semantics import coerce_for_bank, effective_address, evaluate
-from ..machine.engine import Engine
-from ..machine.faults import FAULT_TYPES, PageFault
+from ..isa.registers import RegisterFile
+from ..issue.simple import InOrderEntry, SimpleEngine
+from ..machine.engine import InOrderCommit
 from ..machine.stats import StallReason
 
 
-class _BufEntry:
-    """One slot of the result-reordering structure."""
-
-    __slots__ = (
-        "seq", "inst", "value", "fault", "done_cycle", "address",
-        "datum", "old_value", "squashed",
-    )
-
-    def __init__(self, seq: int, inst: Instruction) -> None:
-        self.seq = seq
-        self.inst = inst
-        self.value = None
-        self.fault: Optional[Exception] = None
-        self.done_cycle: Optional[int] = None
-        self.address: Optional[int] = None
-        self.datum = None
-        self.old_value = None
-        self.squashed = False
-
-    #: Operands are read at issue, so nothing to snoop for.
-    waiting_tags = ()
-
-    @property
-    def done(self) -> bool:
-        return self.done_cycle is not None
-
-    @property
-    def state(self) -> str:
-        """In-order issue is dispatch: ``dispatched`` until ``done``."""
-        return "done" if self.done_cycle is not None else "dispatched"
-
-
-class InOrderPreciseEngine(Engine):
-    """Shared machinery: in-order issue, buffered in-order commit."""
+class InOrderPreciseEngine(InOrderCommit, SimpleEngine):
+    """The simple machine plus a result-reordering buffer: in-order
+    blocking issue, buffered in-order commit."""
 
     name = "inorder-precise"
     claims_precise_interrupts = True
@@ -78,104 +52,25 @@ class InOrderPreciseEngine(Engine):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.buffer: Deque[_BufEntry] = deque()
-        #: The pending writer of each register (None: not busy), by id.
-        self._busy: List[Optional[_BufEntry]] = [None] * TOTAL_REGISTERS
+        #: The result-reordering buffer, oldest first.
+        self.window: Deque[InOrderEntry] = deque()
 
     # ------------------------------------------------------------------
-    # register-read policy hooks
+    # issue (hooks of the simple core)
     # ------------------------------------------------------------------
 
-    def _read_source(self, reg: int) -> Tuple[bool, object]:
-        """May the issue stage read register ``reg`` now, and what value?"""
-        if self._busy[reg] is None:
-            return True, self._issue_file_read(reg)
-        return False, None
+    def _issue_stall(self, inst: Instruction) -> Optional[str]:
+        if len(self.window) >= self.config.window_size:
+            return StallReason.WINDOW_FULL
+        return None
 
-    def _issue_file_read(self, reg: int):
-        """Which register file does the issue stage read from?"""
-        return self.regs.values[reg]
-
-    def _on_complete(self, entry: _BufEntry) -> None:
-        """A result arrived on the bus (still uncommitted)."""
-        dest = entry.inst.dest_id
-        if self.unblocks_at_completion and dest is not None:
-            if self._busy[dest] is entry:
-                self._busy[dest] = None
-
-    def _recover_precise_state(self, fault_seq: int) -> None:
-        """Undo any speculative register-file damage at an interrupt."""
-
-    # ------------------------------------------------------------------
-    # issue
-    # ------------------------------------------------------------------
-
-    def _try_issue(self, inst: Instruction, seq: int) -> bool:
-        if len(self.buffer) >= self.config.window_size:
-            self.stall(StallReason.WINDOW_FULL)
-            return False
-        values = []
-        for reg in inst.source_ids:
-            ok, value = self._read_source(reg)
-            if not ok:
-                self.stall(StallReason.SOURCE_BUSY)
-                return False
-            values.append(value)
-        dest = inst.dest_id
-        if dest is not None and self._busy[dest] is not None:
-            self.stall(StallReason.DEST_BUSY)
-            return False
-        fu = inst.fu_index
-        if not self.fus.can_accept(fu, self.cycle):
-            self.stall(StallReason.FU_BUSY)
-            return False
-        done_cycle = self.fus.result_cycle(fu, self.cycle)
-        if dest is not None and not self.result_bus.is_free(done_cycle):
-            self.stall(StallReason.RESULT_BUS)
-            return False
-
-        entry = _BufEntry(seq, inst)
-        self._execute(entry, values)
-        self.fus.accept(fu, self.cycle)
-        if dest is not None:
-            self.result_bus.reserve(done_cycle)
-            entry.old_value = self._issue_file_read(dest)
-            self._busy[dest] = entry
-        self.buffer.append(entry)
-        self._schedule_completion(done_cycle, entry)
-        self.note(seq, "issue")
-        self.note(seq, "dispatch")
-        return True
-
-    def _execute(self, entry: _BufEntry, values) -> None:
-        """Compute at issue (in-order issue sees correct operands).
-
-        Stores only *capture* their datum and address here; memory is
-        written at commit, in program order -- that, plus buffered
-        register updates, is what makes these machines precise.  Loads
-        forward from uncommitted stores in the buffer.
-        """
-        inst = entry.inst
-        try:
-            if inst.is_load:
-                entry.address = effective_address(values[-1], inst.imm)
-                entry.value = coerce_for_bank(
-                    inst.dest, self._load_value(entry.address)
-                )
-            elif inst.is_store:
-                entry.address = effective_address(values[-1], inst.imm)
-                entry.datum = values[0]
-            else:
-                raw = evaluate(inst.opcode, values[:len(inst.srcs)], inst.imm)
-                entry.value = coerce_for_bank(inst.dest, raw)
-        except FAULT_TYPES as fault:
-            entry.fault = fault
+    def _issued(self, entry: InOrderEntry) -> None:
+        self.window.append(entry)
 
     def _load_value(self, address: int):
         """Read memory, honouring uncommitted stores in the buffer."""
-        for entry in reversed(self.buffer):
-            if entry.inst.is_store and entry.address == address \
-                    and not entry.squashed:
+        for entry in reversed(self.window):
+            if entry.inst.is_store and entry.address == address:
                 return entry.datum
         return self.memory.read(address)
 
@@ -187,74 +82,35 @@ class InOrderPreciseEngine(Engine):
         for entry in self._pop_completions():
             if entry.squashed:
                 continue
-            entry.done_cycle = self.cycle
+            entry.executed_cycle = self.cycle
             self.note(entry.seq, "complete")
             if entry.fault is None:
                 self._on_complete(entry)
 
-    def _phase_commit(self) -> None:
-        if self.interrupt_record is not None:
-            return
-        budget = self.config.commit_paths
-        while budget > 0 and self.buffer:
-            entry = self.buffer[0]
-            if not entry.done or entry.done_cycle >= self.cycle:
-                return
-            if entry.fault is not None:
-                self._interrupt_at(entry)
-                return
-            inst = entry.inst
-            if inst.is_store:
-                try:
-                    self.memory.write(entry.address, entry.datum)
-                except PageFault as fault:
-                    entry.fault = fault
-                    self._interrupt_at(entry)
-                    return
-            if inst.dest_id is not None:
-                self._commit_register(entry)
-            self.buffer.popleft()
-            self.note(entry.seq, "commit")
-            self._note_retired(entry.seq)
-            budget -= 1
+    def _on_complete(self, entry: InOrderEntry) -> None:
+        """A result arrived on the bus (still uncommitted)."""
+        if self.unblocks_at_completion:
+            self._busy &= ~entry.inst.dest_mask
 
-    def _commit_register(self, entry: _BufEntry) -> None:
-        dest = entry.inst.dest_id
-        self.regs.values[dest] = entry.value
-        if self._busy[dest] is entry:
-            self._busy[dest] = None
+    def _commit_register(self, entry: InOrderEntry) -> None:
+        self.regs.values[entry.inst.dest_id] = entry.result
+        if not self.unblocks_at_completion:
+            self._busy &= ~entry.inst.dest_mask
+
+    def _squash_all(self) -> None:
+        super()._squash_all()
+        self._busy = 0
 
     # ------------------------------------------------------------------
-    # precise interrupts
-    # ------------------------------------------------------------------
-
-    def _interrupt_at(self, entry: _BufEntry) -> None:
-        self._take_interrupt(
-            entry.fault, seq=entry.seq, pc=entry.inst.pc, precise=True
-        )
-        self._recover_precise_state(entry.seq)
-        for victim in self.buffer:
-            victim.squashed = True
-        self.buffer.clear()
-        self._busy = [None] * TOTAL_REGISTERS
-        self._restart_at(entry.seq, entry.inst.pc)
-
-    # ------------------------------------------------------------------
-
-    def _branch_operand(self, reg: int) -> Tuple[bool, object]:
-        return self._read_source(reg)
-
-    def _register_pending(self, reg: int) -> bool:
-        return self._busy[reg] is not None
 
     def _drained(self) -> bool:
-        return not self.buffer
+        return not self.window
 
-    def waiting_entries(self) -> Sequence[_BufEntry]:
-        return self.buffer
+    def waiting_entries(self) -> Sequence[InOrderEntry]:
+        return self.window
 
     def occupancy(self) -> Dict[str, int]:
-        return {"buffer": len(self.buffer)}
+        return {"buffer": len(self.window)}
 
 
 class ReorderBufferEngine(InOrderPreciseEngine):
@@ -265,7 +121,6 @@ class ReorderBufferEngine(InOrderPreciseEngine):
     """
 
     name = "reorder-buffer"
-    unblocks_at_completion = False
 
 
 class ReorderBufferBypassEngine(InOrderPreciseEngine):
@@ -273,15 +128,32 @@ class ReorderBufferBypassEngine(InOrderPreciseEngine):
     result can be read directly from the buffer at issue time."""
 
     name = "rob-bypass"
-    unblocks_at_completion = False
 
-    def _read_source(self, reg: int) -> Tuple[bool, object]:
-        entry = self._busy[reg]
-        if entry is None:
-            return True, self.regs.values[reg]
-        if entry.done and entry.fault is None:
-            return True, entry.value
-        return False, None
+    def _bypass_operands(self, source_ids) -> Optional[List]:
+        """Busy sources read their producers' results once executed."""
+        busy = self._busy
+        values = self.regs.values
+        operands = []
+        for reg in source_ids:
+            if busy >> reg & 1:
+                # A busy register has exactly one buffered writer, and
+                # it is usually among the youngest.
+                for producer in reversed(self.window):
+                    if producer.inst.dest_id == reg:
+                        break
+                if producer.executed_cycle is None \
+                        or producer.fault is not None:
+                    return None
+                operands.append(producer.result)
+            else:
+                operands.append(values[reg])
+        return operands
+
+    def _branch_operand(self, reg_id: int) -> Tuple[bool, object]:
+        operands = self._bypass_operands((reg_id,))
+        if operands is None:
+            return False, None
+        return True, operands[0]
 
 
 class HistoryBufferEngine(InOrderPreciseEngine):
@@ -292,24 +164,27 @@ class HistoryBufferEngine(InOrderPreciseEngine):
     name = "history-buffer"
     unblocks_at_completion = True
 
-    def _on_complete(self, entry: _BufEntry) -> None:
-        if entry.inst.dest_id is not None:
-            self.regs.values[entry.inst.dest_id] = entry.value
+    def _on_complete(self, entry: InOrderEntry) -> None:
+        dest = entry.inst.dest_id
+        if dest is not None:
+            # The destination stayed busy since issue: this is the
+            # pre-issue value.
+            entry.old_value = self.regs.values[dest]
+            self.regs.values[dest] = entry.result
         super()._on_complete(entry)
 
-    def _commit_register(self, entry: _BufEntry) -> None:
-        # Already written at completion; committing merely discards the
-        # history record (the old value can no longer be needed).
-        dest = entry.inst.dest_id
-        if self._busy[dest] is entry:
-            self._busy[dest] = None
+    def _commit_register(self, entry: InOrderEntry) -> None:
+        """Already written at completion; committing merely discards the
+        history record (the old value can no longer be needed)."""
 
-    def _recover_precise_state(self, fault_seq: int) -> None:
+    def _squash_all(self) -> None:
         """Roll back: restore pre-issue values, youngest first."""
-        for entry in reversed(self.buffer):
-            if entry.inst.dest_id is not None and entry.done \
+        for entry in reversed(self.window):
+            if entry.inst.dest_id is not None \
+                    and entry.executed_cycle is not None \
                     and entry.fault is None:
                 self.regs.values[entry.inst.dest_id] = entry.old_value
+        super()._squash_all()
 
 
 class FutureFileEngine(InOrderPreciseEngine):
@@ -324,17 +199,18 @@ class FutureFileEngine(InOrderPreciseEngine):
         super().__init__(*args, **kwargs)
         self.future: RegisterFile = self.regs.copy()
 
-    def _issue_file_read(self, reg: int):
-        return self.future.values[reg]
+    def _issue_file(self) -> List:
+        return self.future.values
 
-    def _on_complete(self, entry: _BufEntry) -> None:
+    def _on_complete(self, entry: InOrderEntry) -> None:
         if entry.inst.dest_id is not None:
-            self.future.values[entry.inst.dest_id] = entry.value
+            self.future.values[entry.inst.dest_id] = entry.result
         super()._on_complete(entry)
 
-    def _recover_precise_state(self, fault_seq: int) -> None:
+    def _squash_all(self) -> None:
         """The architectural file is already precise; resynchronize the
         future file from it."""
+        super()._squash_all()
         self.future = self.regs.copy()
 
     def _on_restore(self) -> None:

@@ -86,9 +86,9 @@ class WindowEntry:
     # -- readiness ---------------------------------------------------------
 
     @property
-    def datum_operand(self) -> Operand:
-        """The datum operand of a store."""
-        return self.operands[0]
+    def datum(self):
+        """The value a store writes (its datum operand must be ready)."""
+        return self.operands[0].value
 
     def compute_address(self) -> int:
         """Resolve and cache the effective address (base must be ready)."""
@@ -97,10 +97,6 @@ class WindowEntry:
                 self.operands[-1].value, self.inst.imm
             )
         return self.address
-
-    @property
-    def executed(self) -> bool:
-        return self.executed_cycle is not None
 
     @property
     def state(self) -> str:
@@ -167,9 +163,10 @@ class WindowedEngine(Engine):
     ``window`` holds every occupied station in program order.  Subclasses
     implement the hooks: :meth:`_issue_stall`, :meth:`_source_operand`,
     :meth:`_allocate_dest_tag`, :meth:`_register_pending` and
-    :meth:`_phase_complete` (plus :meth:`_phase_commit` for in-order
-    commit), and set :attr:`release_at_dispatch`,
-    :attr:`stores_at_commit` and :attr:`structure`.
+    :meth:`_phase_complete`, and set :attr:`release_at_dispatch` and
+    :attr:`structure`.  In-order commit comes from
+    :class:`~repro.machine.engine.InOrderCommit`, which also turns on
+    :attr:`stores_at_commit`.
     """
 
     #: Is a station freed when its instruction dispatches (Tomasulo, the
@@ -272,8 +269,8 @@ class WindowedEngine(Engine):
         for entry in self._pending_publish:
             if entry.squashed:
                 continue
-            if entry.datum_operand.ready:
-                self.mdu.publish(entry.seq, entry.datum_operand.value)
+            if entry.operands[0].ready:
+                self.mdu.publish(entry.seq, entry.datum)
                 entry.datum_published = True
             else:
                 still_waiting.append(entry)
@@ -369,9 +366,7 @@ class WindowedEngine(Engine):
                 entry.result = coerce_for_bank(inst.dest, raw)
             elif inst.is_store:
                 if not self.stores_at_commit:
-                    self.memory.write(
-                        entry.address, entry.datum_operand.value
-                    )
+                    self.memory.write(entry.address, entry.datum)
             else:
                 raw = evaluate(inst.opcode, entry.operand_values(), inst.imm)
                 entry.result = coerce_for_bank(inst.dest, raw)

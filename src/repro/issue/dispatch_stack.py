@@ -36,14 +36,12 @@ from ..memdep import FROM_MEMORY, MemoryDependencyUnit
 class _StackEntry:
     """One dispatch-stack slot (no operand copies, no tags)."""
 
-    __slots__ = ("seq", "inst", "dispatched", "done", "result",
-                 "fault", "address")
+    __slots__ = ("seq", "inst", "dispatched", "result", "fault", "address")
 
     def __init__(self, seq: int, inst: Instruction) -> None:
         self.seq = seq
         self.inst = inst
         self.dispatched = False
-        self.done = False
         self.result = None
         self.fault: Optional[Exception] = None
         self.address: Optional[int] = None
@@ -53,8 +51,7 @@ class _StackEntry:
 
     @property
     def state(self) -> str:
-        if self.done:
-            return "done"
+        """An entry leaves the stack as it completes, so never ``done``."""
         return "dispatched" if self.dispatched else "waiting"
 
 
@@ -116,8 +113,7 @@ class DispatchStackEngine(Engine):
                         and self._dispatch(entry):
                     return  # one dispatch port, as in the base RSTU machine
                 readers |= inst.src_mask
-            if not entry.done:
-                writers |= inst.dest_mask
+            writers |= inst.dest_mask
 
     def _resolve_addresses(self) -> None:
         """Addresses resolve in program order once hazard-free.
@@ -140,8 +136,7 @@ class DispatchStackEngine(Engine):
                 )
                 self.mdu.resolve(seq, entry.address)
                 seq = self.mdu.oldest_unresolved()
-            if not entry.done:
-                writers |= inst.dest_mask
+            writers |= inst.dest_mask
 
     def _memory_clear(self, entry: _StackEntry) -> bool:
         """The memory-ordering conditions of a load or store."""
@@ -204,7 +199,6 @@ class DispatchStackEngine(Engine):
                     precise=False,
                 )
                 return
-            entry.done = True
             dest = entry.inst.dest_id
             if dest is not None:
                 self.regs.values[dest] = entry.result

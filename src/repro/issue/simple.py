@@ -14,34 +14,55 @@ There is no window: a stalled instruction holds the decode stage and
 everything behind it.  Instructions still *complete* out of program
 order (different functional-unit latencies), which is exactly why this
 machine has imprecise interrupts -- the motivating problem of the paper.
+
+:class:`SimpleEngine` is also the in-order core of the Smith--Pleszkun
+engines (:mod:`repro.interrupts.inorder`), which add a result-reordering
+buffer: issue and execution are written once here, and the buffered
+engines supply hooks (a buffer-full check, a bypass read of busy
+sources, the register file issue reads, store-forwarding loads).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.semantics import (
-    coerce_for_bank,
-    effective_address,
-    evaluate,
-)
+from ..isa.semantics import coerce_for_bank, effective_address, evaluate
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
 
 
-class _Completion:
-    """An in-flight instruction awaiting its writeback cycle."""
+class InOrderEntry:
+    """One instruction between in-order issue and retirement.
 
-    __slots__ = ("seq", "inst", "value", "fault")
+    Field names match :class:`~repro.issue.common.WindowEntry`, so the
+    shared commit loop reads either.
+    """
 
-    def __init__(self, seq: int, inst: Instruction, value=None,
-                 fault: Optional[Exception] = None) -> None:
+    __slots__ = (
+        "seq", "inst", "result", "fault", "executed_cycle", "address",
+        "datum", "old_value", "squashed",
+    )
+
+    def __init__(self, seq: int, inst: Instruction) -> None:
         self.seq = seq
         self.inst = inst
-        self.value = value
-        self.fault = fault
+        self.result = None
+        self.fault: Optional[Exception] = None
+        self.executed_cycle: Optional[int] = None
+        self.address: Optional[int] = None
+        self.datum = None          # a store's value, written at commit
+        self.old_value = None      # the value the history buffer restores
+        self.squashed = False
+
+    #: Operands are read at issue, so nothing to snoop for.
+    waiting_tags = ()
+
+    @property
+    def state(self) -> str:
+        """In-order issue is dispatch: ``dispatched`` until ``done``."""
+        return "done" if self.executed_cycle is not None else "dispatched"
 
 
 class SimpleEngine(Engine):
@@ -49,6 +70,8 @@ class SimpleEngine(Engine):
 
     name = "simple"
     claims_precise_interrupts = False
+    #: Stores write memory at issue (so interrupts are imprecise).
+    stores_at_commit = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -56,11 +79,43 @@ class SimpleEngine(Engine):
         self._busy = 0
 
     # ------------------------------------------------------------------
+    # hooks
+    # ------------------------------------------------------------------
+
+    #: Optional method ``(inst) -> stall reason or None``, checked before
+    #: the register tests (the buffered engines: a full buffer).
+    _issue_stall = None
+    #: Optional method ``(source_ids) -> values or None``: read the
+    #: sources although one is busy, or stall (only ``rob-bypass`` can,
+    #: from an executed producer).
+    _bypass_operands = None
+
+    def _issue_file(self) -> List:
+        """The register values issue reads, by id."""
+        return self.regs.values
+
+    def _issued(self, entry: InOrderEntry) -> None:
+        """``entry`` left the decode stage."""
+
+    def _load_value(self, address: int):
+        """The value a load reads at ``address``."""
+        return self.memory.read(address)
+
+    # ------------------------------------------------------------------
 
     def _try_issue(self, inst: Instruction, seq: int) -> bool:
+        if self._issue_stall is not None:
+            reason = self._issue_stall(inst)
+            if reason is not None:
+                self.stall(reason)
+                return False
+        operands = None
         if inst.src_mask & self._busy:
-            self.stall(StallReason.SOURCE_BUSY)
-            return False
+            if self._bypass_operands is not None:
+                operands = self._bypass_operands(inst.source_ids)
+            if operands is None:
+                self.stall(StallReason.SOURCE_BUSY)
+                return False
         if inst.dest_mask & self._busy:
             self.stall(StallReason.DEST_BUSY)
             return False
@@ -73,59 +128,72 @@ class SimpleEngine(Engine):
             self.stall(StallReason.RESULT_BUS)
             return False
 
-        value, fault = self._execute(inst)
+        if operands is None:
+            values = self._issue_file()
+            operands = [values[reg] for reg in inst.source_ids]
+        entry = InOrderEntry(seq, inst)
+        self._execute(entry, operands)
         self.fus.accept(fu, self.cycle)
         if inst.dest_mask:
             self.result_bus.reserve(done_cycle)
             self._busy |= inst.dest_mask
-        self._schedule_completion(done_cycle, _Completion(seq, inst, value, fault))
+        self._issued(entry)
+        self._schedule_completion(done_cycle, entry)
         self.note(seq, "issue")
         self.note(seq, "dispatch")  # issue is dispatch on this machine
         return True
 
-    def _execute(self, inst: Instruction) -> Tuple[object, Optional[Exception]]:
+    def _execute(self, entry: InOrderEntry, operands: List) -> None:
         """Perform the instruction's state reads (and store writes) now.
 
-        In-order issue means register reads and memory accesses at issue
-        time see the correct architectural values: per-address memory
-        order equals program order.  Stores therefore update memory at
-        issue -- which is precisely what makes this machine's interrupts
-        imprecise with respect to memory.
+        ``operands`` are in :attr:`Instruction.sources` order.  In-order
+        issue means register reads and memory accesses at issue time see
+        the correct values: per-address memory order equals program
+        order.  Without :attr:`stores_at_commit` a store updates memory
+        here -- which is precisely what makes this machine's interrupts
+        imprecise with respect to memory.  With it (the buffered
+        engines) a store only captures its datum, and memory is written
+        at commit, in program order.
         """
-        values = self.regs.values
+        inst = entry.inst
         try:
-            if inst.is_load:
-                address = effective_address(values[inst.base_id], inst.imm)
-                value = self.memory.read(address)
-                return coerce_for_bank(inst.dest, value), None
-            if inst.is_store:
-                address = effective_address(values[inst.base_id], inst.imm)
-                self.memory.write(address, values[inst.src_ids[0]])
-                return None, None
-            operands = [values[reg] for reg in inst.src_ids]
-            raw = evaluate(inst.opcode, operands, inst.imm)
-            return coerce_for_bank(inst.dest, raw), None
+            if inst.is_memory:
+                entry.address = effective_address(operands[-1], inst.imm)
+                if inst.is_load:
+                    entry.result = coerce_for_bank(
+                        inst.dest, self._load_value(entry.address)
+                    )
+                elif self.stores_at_commit:
+                    entry.datum = operands[0]
+                else:
+                    self.memory.write(entry.address, operands[0])
+            else:
+                raw = evaluate(inst.opcode, operands, inst.imm)
+                entry.result = coerce_for_bank(inst.dest, raw)
         except FAULT_TYPES as fault:
-            return None, fault
+            entry.fault = fault
 
     # ------------------------------------------------------------------
 
     def _phase_complete(self) -> None:
-        for completion in self._pop_completions():
-            if completion.fault is not None:
+        for entry in self._pop_completions():
+            if entry.fault is not None:
                 self._take_interrupt(
-                    completion.fault,
-                    seq=completion.seq,
-                    pc=completion.inst.pc,
+                    entry.fault, seq=entry.seq, pc=entry.inst.pc,
                     precise=False,
                 )
                 return
-            dest = completion.inst.dest_id
+            dest = entry.inst.dest_id
             if dest is not None:
-                self.regs.values[dest] = completion.value
-                self._busy &= ~completion.inst.dest_mask
-            self.note(completion.seq, "complete")
-            self._note_retired(completion.seq)
+                self.regs.values[dest] = entry.result
+                self._busy &= ~entry.inst.dest_mask
+            self.note(entry.seq, "complete")
+            self._note_retired(entry.seq)
+
+    def _branch_operand(self, reg_id: int) -> Tuple[bool, object]:
+        if self._busy >> reg_id & 1:
+            return False, None
+        return True, self._issue_file()[reg_id]
 
     def _register_pending(self, reg_id: int) -> bool:
         return bool(self._busy >> reg_id & 1)

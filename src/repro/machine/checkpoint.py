@@ -16,7 +16,7 @@ What is (deliberately) **not** captured is microarchitectural state:
 window/buffer contents, functional-unit pipelines, result-bus
 reservations.  A checkpoint is only taken when the engine is stopped at
 a precise interrupt (window squashed, counters cleared -- see
-``_interrupt_at``) or fully drained, at which point the architectural
+``_precise_trap``) or fully drained, at which point the architectural
 state *is* the whole state.  That is exactly the paper's precision
 criterion, and it is what makes cross-engine restore (e.g. RUU ->
 history buffer) well-defined.  Engines whose interrupts are imprecise

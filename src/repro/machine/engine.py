@@ -10,9 +10,10 @@ A cycle ("tick") has four phases, in order:
 1. **complete** -- results scheduled for this cycle appear on the result
    bus and are broadcast (reservation stations capture operands,
    registers/tag units update).
-2. **commit** -- in-order state update (RUU family only; no-op
-   otherwise).  An instruction may commit no earlier than the cycle
-   *after* it completes.
+2. **commit** -- in-order state update from a program-ordered queue
+   (:class:`InOrderCommit`: the RUU family and the Smith--Pleszkun
+   engines; no-op otherwise).  An instruction may commit no earlier
+   than the cycle *after* it completes.
 3. **dispatch** -- ready instructions move from reservation stations to
    functional units, reserving the result bus for their completion cycle.
 4. **issue** -- the decode stage refills from the fetch unit and tries to
@@ -39,7 +40,7 @@ from ..isa.registers import RegisterFile
 from ..isa.semantics import branch_taken
 from .config import CRAY1_LIKE, MachineConfig
 from .diagnostics import capture_diagnostic
-from .faults import DeadlockError, SimulationError
+from .faults import DeadlockError, PageFault, SimulationError
 from .functional_units import FUPool
 from .interrupts import InterruptRecord
 from .memory import Memory
@@ -288,7 +289,7 @@ class Engine(abc.ABC):
         """Deliver this cycle's functional-unit results."""
 
     def _phase_commit(self) -> None:
-        """In-order state update; only the RUU family implements this."""
+        """In-order state update; :class:`InOrderCommit` implements it."""
 
     def _phase_dispatch(self) -> None:
         """Move ready reservation-station entries to functional units."""
@@ -475,3 +476,79 @@ class Engine(abc.ABC):
             claims_precise=precise,
         )
         self.interrupt_count += 1
+
+
+class InOrderCommit(Engine):
+    """Phase 2 for engines that retire from a program-ordered queue.
+
+    ``window`` holds the uncommitted entries, oldest first.  Each has
+    ``seq``, ``inst``, ``executed_cycle``, ``result``, ``fault``,
+    ``squashed`` and, for a store, ``address`` and ``datum``.  Up to
+    ``commit_paths`` executed heads retire per cycle; stores write
+    memory here, in program order, and a faulting head takes a precise
+    trap.  Engines supply :meth:`_commit_register` and extend
+    :meth:`_squash_all` with their own recovery.
+    """
+
+    #: Stores write memory at commit, not when they execute.
+    stores_at_commit = True
+
+    def _phase_commit(self) -> None:
+        if self.interrupt_record is not None:
+            return
+        budget = self.config.commit_paths
+        while budget > 0 and self.window:
+            entry = self.window[0]
+            executed_cycle = entry.executed_cycle
+            if executed_cycle is None or executed_cycle >= self.cycle:
+                return
+            if not self._commit_head(entry):
+                return
+            budget -= 1
+
+    def _commit_head(self, entry) -> bool:
+        """Retire the executed head entry, updating the architectural
+        state, or take its trap."""
+        if entry.fault is not None:
+            self._precise_trap(entry)
+            return False
+        inst = entry.inst
+        if inst.is_store:
+            try:
+                self.memory.write(entry.address, entry.datum)
+            except PageFault as fault:
+                entry.fault = fault
+                self._precise_trap(entry)
+                return False
+        if inst.dest_id is not None:
+            self._commit_register(entry)
+        self.window.popleft()
+        self.note(entry.seq, "commit")
+        self._note_retired(entry.seq)
+        return True
+
+    @abc.abstractmethod
+    def _commit_register(self, entry) -> None:
+        """Make the head's destination value architectural."""
+
+    def _precise_trap(self, entry) -> None:
+        """Take a precise trap at the head instruction.
+
+        Every younger instruction is in the queue or still in a
+        functional-unit pipeline, and none has touched architectural
+        state.  The machine restarts at the faulting PC.
+        """
+        self._take_interrupt(
+            entry.fault, seq=entry.seq, pc=entry.inst.pc, precise=True
+        )
+        self._squash_all()
+        self._restart_at(entry.seq, entry.inst.pc)
+
+    def _squash_all(self) -> None:
+        """Drop every queued entry, the faulting head included.  Engines
+        extend this to reset their own state; one that must read the
+        entries does so before calling up."""
+        for entry in self.window:
+            entry.squashed = True
+        self.squashed += len(self.window)
+        self.window.clear()

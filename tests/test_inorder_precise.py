@@ -138,6 +138,28 @@ class TestRollbackMechanisms:
         assert engine.future == engine.regs
 
     @pytest.mark.parametrize("cls", SP_ENGINES)
+    def test_trap_counts_squashed_entries(self, cls):
+        """A precise trap squashes the whole buffer, the faulting head
+        included, and counts it as the RUU does."""
+        from repro.workloads import fault_probe
+        wl = fault_probe()
+        memory = wl.make_memory()
+        memory.inject_fault(wl.fault_address)
+        engine = cls(wl.program, MachineConfig(window_size=12),
+                     memory=memory)
+        held = []
+        tick = engine.tick
+
+        def counting_tick():
+            held.append(len(engine.waiting_entries()))
+            tick()
+
+        engine.tick = counting_tick
+        result = engine.run()
+        assert engine.interrupt_record is not None
+        assert result.squashed == held[-1] > 0
+
+    @pytest.mark.parametrize("cls", SP_ENGINES)
     def test_resume_completes_correctly(self, cls):
         # Fault on a load, service, resume.
         from repro.workloads import fault_probe
