@@ -169,10 +169,8 @@ def capture_diagnostic(engine, recent: int = 8) -> EngineDiagnostic:
          for entry in engine.waiting_entries()),
         key=lambda w: w.seq,
     )
-    stages = engine.recorder.stages if engine.recorder is not None else {}
-    recent_events = {
-        seq: dict(stages[seq]) for seq in sorted(stages)[-recent:]
-    }
+    recent_events = engine.recorder.recent_stages(recent) \
+        if engine.recorder is not None else {}
     return EngineDiagnostic(
         engine=engine.name,
         workload=engine.program.name,

@@ -22,21 +22,42 @@ renders and what deadlock diagnostics quote as recent history.
 
 Two modes:
 
-* ``detail=True`` (default): keeps per-instruction stage maps,
+* ``detail=True`` (default): keeps per-instruction stage cycles,
   instruction metadata, the per-cycle bucket tape and occupancy samples
   -- everything :mod:`repro.obs.chrome` and :mod:`repro.obs.diff` need.
   Memory is O(cycles).
 * ``detail=False``: streaming counters only (bucket totals + stall
   totals), O(1) memory -- what the serve workers attach for
   ``"trace": true`` requests.
+
+Detail storage is flat and append-only, so recording allocates no
+container per instruction or per cycle:
+
+* one int column per stage (:data:`STAGES` order), indexed by seq, -1
+  where the instruction never reached that stage, plus a retire-cycle
+  column and a column of the static ``Instruction`` decoded under each
+  seq (its ``(pc, fu, text)`` is built once per static instruction);
+* the bucket tape, a ``bytearray`` of bucket ids (``bucket_names``
+  maps them back);
+* occupancy samples as flat int rows -- cycle, result-bus
+  reservations, in-flight instructions, then the occupancy values --
+  with the occupancy keys kept once per run of samples that share
+  them (engines keep theirs fixed, so a run has one).
+
+``stages`` (seq -> {stage: first cycle}), ``insts`` (seq -> (pc, fu,
+text)), ``cycle_buckets`` and ``samples`` are read views built from
+the columns on demand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Mapping
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..isa.opcodes import FUClass
+from ..machine.timeline import STAGES
 
 #: Synthetic bucket names (everything else is a ``StallReason`` key).
 COMMITTED = "committed"
@@ -44,6 +65,39 @@ ISSUED = "issued"
 INTERRUPT = "interrupt"
 DRAIN = "drain"
 UNACCOUNTED = "unaccounted"
+
+#: (pc, functional-unit name or None, disassembly text).
+InstInfo = Tuple[int, Optional[str], str]
+
+#: (occupancy keys, flat sample rows of ``SAMPLE_FIELDS + len(keys)``
+#: ints: cycle, result-bus reservations, in-flight, occupancy values).
+SampleRun = Tuple[Tuple[str, ...], List[int]]
+
+#: Leading fields of every sample row (cycle, bus, in-flight).
+SAMPLE_FIELDS = 3
+
+_CYCLE = itemgetter(1)
+
+
+class SeqView(Mapping):
+    """Read-only ``seq -> value`` view over a recorder's columns."""
+
+    def __init__(self, lookup: Callable[[int], object],
+                 seqs: Callable[[], Iterator[int]]) -> None:
+        self._lookup = lookup
+        self._seqs = seqs
+
+    def __getitem__(self, seq: int):
+        value = self._lookup(seq) if isinstance(seq, int) else None
+        if value is None:
+            raise KeyError(seq)
+        return value
+
+    def __iter__(self) -> Iterator[int]:
+        return self._seqs()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._seqs())
 
 
 class TraceRecorder:
@@ -76,17 +130,33 @@ class TraceRecorder:
         #: interrupt rollback) -- the commit stream diffs compare.
         self.commit_order: List[int] = []
 
-        # -- detail mode -----------------------------------------------
-        #: seq -> {stage: first cycle} (what ``Timeline.of`` renders).
-        self.stages: Dict[int, Dict[str, int]] = {}
-        #: seq -> (pc, fu name or None, disassembly text).
-        self.insts: Dict[int, Tuple[int, Optional[str], str]] = {}
-        #: seq -> cycle of the *last* retirement (re-execution wins).
-        self.retire_cycles: Dict[int, int] = {}
-        #: One bucket name per classified cycle, in cycle order.
-        self.cycle_buckets: List[str] = []
-        #: (cycle, occupancy dict, result-bus reservations, in-flight).
-        self.samples: List[Tuple[int, Dict[str, int], int, int]] = []
+        # -- detail mode: flat columns (read-only to consumers) ---------
+        #: The seq columns cover seqs ``0 .. seqs - 1``; they may hold
+        #: spare capacity past that.
+        self.seqs = 0
+        #: One column per stage in :data:`STAGES` order: seq -> first
+        #: cycle the instruction reached that stage, -1 if never.
+        self.stage_cycles: Tuple[List[int], ...] = tuple(
+            [] for _ in STAGES)
+        #: seq -> cycle of the *last* retirement (re-execution wins),
+        #: -1 if never retired.
+        self.retire_cycle: List[int] = []
+        #: seq -> the static instruction last decoded under it, or None.
+        self.inst_of: List[object] = []
+        #: One bucket id per classified cycle, in cycle order.
+        self.bucket_tape = bytearray()
+        #: bucket id -> bucket name, in order of first appearance.
+        self.bucket_names: List[str] = []
+        #: Samples, one run per stretch of identical occupancy keys.
+        self.sample_runs: List[SampleRun] = []
+
+        self._stage_column = dict(zip(STAGES, self.stage_cycles))
+        self._bucket_ids: Dict[str, int] = {}
+        self._sample_keys: Optional[Tuple[str, ...]] = None
+        self._sample_rows: List[int] = []
+        #: id(inst) -> (inst, info); holding the instruction keeps its
+        #: id from being reused.
+        self._described: Dict[int, Tuple[object, InstInfo]] = {}
 
         # -- current-cycle scratch -------------------------------------
         self._cycle_retired = False
@@ -101,7 +171,11 @@ class TraceRecorder:
         if stage == "issue":
             self._cycle_issued = True
         if self.detail:
-            self.stages.setdefault(seq, {}).setdefault(stage, cycle)
+            if seq >= self.seqs:
+                self._cover(seq)
+            column = self._stage_column[stage]
+            if column[seq] < 0:
+                column[seq] = cycle
 
     def on_stall(self, reason: str, cycle: int) -> None:
         self.stall_counts[reason] += 1
@@ -111,15 +185,15 @@ class TraceRecorder:
     def on_retire(self, seq: int, cycle: int) -> None:
         self._cycle_retired = True
         if self.detail:
-            self.retire_cycles[seq] = cycle
+            if seq >= self.seqs:
+                self._cover(seq)
+            self.retire_cycle[seq] = cycle
 
     def on_inst(self, seq: int, inst) -> None:
         if self.detail:
-            # Control flow and NOPs never enter the machine's window
-            # (they retire in decode); record no functional unit.
-            fu = None if inst.is_control_flow \
-                or inst.fu is FUClass.CONTROL else inst.fu.value
-            self.insts[seq] = (inst.pc, fu, str(inst))
+            if seq >= self.seqs:
+                self._cover(seq)
+            self.inst_of[seq] = inst
 
     def on_cycle(self, engine) -> None:
         """End-of-tick: attribute the cycle just simulated.
@@ -152,14 +226,24 @@ class TraceRecorder:
         self._cycle_stall = None
         if not self.detail:
             return
-        self.cycle_buckets.append(bucket)
-        if engine.cycle % self.sample_every == 0:
-            self.samples.append((
-                engine.cycle,
-                engine.occupancy(),
-                engine.result_bus.reservations(),
-                engine.next_seq - engine.retired,
-            ))
+        bucket_id = self._bucket_ids.get(bucket)
+        if bucket_id is None:
+            bucket_id = self._bucket_ids[bucket] = len(self.bucket_names)
+            self.bucket_names.append(bucket)
+        self.bucket_tape.append(bucket_id)
+        if engine.cycle % self.sample_every:
+            return
+        occupancy = engine.occupancy()
+        keys = tuple(occupancy)
+        if keys != self._sample_keys:
+            self._sample_keys = keys
+            self._sample_rows = []
+            self.sample_runs.append((keys, self._sample_rows))
+        rows = self._sample_rows
+        rows.append(engine.cycle)
+        rows.append(engine.result_bus.reservations())
+        rows.append(engine.next_seq - engine.retired)
+        rows += occupancy.values()
 
     def on_run_end(self, engine) -> None:
         """Snapshot the run's final architectural facts (called by
@@ -172,17 +256,113 @@ class TraceRecorder:
         self.interrupted = engine.interrupt_record is not None
         self.commit_order = list(engine.retire_log)
 
+    def _cover(self, seq: int) -> None:
+        """Extend the seq columns to cover ``seq`` (capacity doubles)."""
+        size = len(self.retire_cycle)
+        if seq >= size:
+            grow = max(seq + 1 - size, size, 64)
+            for column in self.stage_cycles:
+                column.extend([-1] * grow)
+            self.retire_cycle.extend([-1] * grow)
+            self.inst_of.extend([None] * grow)
+        self.seqs = seq + 1
+
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
 
+    def inst_info(self, inst) -> InstInfo:
+        """``(pc, fu, text)`` of a static instruction, built once."""
+        entry = self._described.get(id(inst))
+        if entry is None:
+            # Control flow and NOPs never enter the machine's window
+            # (they retire in decode); record no functional unit.
+            fu = None if inst.is_control_flow \
+                or inst.fu is FUClass.CONTROL else inst.fu.value
+            entry = (inst, (inst.pc, fu, str(inst)))
+            self._described[id(inst)] = entry
+        return entry[1]
+
+    @property
+    def stages(self) -> SeqView:
+        """Read view: seq -> {stage: first cycle} (what
+        ``Timeline.of`` renders)."""
+        return SeqView(self._stage_map, self._staged_seqs)
+
+    @property
+    def insts(self) -> SeqView:
+        """Read view: seq -> (pc, fu name or None, disassembly text)."""
+        return SeqView(self._inst_info_at, self._described_seqs)
+
+    def _inst_info_at(self, seq: int) -> Optional[InstInfo]:
+        if not 0 <= seq < self.seqs or self.inst_of[seq] is None:
+            return None
+        return self.inst_info(self.inst_of[seq])
+
+    def _described_seqs(self) -> Iterator[int]:
+        for seq, inst in zip(range(self.seqs), self.inst_of):
+            if inst is not None:
+                yield seq
+
+    def _stage_map(self, seq: int) -> Optional[Dict[str, int]]:
+        if not 0 <= seq < self.seqs:
+            return None
+        # Stages were recorded in time order; ties keep stage order.
+        pairs = sorted(
+            ((stage, column[seq])
+             for stage, column in zip(STAGES, self.stage_cycles)
+             if column[seq] >= 0),
+            key=_CYCLE,
+        )
+        return dict(pairs) if pairs else None
+
+    def _staged_seqs(self) -> Iterator[int]:
+        for seq, row in zip(range(self.seqs), zip(*self.stage_cycles)):
+            if max(row) >= 0:
+                yield seq
+
+    def recent_stages(self, count: int) -> Dict[int, Dict[str, int]]:
+        """Stage maps of the ``count`` highest staged seqs, ascending."""
+        recent: Dict[int, Dict[str, int]] = {}
+        seq = self.seqs
+        while seq > 0 and len(recent) < count:
+            seq -= 1
+            stages = self._stage_map(seq)
+            if stages is not None:
+                recent[seq] = stages
+        return dict(sorted(recent.items()))
+
+    @property
+    def cycle_buckets(self) -> List[str]:
+        """One bucket name per classified cycle, in cycle order."""
+        names = self.bucket_names
+        return [names[bucket_id] for bucket_id in self.bucket_tape]
+
+    @property
+    def samples(self) -> List[Tuple[int, Dict[str, int], int, int]]:
+        """(cycle, occupancy dict, result-bus reservations, in-flight)
+        per sample."""
+        samples = []
+        for keys, rows in self.sample_runs:
+            width = SAMPLE_FIELDS + len(keys)
+            for at in range(0, len(rows), width):
+                samples.append((
+                    rows[at],
+                    dict(zip(keys, rows[at + SAMPLE_FIELDS:at + width])),
+                    rows[at + 1],
+                    rows[at + 2],
+                ))
+        return samples
+
     def lifetime(self, seq: int) -> Optional[Tuple[int, int]]:
         """(first-stage cycle, retire-or-last-stage cycle) for ``seq``."""
-        stages = self.stages.get(seq)
-        if not stages:
+        stages = self._stage_map(seq)
+        if stages is None:
             return None
         first = min(stages.values())
-        last = self.retire_cycles.get(seq, max(stages.values()))
+        last = self.retire_cycle[seq]
+        if last < 0:
+            last = max(stages.values())
         return first, max(first, last)
 
     def describe(self) -> str:

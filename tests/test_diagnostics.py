@@ -186,3 +186,27 @@ class TestZooCoverage:
         for seq, events in recent.items():
             assert events == stages[seq]
         assert "recent timeline" in excinfo.value.diagnostic.describe()
+
+    #: The last eight stage maps a wedged ``ruu-bypass`` quotes after 30
+    #: warm-up cycles (seq 19 is a branch: it retires in decode).
+    RECENT_RUU = {
+        15: {"decode": 17, "issue": 17, "dispatch": 19, "complete": 21},
+        16: {"decode": 18, "issue": 18, "dispatch": 20, "complete": 22},
+        17: {"decode": 19, "issue": 19, "dispatch": 28},
+        18: {"decode": 20, "issue": 20},
+        19: {"decode": 21, "issue": 22, "commit": 22},
+        20: {"decode": 25, "issue": 25, "dispatch": 26},
+        21: {"decode": 26, "issue": 26, "dispatch": 27},
+        22: {"decode": 27},
+    }
+
+    def test_recent_events_are_the_tail_of_the_stage_map(self):
+        engine = frozen_engine(warmup=30, recorder=TraceRecorder())
+        engine.config = engine.config.with_(watchdog_cycles=50)
+        with pytest.raises(DeadlockError) as excinfo:
+            engine.run()
+        recent = excinfo.value.diagnostic.recent_events
+        assert recent == self.RECENT_RUU
+        assert list(recent) == sorted(recent)
+        for seq, events in recent.items():
+            assert list(events) == list(self.RECENT_RUU[seq])

@@ -157,6 +157,41 @@ class TestRecorder:
         assert COMMITTED in text
         assert "cycles" in text
 
+    def test_samples_survive_changing_occupancy_keys(self):
+        """Engines keep their occupancy keys fixed, but a change of keys
+        mid-run starts a new sample run instead of mislabelling values;
+        the export thins across the runs as one sample sequence."""
+        shapes = [{}, {}, {"a": 1}, {"a": 2}, {"a": 3, "b": 4}, {"b": 5}]
+
+        class Stub:
+            interrupt_record = None
+            fetch_done = True
+            decode_slot = None
+            next_seq = 9
+            retired = 4
+
+            class result_bus:
+                @staticmethod
+                def reservations():
+                    return 2
+
+            def occupancy(self):
+                return dict(shapes[self.cycle])
+
+        recorder = TraceRecorder()
+        stub = Stub()
+        for stub.cycle in range(len(shapes)):
+            recorder.on_cycle(stub)
+        assert recorder.samples == [
+            (cycle, shape, 2, 5) for cycle, shape in enumerate(shapes)]
+        assert len(recorder.sample_runs) == 4
+        events = chrome_trace(recorder, counter_every=2)["traceEvents"]
+        occupancy = [(e["ts"], e["args"]) for e in events
+                     if e["name"] == "occupancy"]
+        assert occupancy == [(2, {"a": 1}), (4, {"a": 3, "b": 4})]
+        in_flight = [e["ts"] for e in events if e["name"] == "in_flight"]
+        assert in_flight == [0, 2, 4]
+
 
 # ----------------------------------------------------------------------
 # Cycle attribution
@@ -291,10 +326,50 @@ class TestChromeExport:
         ({"traceEvents": [{"ph": "e", "name": "x", "pid": 0, "ts": 1,
                            "id": 7}]},
          "without matching begin"),
+        ({"traceEvents": ["x"]}, "not an object"),
+        ({"traceEvents": [{"ph": "M", "pid": 0}]}, "missing name"),
+        ({"traceEvents": [{"ph": "M", "name": "", "pid": 0}]},
+         "missing name"),
+        ({"traceEvents": [{"ph": "M", "name": "x"}]},
+         "missing integer pid"),
+        ({"traceEvents": [{"ph": "M", "name": "x", "pid": "0"}]},
+         "missing integer pid"),
+        ({"traceEvents": [{"ph": "M", "name": "x", "pid": True}]},
+         "missing integer pid"),
+        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0,
+                           "args": {}}]},
+         "bad ts"),
+        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0, "ts": -1,
+                           "args": {}}]},
+         "bad ts"),
+        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0, "ts": True,
+                           "args": {}}]},
+         "bad ts"),
+        ({"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "ts": 1,
+                           "dur": True}]},
+         "positive dur"),
+        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0, "ts": 1}]},
+         "C event needs args"),
+        ({"traceEvents": [{"ph": "b", "name": "x", "pid": 0, "ts": 1}]},
+         "async begin without id"),
+        ({"traceEvents": [
+            {"ph": "b", "name": "x", "pid": 0, "ts": 1, "id": 7},
+            {"ph": "b", "name": "x", "pid": 0, "ts": 2, "id": 7},
+            {"ph": "e", "name": "x", "pid": 0, "ts": 3, "id": 7},
+        ]},
+         "async id 7 reopened"),
     ])
     def test_validator_rejects(self, document, fragment):
         problems = validate_chrome_trace(document)
         assert any(fragment in problem for problem in problems), problems
+
+    @pytest.mark.parametrize("field, value", [
+        ("pid", 0), ("ts", 1), ("ts", 1.5), ("dur", 2), ("dur", 0.5),
+    ])
+    def test_validator_accepts_numbers(self, field, value):
+        event = {"ph": "X", "name": "x", "pid": 0, "ts": 1, "dur": 1}
+        event[field] = value
+        assert validate_chrome_trace({"traceEvents": [event]}) == []
 
     def test_validator_catches_timestamps_beyond_the_run(
             self, livermore_loops, config):
