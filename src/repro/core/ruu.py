@@ -257,6 +257,7 @@ class RUUEngine(InOrderCommit, WindowedEngine):
         return self._ni[reg] > 0
 
     def invariant_checks(self, checker) -> None:
+        super().invariant_checks(checker)
         checker.check_ruu(self)
 
     def tag_name(self, tag: Tag) -> str:

@@ -16,7 +16,7 @@ paper's "instruction-generated traps".
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Dict, Sequence
 
 from .opcodes import Opcode
 from .registers import RegBank, Register
@@ -87,40 +87,10 @@ def evaluate(opcode: Opcode, operands: Sequence, imm=None):
     :func:`coerce_for_bank` with the destination register (this keeps MOV
     between banks well-defined).
     """
-    if opcode in (Opcode.A_ADD, Opcode.S_ADD):
-        return _as_int(operands[0]) + _as_int(operands[1])
-    if opcode in (Opcode.A_SUB, Opcode.S_SUB):
-        return _as_int(operands[0]) - _as_int(operands[1])
-    if opcode is Opcode.A_MUL:
-        return _as_int(operands[0]) * _as_int(operands[1])
-    if opcode is Opcode.A_ADDI:
-        return _as_int(operands[0]) + int(imm)
-    if opcode in (Opcode.A_IMM, Opcode.S_IMM):
-        return imm
-    if opcode is Opcode.S_AND:
-        return _as_int(operands[0]) & _as_int(operands[1])
-    if opcode is Opcode.S_OR:
-        return _as_int(operands[0]) | _as_int(operands[1])
-    if opcode is Opcode.S_XOR:
-        return _as_int(operands[0]) ^ _as_int(operands[1])
-    if opcode is Opcode.S_SHL:
-        return _shift(operands[0], int(imm))
-    if opcode is Opcode.S_SHR:
-        return _shift(operands[0], -int(imm))
-    if opcode is Opcode.F_ADD:
-        return _check_float(_as_float(operands[0]) + _as_float(operands[1]))
-    if opcode is Opcode.F_SUB:
-        return _check_float(_as_float(operands[0]) - _as_float(operands[1]))
-    if opcode is Opcode.F_MUL:
-        return _check_float(_as_float(operands[0]) * _as_float(operands[1]))
-    if opcode is Opcode.F_RECIP:
-        denom = _as_float(operands[0])
-        if denom == 0.0:
-            raise ArithmeticFault("reciprocal of zero")
-        return _check_float(1.0 / denom)
-    if opcode is Opcode.MOV:
-        return operands[0]
-    raise ValueError(f"{opcode.mnemonic} has no ALU semantics")
+    operation = ALU_OPERATIONS.get(opcode)
+    if operation is None:
+        raise ValueError(f"{opcode.mnemonic} has no ALU semantics")
+    return operation(operands, imm)
 
 
 def _shift(value, amount: int):
@@ -137,6 +107,52 @@ def _check_float(value: float) -> float:
     if math.isinf(value) or math.isnan(value):
         raise ArithmeticFault(f"floating-point range error ({value})")
     return value
+
+
+def _recip(operands, imm):
+    denom = _as_float(operands[0])
+    if denom == 0.0:
+        raise ArithmeticFault("reciprocal of zero")
+    return _check_float(1.0 / denom)
+
+
+def _int_add(operands, imm):
+    return _as_int(operands[0]) + _as_int(operands[1])
+
+
+def _int_sub(operands, imm):
+    return _as_int(operands[0]) - _as_int(operands[1])
+
+
+def _immediate(operands, imm):
+    return imm
+
+
+#: ``(operands, imm) -> raw result`` for every ALU and immediate opcode;
+#: :func:`evaluate` looks the opcode up here.
+ALU_OPERATIONS: Dict[Opcode, Callable[[Sequence, object], object]] = {
+    Opcode.A_ADD: _int_add,
+    Opcode.S_ADD: _int_add,
+    Opcode.A_SUB: _int_sub,
+    Opcode.S_SUB: _int_sub,
+    Opcode.A_MUL: lambda ops, imm: _as_int(ops[0]) * _as_int(ops[1]),
+    Opcode.A_ADDI: lambda ops, imm: _as_int(ops[0]) + int(imm),
+    Opcode.A_IMM: _immediate,
+    Opcode.S_IMM: _immediate,
+    Opcode.S_AND: lambda ops, imm: _as_int(ops[0]) & _as_int(ops[1]),
+    Opcode.S_OR: lambda ops, imm: _as_int(ops[0]) | _as_int(ops[1]),
+    Opcode.S_XOR: lambda ops, imm: _as_int(ops[0]) ^ _as_int(ops[1]),
+    Opcode.S_SHL: lambda ops, imm: _shift(ops[0], int(imm)),
+    Opcode.S_SHR: lambda ops, imm: _shift(ops[0], -int(imm)),
+    Opcode.F_ADD: lambda ops, imm: _check_float(
+        _as_float(ops[0]) + _as_float(ops[1])),
+    Opcode.F_SUB: lambda ops, imm: _check_float(
+        _as_float(ops[0]) - _as_float(ops[1])),
+    Opcode.F_MUL: lambda ops, imm: _check_float(
+        _as_float(ops[0]) * _as_float(ops[1])),
+    Opcode.F_RECIP: _recip,
+    Opcode.MOV: lambda ops, imm: ops[0],
+}
 
 
 def branch_taken(opcode: Opcode, value) -> bool:

@@ -123,11 +123,21 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
     """Tag -> the operands waiting on it (the result-bus tag match).
 
     A broadcast visits exactly the operands waiting on its tag instead of
-    snooping every entry of the window.
+    snooping every entry of the window.  ``ready`` stands for the
+    stations' ready bits: the undispatched entries with no operand
+    missing, in seq order.  Dispatch selects from it, and removes what
+    it dispatches, instead of scanning the window.
     """
 
+    __slots__ = ("ready",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ready: List[WindowEntry] = []
+
     def add(self, entry: WindowEntry) -> None:
-        """Index every operand of a new ``entry`` that waits on a tag."""
+        """Index every operand of a new ``entry`` that waits on a tag;
+        an entry with none is ready at issue."""
         if entry.missing:
             for operand in entry.operands:
                 if not operand.ready:
@@ -136,6 +146,9 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
                         self[operand.tag] = [(entry, operand)]
                     else:
                         waiting.append((entry, operand))
+        else:
+            # Issue is in seq order: the newest entry is the youngest.
+            self.ready.append(entry)
 
     def wake(self, tag, value) -> None:
         """Deliver ``(tag, value)``: every waiting operand captures it."""
@@ -146,15 +159,33 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
                 operand.value = value
                 operand.tag = None
                 entry.missing -= 1
+                if not entry.missing:
+                    self._make_ready(entry)
+
+    def _make_ready(self, entry: WindowEntry) -> None:
+        """Insert ``entry`` into ``ready`` at its seq position."""
+        ready = self.ready
+        seq = entry.seq
+        index = len(ready)
+        while index and ready[index - 1].seq > seq:
+            index -= 1
+        ready.insert(index, entry)
+
+    def clear(self) -> None:
+        """Forget every waiter and every ready entry (a full squash)."""
+        super().clear()
+        self.ready.clear()
 
     def drop_squashed(self) -> None:
-        """Forget the operands of squashed entries (recovery)."""
+        """Forget the operands and ready bits of squashed entries
+        (recovery)."""
         for tag, waiting in list(self.items()):
             live = [pair for pair in waiting if not pair[0].squashed]
             if live:
                 self[tag] = live
             else:
                 del self[tag]
+        self.ready = [entry for entry in self.ready if not entry.squashed]
 
 
 class WindowedEngine(Engine):
@@ -248,8 +279,10 @@ class WindowedEngine(Engine):
     def _phase_dispatch(self) -> None:
         if self.interrupt_record is not None:
             return
-        self._resolve_addresses()
-        self._publish_store_data()
+        if self._unresolved:
+            self._resolve_addresses()
+        if self._pending_publish:
+            self._publish_store_data()
         self.occupancy_accum += len(self.window)
         self._dispatch_ready()
 
@@ -279,12 +312,14 @@ class WindowedEngine(Engine):
     def _dispatch_ready(self) -> None:
         """Up to ``dispatch_paths`` instructions leave the window per
         cycle: loads and stores first, then the one that entered the
-        window earliest (the paper's RUU rule, §5.1)."""
+        window earliest (the paper's RUU rule, §5.1).  Only entries on
+        the ready list have all their operands."""
+        ready = self._waiting.ready
         budget = self.config.dispatch_paths
-        if budget <= 0:
+        if not ready or budget <= 0:
             return
-        # A snapshot: dispatch may free stations.
-        candidates = [entry for entry in self.window if not entry.dispatched]
+        # A snapshot: dispatch removes entries from the ready list.
+        candidates = list(ready)
         for memory in (True, False):
             for entry in candidates:
                 if entry.inst.is_memory == memory \
@@ -295,18 +330,17 @@ class WindowedEngine(Engine):
                         return
 
     def _entry_ready(self, entry: WindowEntry) -> bool:
-        """Operands present plus the memory-ordering conditions."""
+        """May ``entry``, whose operands are all present (it is on the
+        ready list), dispatch?  A memory op must also meet the
+        memory-ordering conditions."""
         inst = entry.inst
-        if inst.is_memory:
-            if not self.mdu.is_resolved(entry.seq):
-                return False
-            if inst.is_store:
-                return (
-                    not entry.missing
-                    and self.mdu.store_may_dispatch(entry.seq)
-                )
-            return self.mdu.load_source_ready(entry.seq)
-        return not entry.missing
+        if not inst.is_memory:
+            return True
+        if not self.mdu.is_resolved(entry.seq):
+            return False
+        if inst.is_store:
+            return self.mdu.store_may_dispatch(entry.seq)
+        return self.mdu.load_source_ready(entry.seq)
 
     def _dispatch(self, entry: WindowEntry) -> bool:
         """Send one ready entry to its functional unit.
@@ -328,6 +362,7 @@ class WindowedEngine(Engine):
         if inst.dest_id is not None:
             self.result_bus.reserve(done_cycle)
         entry.dispatched = True
+        self._waiting.ready.remove(entry)
         if inst.is_memory:
             self.mdu.mark_dispatched(entry.seq)
         if self.release_at_dispatch:
@@ -374,6 +409,9 @@ class WindowedEngine(Engine):
             entry.fault = fault
 
     # ------------------------------------------------------------------
+
+    def invariant_checks(self, checker) -> None:
+        checker.check_window(self)
 
     def waiting_entries(self) -> Sequence[WindowEntry]:
         return self.window

@@ -98,14 +98,16 @@ class TomasuloEngine(WindowedEngine):
         """Each functional unit independently dispatches its oldest ready
         instruction (distributed stations: no shared dispatch port).
 
-        Every station here is undispatched (Tomasulo frees a station at
-        dispatch).  Units are served in FU order, which decides who wins
-        a result-bus slot.  Choosing every unit's candidate first is
-        safe: only the memory unit's own dispatches change memory-op
-        readiness.
+        The candidates come from the ready list, oldest first.  Units
+        are served in FU order, which decides who wins a result-bus
+        slot.  Choosing every unit's candidate first is safe: only the
+        memory unit's own dispatches change memory-op readiness.
         """
+        ready = self._waiting.ready
+        if not ready:
+            return
         oldest: List[Optional[WindowEntry]] = [None] * len(FUClass)
-        for entry in self.window:
+        for entry in ready:
             fu = entry.inst.fu_index
             if oldest[fu] is None and self._entry_ready(entry):
                 oldest[fu] = entry

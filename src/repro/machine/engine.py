@@ -56,6 +56,21 @@ class Engine(abc.ABC):
     #: Does this engine guarantee precise interrupts?
     claims_precise_interrupts = False
 
+    #: Every field ``__init__`` sets.  Slots keep them out of the
+    #: instance dict, which CPython keeps in its fast inline layout only
+    #: up to 29 keys; concrete engines (no ``__slots__`` of their own)
+    #: still get a dict for their fields and for per-instance method
+    #: overrides such as :class:`~repro.machine.invariants.
+    #: InvariantChecker`'s ``tick``.
+    __slots__ = (
+        "program", "config", "regs", "memory", "fus", "result_bus",
+        "cycle", "pc", "decode_slot", "decode_seq", "fetch_resume_cycle",
+        "fetch_done", "next_seq", "retired", "retire_log", "stalls",
+        "branches", "branches_taken", "interrupt_record",
+        "interrupt_count", "squashed", "mispredictions", "_completions",
+        "recorder", "fetch_unit", "host_seconds", "last_commit_cycle",
+    )
+
     def __init__(
         self,
         program: Program,

@@ -1,4 +1,4 @@
-"""Per-cycle invariant checking for the RUU (a hardware-assertions rig).
+"""Per-cycle invariant checking for the engines (a hardware-assertions rig).
 
 Attach to an engine before running::
 
@@ -16,21 +16,28 @@ structural properties the design relies on:
   ``r`` when one exists;
 * every non-ready operand carries a tag that a live producer will
   still satisfy (no orphaned waiters -> no deadlocks);
-* the wake-up index holds exactly the window's waiting operands, and
-  each entry's ``missing`` count matches them;
-* dispatched-but-not-executed entries are within the window;
+* the ``_live`` map names only live producers;
 * the memory queue's in-flight population matches the window's
   un-finished memory instructions.
 
 The RUU engines opt into these checks through the engine's
-``invariant_checks`` hook (counted in ``ruu_cycles_checked``).
-Engines without RUU bookkeeping (simple, Tomasulo, RSTU, ...) still get
-generic post-cycle checks: the retired count never shrinks except
-across an interrupt or misprediction recovery, the retire log mirrors
-the counter, no instruction retires before it was fetched, and the
-cycle counter stays within the configured budget.  Attaching to *any*
-engine is therefore always meaningful -- ``cycles_checked`` counts real
-assertions, never silent no-ops.
+``invariant_checks`` hook (counted in ``ruu_cycles_checked``).  Every
+windowed engine (Tomasulo, the Tag Unit, the RS pool, the RSTU and the
+RUU family) also gets the wake-up checks (counted in
+``window_cycles_checked``):
+
+* the wake-up index holds exactly the window's waiting operands, and
+  each entry's ``missing`` count matches them;
+* the ready list holds exactly the undispatched, unsquashed window
+  entries with no operand missing, in seq order.
+
+Every engine, the in-order ones too, gets generic post-cycle checks:
+the retired count never shrinks except across an interrupt or
+misprediction recovery, the retire log mirrors the counter, no
+instruction retires before it was fetched, and the cycle counter stays
+within the configured budget.  Attaching to *any* engine is therefore
+always meaningful -- ``cycles_checked`` counts real assertions, never
+silent no-ops.
 
 This is how the test-suite checks each engine's *internal* consistency
 on every cycle of real workloads, not just its architectural outputs.
@@ -55,8 +62,9 @@ class InvariantChecker:
     def __init__(self, engine) -> None:
         self.engine = engine
         self.cycles_checked = 0
-        #: Cycles on which the RUU-family checks ran (via the engine's
-        #: ``invariant_checks`` hook).
+        #: Cycles on which the windowed-engine and the RUU-family checks
+        #: ran (via the engine's ``invariant_checks`` hook).
+        self.window_cycles_checked = 0
         self.ruu_cycles_checked = 0
         self._original_tick = engine.tick
         self._last_retired = engine.retired
@@ -121,6 +129,57 @@ class InvariantChecker:
             f"cycle {self.engine.cycle}: {message}"
         )
 
+    def check_window(self, engine) -> None:
+        """Every windowed engine's wake-up bookkeeping: the wake-up
+        index and the ready list mirror the window exactly."""
+        self.window_cycles_checked += 1
+        window = list(engine.window)
+
+        # (1) the wake-up index mirrors the waiting operands exactly
+        indexed = sum(len(waiting) for waiting in engine._waiting.values())
+        waiting_operands = 0
+        for entry in window:
+            missing = 0
+            for operand in entry.operands:
+                if operand.ready:
+                    continue
+                missing += 1
+                if not any(waiter is operand for _, waiter in
+                           engine._waiting.get(operand.tag, ())):
+                    self._fail(
+                        f"#{entry.seq} waits on "
+                        f"{engine.tag_name(operand.tag)} but is not in "
+                        f"the wake-up index"
+                    )
+            if entry.missing != missing:
+                self._fail(
+                    f"#{entry.seq} counts {entry.missing} missing "
+                    f"operands, has {missing}"
+                )
+            waiting_operands += missing
+        if indexed != waiting_operands:
+            self._fail(
+                f"wake-up index holds {indexed} operands, the window "
+                f"waits on {waiting_operands}"
+            )
+
+        # (2) the ready list is exactly the undispatched, unsquashed
+        # window entries with no operand missing, in seq order
+        expected = sorted(
+            (entry for entry in window
+             if not entry.dispatched and not entry.squashed
+             and not entry.missing),
+            key=lambda entry: entry.seq,
+        )
+        ready = engine._waiting.ready
+        if len(ready) != len(expected) or any(
+                have is not want for have, want in zip(ready, expected)):
+            self._fail(
+                f"ready list {[entry.seq for entry in ready]} but the "
+                f"window's ready entries are "
+                f"{[entry.seq for entry in expected]}"
+            )
+
     def check_ruu(self, engine) -> None:
         """The RUU family's structural invariants (NI/LI, tags, queue)."""
         self.ruu_cycles_checked += 1
@@ -175,42 +234,14 @@ class InvariantChecker:
                         f"producer"
                     )
 
-        # (5) the wake-up index mirrors the waiting operands exactly
-        indexed = sum(len(waiting) for waiting in engine._waiting.values())
-        waiting_operands = 0
-        for entry in window:
-            missing = 0
-            for operand in entry.operands:
-                if operand.ready:
-                    continue
-                missing += 1
-                if not any(waiter is operand for _, waiter in
-                           engine._waiting.get(operand.tag, ())):
-                    self._fail(
-                        f"#{entry.seq} waits on "
-                        f"{engine.tag_name(operand.tag)} but is not in "
-                        f"the wake-up index"
-                    )
-            if entry.missing != missing:
-                self._fail(
-                    f"#{entry.seq} counts {entry.missing} missing "
-                    f"operands, has {missing}"
-                )
-            waiting_operands += missing
-        if indexed != waiting_operands:
-            self._fail(
-                f"wake-up index holds {indexed} operands, the window "
-                f"waits on {waiting_operands}"
-            )
-
-        # (6) the _live index mirrors the window
+        # (5) the _live index mirrors the window
         for tag, producer in engine._live.items():
             if producer.dest_tag != tag or producer.squashed:
                 self._fail(
                     f"stale _live mapping for {engine.tag_name(tag)}"
                 )
 
-        # (7) memory-queue population matches the window
+        # (6) memory-queue population matches the window
         window_mem = sum(1 for entry in window if entry.inst.is_memory)
         if engine.mdu.in_flight() != window_mem:
             self._fail(

@@ -92,6 +92,40 @@ class TestRUUHook:
         assert checker.ruu_cycles_checked == 0
 
 
+WINDOWED_ENGINES = [
+    "tomasulo", "tagunit", "rspool", "rstu",
+    "ruu-bypass", "ruu-nobypass", "ruu-limited", "spec-ruu",
+]
+
+
+class TestWindowHook:
+    """Every windowed engine gets the wake-up index and ready-list
+    checks; the in-order engines have no window to check."""
+
+    @pytest.mark.parametrize("engine_name", WINDOWED_ENGINES)
+    def test_window_checks_ran(self, engine_name):
+        builder = ENGINE_FACTORIES[engine_name]
+        for workload in all_loops()[:3]:
+            engine = builder(
+                workload.program, MachineConfig(window_size=6),
+                workload.make_memory(),
+            )
+            result, checker = run_checked(engine)
+            assert checker.window_cycles_checked == result.cycles
+
+    @pytest.mark.parametrize("engine_name", ["simple", "dispatch-stack",
+                                             "reorder-buffer"])
+    def test_in_order_engines_skip_them(self, engine_name):
+        workload = all_loops()[0]
+        engine = ENGINE_FACTORIES[engine_name](
+            workload.program, MachineConfig(window_size=10),
+            workload.make_memory(),
+        )
+        _, checker = run_checked(engine)
+        assert checker.cycles_checked > 0
+        assert checker.window_cycles_checked == 0
+
+
 class TestGenericChecks:
     """Every engine -- not just the RUU -- gets post-cycle assertions."""
 
@@ -234,6 +268,45 @@ class TestDetection:
         engine._try_issue = scrambling
         with pytest.raises(InvariantViolation):
             engine.run()
+
+    @staticmethod
+    def _run_with_stale_ready_entry(engine, stale):
+        """Run ``engine``; after each cycle's phases, put the first
+        window entry that ``stale`` accepts on the ready list.  The
+        checker wraps the corrupted tick, so it sees the same cycle."""
+        original_tick = engine.tick
+
+        def corrupting_tick():
+            original_tick()
+            for entry in engine.window:
+                if stale(entry) and entry not in engine._waiting.ready:
+                    engine._waiting.ready.append(entry)
+                    return
+
+        engine.tick = corrupting_tick
+        InvariantChecker.attach(engine)
+        with pytest.raises(InvariantViolation, match="ready list"):
+            engine.run()
+
+    @pytest.mark.parametrize("engine_name", ["tomasulo", "rstu"])
+    def test_detects_waiting_entry_on_ready_list(self, engine_name):
+        from repro.isa import assemble
+        source = "S_IMM S1, 1.0\nF_MUL S2, S1, S1\nF_ADD S3, S2, S1\nHALT"
+        engine = ENGINE_FACTORIES[engine_name](
+            assemble(source), MachineConfig(window_size=8), None,
+        )
+        self._run_with_stale_ready_entry(
+            engine, lambda entry: entry.missing > 0)
+
+    def test_detects_dispatched_entry_left_ready(self):
+        from repro.isa import assemble
+        source = "S_IMM S1, 1.0\nF_MUL S2, S1, S1\nHALT"
+        engine = ENGINE_FACTORIES["rstu"](
+            assemble(source), MachineConfig(window_size=8), None,
+        )
+        # The RSTU keeps a dispatched entry until it completes.
+        self._run_with_stale_ready_entry(
+            engine, lambda entry: entry.dispatched)
 
     def test_detach_restores_tick(self):
         from repro.isa import assemble

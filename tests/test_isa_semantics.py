@@ -16,7 +16,10 @@ from repro.isa import (
     wrap_a,
     wrap_s_int,
 )
-from repro.isa.semantics import wrap_signed
+from repro.isa.opcodes import OpKind
+from repro.isa.semantics import ALU_OPERATIONS, wrap_signed
+
+_VALUE_KINDS = (OpKind.ALU, OpKind.IMMEDIATE)
 
 
 class TestWrapping:
@@ -91,6 +94,22 @@ class TestEvaluate:
     def test_branch_has_no_alu_semantics(self):
         with pytest.raises(ValueError):
             evaluate(Opcode.BR_ZERO, [0])
+
+
+class TestOperationTable:
+    """``evaluate`` dispatches through one table entry per opcode."""
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.mnemonic)
+    def test_every_opcode_is_covered_or_rejected(self, op):
+        if op.kind in _VALUE_KINDS:
+            assert op in ALU_OPERATIONS
+        else:
+            assert op not in ALU_OPERATIONS
+            with pytest.raises(ValueError, match=f"^{op.mnemonic} has no"):
+                evaluate(op, [0], 0)
+
+    def test_table_holds_only_value_opcodes(self):
+        assert all(op.kind in _VALUE_KINDS for op in ALU_OPERATIONS)
 
 
 class TestCoercion:
