@@ -43,7 +43,6 @@ Simulations are deterministic, which is what makes caching sound.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 import hashlib
 import os
@@ -51,12 +50,10 @@ import tempfile
 import threading
 import warnings
 from collections import Counter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
-from ..isa.encoding import encode_program
 from ..machine.config import MachineConfig
 from ..machine.interrupts import InterruptRecord
-from ..machine.memory import Memory
 from ..machine.stats import SimResult
 from ..workloads.base import Workload
 
@@ -73,101 +70,28 @@ SCHEMA_VERSION = 3
 #: see :meth:`InterruptRecord.to_json`.)
 EXCLUDED_EXTRA_KEYS = frozenset({"from_cache"})
 
-
-def _fingerprint_value(value):
-    """A stable, JSON-able encoding of one config field value."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, Mapping):
-        return sorted(
-            (_fingerprint_value(k), _fingerprint_value(v))
-            for k, v in value.items()
-        )
-    if isinstance(value, (list, tuple)):
-        return [_fingerprint_value(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_fingerprint_value(v) for v in value)
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return repr(value)
-
-
-def _config_fingerprint(config: MachineConfig) -> bytes:
-    """Every ``MachineConfig`` field, derived automatically.
-
-    Walking ``dataclasses.fields`` (instead of a hand-kept list) means a
-    latency knob added next month perturbs cache keys from day one --
-    ``tests/test_cache.py`` asserts this for every field.
-    """
-    payload = {
-        field.name: _fingerprint_value(getattr(config, field.name))
-        for field in dataclasses.fields(MachineConfig)
-    }
-    return json.dumps(payload, sort_keys=True).encode()
-
-
-def _memory_fingerprint(memory: Memory) -> bytes:
-    return json.dumps(
-        {
-            "words": sorted(
-                (address, repr(value))
-                for address, value in memory.nonzero().items()
-            ),
-            "faulting": sorted(memory.faulting_addresses),
-        },
-        sort_keys=True,
-    ).encode()
-
-
-def _digest(engine_name: str, program: bytes, memory: bytes,
-            config: bytes) -> str:
-    return hashlib.sha256(
-        engine_name.encode() + program + memory + config
-    ).hexdigest()
+#: ``SimResult`` field names in declaration order: an entry carries
+#: exactly these (plus ``schema``), so a field added later is cached
+#: automatically and its absence in an older entry reads as a miss.
+_RESULT_FIELDS = tuple(field.name for field in dataclasses.fields(SimResult))
 
 
 def cache_key(engine_name: str, workload: Workload,
               config: MachineConfig) -> str:
-    """Content hash identifying one simulation."""
-    return _digest(
-        engine_name,
-        encode_program(workload.program),
-        _memory_fingerprint(workload.initial_memory),
-        _config_fingerprint(config),
-    )
+    """Content hash identifying one simulation.
 
-
-class KeyMemo:
-    """:func:`cache_key` for a batch of points, each input encoded once.
-
-    A sweep grid repeats a few programs, memories and configs across
-    many points; the memo encodes each distinct object (by identity)
-    once and then only hashes.  Keys are byte-identical to
-    :func:`cache_key`.
-
-    A memo must not outlive one batch: :class:`Memory` is mutable
-    (``poke``, ``inject_fault``), so a memory edited after its first
-    fingerprint would keep its stale key.  The memo holds each object
-    it has seen, so no ``id`` is reused while it lives.
+    Each input keeps its own fingerprint (``Program.encoding``,
+    ``Memory.fingerprint``, ``MachineConfig.fingerprint``) until it
+    changes, so deriving a key again costs one sha256.  The program's
+    name is not hashed: programs that differ only in name share an
+    entry, and a hit is stamped with the requester's name.
     """
-
-    def __init__(self) -> None:
-        self._parts: dict = {}
-
-    def _part(self, obj, encode) -> bytes:
-        entry = self._parts.get(id(obj))
-        if entry is None:
-            entry = self._parts[id(obj)] = (obj, encode(obj))
-        return entry[1]
-
-    def key(self, engine_name: str, workload: Workload,
-            config: MachineConfig) -> str:
-        return _digest(
-            engine_name,
-            self._part(workload.program, encode_program),
-            self._part(workload.initial_memory, _memory_fingerprint),
-            self._part(config, _config_fingerprint),
-        )
+    return hashlib.sha256(
+        engine_name.encode()
+        + workload.program.encoding
+        + workload.initial_memory.fingerprint()
+        + config.fingerprint()
+    ).hexdigest()
 
 
 def _extra_to_json(extra: dict) -> dict:
@@ -213,13 +137,10 @@ def deserialize_result(payload: dict) -> SimResult:
 def _result_to_json(result: SimResult) -> dict:
     """Serialize every ``SimResult`` field (minus excluded extras)."""
     payload: dict = {"schema": SCHEMA_VERSION}
-    for field in dataclasses.fields(SimResult):
-        value = getattr(result, field.name)
-        if field.name == "stalls":
-            value = dict(value)
-        elif field.name == "extra":
-            value = _extra_to_json(value)
-        payload[field.name] = value
+    for name in _RESULT_FIELDS:
+        payload[name] = getattr(result, name)
+    payload["stalls"] = dict(result.stalls)
+    payload["extra"] = _extra_to_json(result.extra)
     return payload
 
 
@@ -230,14 +151,10 @@ def _result_from_json(payload: dict) -> SimResult:
             f"cache entry schema {payload.get('schema')!r} != "
             f"{SCHEMA_VERSION}"
         )
-    kwargs = {}
-    for field in dataclasses.fields(SimResult):
-        value = payload[field.name]  # KeyError => corrupt => miss
-        if field.name == "stalls":
-            value = Counter(value)
-        elif field.name == "extra":
-            value = _extra_from_json(value)
-        kwargs[field.name] = value
+    # KeyError (a missing field) => corrupt => miss
+    kwargs = {name: payload[name] for name in _RESULT_FIELDS}
+    kwargs["stalls"] = Counter(kwargs["stalls"])
+    kwargs["extra"] = _extra_from_json(kwargs["extra"])
     return SimResult(**kwargs)
 
 
@@ -299,8 +216,8 @@ class ResultCache:
             return None
         path = self._path(key)
         try:
-            with open(path) as handle:
-                result = _result_from_json(json.load(handle))
+            with open(path, "rb") as handle:
+                result = _result_from_json(json.loads(handle.read()))
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
@@ -361,6 +278,7 @@ class ResultCache:
         cached = self.get(key)
         if cached is not None:
             self._count(hit=True)
+            cached.workload = workload.program.name
             return cached
         self._count(hit=False)
         engine = builder(workload.program, config, workload.make_memory())

@@ -14,9 +14,9 @@ guarantees the serial harness provides:
   deterministic, so a point's result is the same however many attempts
   it took.
 * **Cache hits stay in the caller** -- with ``cache_dir`` set, the
-  runner derives every untraced point's key (each distinct program,
-  memory and config encoded once per call, see
-  :class:`~repro.analysis.cache.KeyMemo`) and probes one
+  runner derives every untraced point's key with
+  :func:`~repro.analysis.cache.cache_key` (one hash per point: each
+  program, memory and config keeps its own fingerprint) and probes one
   :class:`~repro.analysis.cache.ResultCache` before submitting
   anything.  Hits never cross the pool; only misses go out, each with
   its key, and the worker simulates and publishes the entry without
@@ -71,7 +71,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..machine.config import MachineConfig
 from ..machine.stats import SimResult
 from ..workloads.base import Workload
-from .cache import KeyMemo, ResultCache
+from .cache import ResultCache, cache_key
 from .sweeps import ENGINE_FACTORIES
 
 
@@ -528,23 +528,24 @@ class ParallelRunner:
         points are never probed (cached entries carry no attribution),
         and an unusable cache directory (one warning) leaves every point
         a miss with no key, so workers do not touch the cache either.
-        The key memo lives for this call only.
+        A hit carries the requesting program's name: programs that
+        differ only in name share an entry.
         """
         cache = None if self.cache_dir is None \
             else ResultCache(self.cache_dir)
         if cache is None or cache.disabled:
             return [(point, None, None) for point in points]
-        memo = KeyMemo()
         jobs_args: List[Optional[Job]] = []
         for index, point in enumerate(points):
             if point.trace:
                 jobs_args.append((point, None, None))
                 continue
-            key = memo.key(point.engine, point.workload, point.config)
+            key = cache_key(point.engine, point.workload, point.config)
             cached = cache.get(key)
             if cached is None:
                 jobs_args.append((point, self.cache_dir, key))
             else:
+                cached.workload = point.workload.program.name
                 results[index] = cached
                 jobs_args.append(None)
         return jobs_args

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .instruction import Instruction
@@ -50,6 +51,24 @@ class Program:
                 return label
         return None
 
+    @cached_property
+    def encoding(self) -> bytes:
+        """The binary encoding (:func:`~repro.isa.encoding.encode_program`),
+        the program's part of a result-cache key.
+
+        It covers only the instruction tuple, and programs and their
+        instructions are frozen, so it is computed once per program;
+        ``dataclasses.replace`` builds a new program that encodes afresh.
+        It is never pickled (see ``__getstate__``).
+        """
+        from .encoding import encode_program  # encoding imports this module
+
+        return encode_program(self)
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the fields only; the receiver encodes on first use."""
+        return {name: self.__dict__[name] for name in _FIELD_NAMES}
+
     def listing(self) -> str:
         """Return a human-readable disassembly listing."""
         lines = []
@@ -58,6 +77,9 @@ class Program:
             prefix = f"{label}:" if label else ""
             lines.append(f"{prefix:>12s} {pc:5d}  {inst}")
         return "\n".join(lines)
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(Program))
 
 
 def build_program(

@@ -8,7 +8,9 @@ counters for the RUU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import enum
+import json
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional
 
 from ..isa.opcodes import DEFAULT_LATENCY, FUClass
@@ -92,6 +94,35 @@ class MachineConfig:
         """Maximum live instances of one destination register (2^n - 1)."""
         return (1 << self.counter_bits) - 1
 
+    def fingerprint(self) -> bytes:
+        """Canonical bytes of every field, the config's part of a
+        result-cache key.
+
+        The fields are enumerated by ``dataclasses.fields`` (not by
+        hand), so a knob added later perturbs keys from day one.  The
+        config is frozen but ``latencies`` is a mutable mapping, so the
+        bytes are kept beside a snapshot of it and computed afresh when
+        it has been edited in place.  Neither is ever pickled (see
+        ``__getstate__``).
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is not None and cached[0] == self.latencies:
+            return cached[1]
+        snapshot = dict(self.latencies)
+        fingerprint = json.dumps(
+            {
+                name: _fingerprint_value(getattr(self, name))
+                for name in _FIELD_NAMES
+            },
+            sort_keys=True,
+        ).encode()
+        self.__dict__["_fingerprint"] = (snapshot, fingerprint)
+        return fingerprint
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the fields only; the receiver fingerprints afresh."""
+        return {name: self.__dict__[name] for name in _FIELD_NAMES}
+
     def with_(self, **overrides) -> "MachineConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)
@@ -101,6 +132,27 @@ class MachineConfig:
         latencies: Dict[FUClass, int] = dict(self.latencies)
         latencies[fu] = cycles
         return replace(self, latencies=latencies)
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(MachineConfig))
+
+
+def _fingerprint_value(value):
+    """A stable, JSON-able encoding of one config field value."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return sorted(
+            (_fingerprint_value(k), _fingerprint_value(v))
+            for k, v in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        return [_fingerprint_value(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_fingerprint_value(v) for v in value)
+    if isinstance(value, (int, float, str, bool)) or value is None:
+        return value
+    return repr(value)
 
 
 #: The paper's machine with default sizing.

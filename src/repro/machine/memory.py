@@ -12,6 +12,7 @@ already completed out of order.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .faults import PageFault
@@ -20,12 +21,14 @@ from .faults import PageFault
 class Memory:
     """A sparse word-addressed memory of Python values (default 0)."""
 
-    __slots__ = ("_words", "_faulting", "fault_count")
+    __slots__ = ("_words", "_faulting", "fault_count", "_fingerprint")
 
     def __init__(self) -> None:
         self._words: Dict[int, object] = {}
         self._faulting: Set[int] = set()
         self.fault_count = 0
+        #: :meth:`fingerprint`'s bytes; every mutator clears it.
+        self._fingerprint: Optional[bytes] = None
 
     # -- plain access (no fault checks; used by the golden model after
     #    servicing, and by test setup) ---------------------------------
@@ -36,6 +39,7 @@ class Memory:
 
     def poke(self, address: int, value) -> None:
         """Write without fault checking."""
+        self._fingerprint = None
         if value:
             self._words[address] = value
         else:
@@ -67,10 +71,12 @@ class Memory:
 
     def inject_fault(self, address: int) -> None:
         """Mark ``address`` as unmapped: the next access page-faults."""
+        self._fingerprint = None
         self._faulting.add(address)
 
     def service_fault(self, address: int) -> None:
         """Map the page containing ``address`` (operating-system action)."""
+        self._fingerprint = None
         self._faulting.discard(address)
 
     @property
@@ -95,6 +101,37 @@ class Memory:
         clone._words = dict(self._words)
         clone._faulting = set(self._faulting)
         return clone
+
+    def fingerprint(self) -> bytes:
+        """Canonical bytes of the contents and the faulting addresses,
+        the memory's part of a result-cache key.
+
+        Computed on first use and kept until a mutator clears it:
+        ``poke`` (and so ``write`` and ``write_array``), ``inject_fault``
+        and ``service_fault``.  A :meth:`copy` or an unpickled memory
+        starts without one.
+        """
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            fingerprint = self._fingerprint = json.dumps(
+                {
+                    "words": sorted(
+                        (address, repr(value))
+                        for address, value in self._words.items()
+                    ),
+                    "faulting": sorted(self._faulting),
+                },
+                sort_keys=True,
+            ).encode()
+        return fingerprint
+
+    def __getstate__(self) -> Tuple[Dict[int, object], Set[int], int]:
+        """Pickle the contents only; the receiver fingerprints afresh."""
+        return self._words, self._faulting, self.fault_count
+
+    def __setstate__(self, state) -> None:
+        self._words, self._faulting, self.fault_count = state
+        self._fingerprint = None
 
     def nonzero(self) -> Dict[int, object]:
         """All populated words, for equality assertions in tests."""

@@ -1,15 +1,16 @@
 """Tests for the simulation result cache."""
 
+import copy
 import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
 from repro.analysis import ENGINE_FACTORIES, ParallelRunner, SimPoint, \
     paper_data
 from repro.analysis.cache import (
-    KeyMemo,
     ResultCache,
     _result_from_json,
     _result_to_json,
@@ -26,6 +27,12 @@ def cache(tmp_path):
 
 
 CONFIG = MachineConfig(window_size=8)
+
+
+def fresh_key(engine, workload, config):
+    """``cache_key`` of deep copies: inputs that have never been
+    fingerprinted, so nothing derived earlier can leak into the key."""
+    return cache_key(engine, copy.deepcopy(workload), copy.deepcopy(config))
 
 
 class TestKeying:
@@ -60,10 +67,9 @@ class TestKeying:
         out of the cache key and serve stale results."""
         workload = dependency_chain(30)
         base_key = cache_key("rstu", workload, CONFIG)
-        # One memo across every perturbation: distinct config objects
-        # must never share a memoized fingerprint.
-        memo = KeyMemo()
-        assert memo.key("rstu", workload, CONFIG) == base_key
+        # Every perturbation is a distinct config object: none may
+        # share a fingerprint kept on another.
+        assert cache_key("rstu", workload, CONFIG) == base_key
         for field in dataclasses.fields(MachineConfig):
             value = getattr(CONFIG, field.name)
             if field.name == "latencies":
@@ -80,15 +86,28 @@ class TestKeying:
                 )
             assert cache_key("rstu", workload, perturbed) != base_key, \
                 f"config field {field.name!r} does not perturb the key"
-            assert memo.key("rstu", workload, perturbed) == \
-                cache_key("rstu", workload, perturbed), \
-                f"config field {field.name!r}: memo key differs"
+            assert cache_key("rstu", workload, perturbed) == \
+                fresh_key("rstu", workload, perturbed), \
+                f"config field {field.name!r}: kept fingerprint differs"
+        assert cache_key("rstu", workload, CONFIG) == base_key
+
+    def test_keys_are_pinned(self):
+        """Keys are byte-identical to those of earlier releases, so
+        existing cache directories keep hitting."""
+        assert cache_key("rstu", dependency_chain(30), CONFIG) == \
+            "2b1899267956f2a2817e6938560e80e0" \
+            "caa50c70639f27d34ad8e4ef9a06eb5d"
+        probe = fault_probe()
+        probe.initial_memory.inject_fault(probe.fault_address)
+        assert cache_key("ruu-bypass", probe, CONFIG) == \
+            "4cc0c3e86b820d4fc2861cca350867cc" \
+            "6543e1e97b2d7ca6bb05e271739abbdb"
 
 
 class TestKeyMemo:
-    """KeyMemo encodes each distinct input once per batch; its keys must
-    stay byte-identical to ``cache_key`` so existing cache directories
-    keep hitting."""
+    """Each program, memory and config keeps its fingerprint until it
+    changes, so a key derived again costs one hash.  Keys from kept
+    fingerprints must equal those of never-fingerprinted copies."""
 
     def test_paper_grid_keys_equal_cache_key(self):
         loops = all_loops()
@@ -102,12 +121,11 @@ class TestKeyMemo:
         ):
             grid += [(engine, CONFIG.with_(window_size=size, **overrides))
                      for size in sizes]
-        memo = KeyMemo()
         keys = set()
         for engine, config in grid:
             for workload in loops:
-                key = memo.key(engine, workload, config)
-                assert key == cache_key(engine, workload, config)
+                key = cache_key(engine, workload, config)
+                assert key == fresh_key(engine, workload, config)
                 keys.add(key)
         assert len(keys) == len(grid) * len(loops)
 
@@ -115,16 +133,15 @@ class TestKeyMemo:
         workload = fault_probe()
         clean_key = cache_key("ruu-bypass", workload, CONFIG)
         workload.initial_memory.inject_fault(workload.fault_address)
-        memo_key = KeyMemo().key("ruu-bypass", workload, CONFIG)
-        assert memo_key == cache_key("ruu-bypass", workload, CONFIG)
-        assert memo_key != clean_key
+        faulted_key = cache_key("ruu-bypass", workload, CONFIG)
+        assert faulted_key == fresh_key("ruu-bypass", workload, CONFIG)
+        assert faulted_key != clean_key
 
     def test_equal_memories_share_a_key(self):
         a, b = dependency_chain(30), dependency_chain(30)
         assert a.initial_memory is not b.initial_memory
-        memo = KeyMemo()
-        assert memo.key("rstu", a, CONFIG) == memo.key("rstu", b, CONFIG) \
-            == cache_key("rstu", a, CONFIG)
+        assert cache_key("rstu", a, CONFIG) == cache_key("rstu", b, CONFIG) \
+            == fresh_key("rstu", a, CONFIG)
 
     def test_memory_edited_between_calls_gets_a_new_key(self, tmp_path):
         """The memo lives for one ``run_points`` call, so a memory poked
@@ -141,6 +158,58 @@ class TestKeyMemo:
         assert new_key != old_key
         assert sorted(os.listdir(tmp_path / "cache")) == \
             sorted([f"{old_key}.json", f"{new_key}.json"])
+
+    @pytest.mark.parametrize("mutate", [
+        lambda memory: memory.poke(1000, 42.0),
+        lambda memory: memory.write(1000, 42.0),
+        lambda memory: memory.write_array(1000, [42.0, 43.0]),
+        lambda memory: memory.inject_fault(1002),
+        lambda memory: memory.service_fault(1001),
+    ], ids=["poke", "write", "write_array", "inject_fault",
+            "service_fault"])
+    def test_every_memory_mutator_drops_the_kept_fingerprint(self, mutate):
+        """After a key has been derived, each mutator yields the key of
+        a freshly built memory equal to the mutated one."""
+
+        def build():
+            workload = fault_probe()
+            workload.initial_memory.inject_fault(1001)
+            return workload
+
+        stale, fresh = build(), build()
+        old_key = cache_key("ruu-bypass", stale, CONFIG)
+        mutate(stale.initial_memory)
+        mutate(fresh.initial_memory)
+        assert stale.initial_memory == fresh.initial_memory
+        assert stale.initial_memory.faulting_addresses == \
+            fresh.initial_memory.faulting_addresses
+        new_key = cache_key("ruu-bypass", stale, CONFIG)
+        assert new_key == cache_key("ruu-bypass", fresh, CONFIG)
+        assert new_key != old_key
+
+    def test_latencies_edited_in_place_change_the_key(self):
+        config = MachineConfig(window_size=8)
+        workload = dependency_chain(30)
+        old_key = cache_key("rstu", workload, config)
+        first = next(iter(FUClass))
+        config.latencies[first] += 1
+        new_key = cache_key("rstu", workload, config)
+        assert new_key != old_key
+        assert new_key == cache_key(
+            "rstu", workload,
+            CONFIG.with_latency(first, CONFIG.latency(first) + 1),
+        )
+
+    def test_kept_fingerprints_are_not_pickled(self):
+        """Workers get each miss's key with its point, so shipping the
+        fingerprints would only fatten every pickled job."""
+        workload, config = fault_probe(), CONFIG.with_(window_size=12)
+        before = len(pickle.dumps(workload)), len(pickle.dumps(config))
+        key = cache_key("rstu", workload, config)
+        assert (len(pickle.dumps(workload)),
+                len(pickle.dumps(config))) == before
+        assert cache_key("rstu", pickle.loads(pickle.dumps(workload)),
+                         pickle.loads(pickle.dumps(config))) == key
 
 
 class TestCaching:
@@ -185,6 +254,31 @@ class TestCaching:
         clean = cache.run(builder, "ruu-bypass", workload, CONFIG)
         assert cache.misses == 2
         assert clean.interrupts == 0
+
+    def test_hit_reports_the_requesting_programs_name(self, cache,
+                                                      tmp_path):
+        """The key hashes a program's instructions, not its name, so a
+        renamed copy hits the original's entry -- and must still report
+        its own name."""
+        workload = dependency_chain(30)
+        renamed = dataclasses.replace(
+            workload,
+            program=dataclasses.replace(workload.program, name="renamed"),
+        )
+        builder = ENGINE_FACTORIES["rstu"]
+        assert cache.run(builder, "rstu", workload, CONFIG).workload \
+            == workload.program.name
+        hit = cache.run(builder, "rstu", renamed, CONFIG)
+        assert cache.hits == 1
+        assert hit.extra["from_cache"] and hit.workload == "renamed"
+
+        runner = ParallelRunner(jobs=1, cache_dir=cache.directory)
+        outcomes = runner.run_points_settled(
+            [SimPoint("rstu", renamed, CONFIG),
+             SimPoint("rstu", workload, CONFIG)])
+        assert [o.cache_hit for o in outcomes] == [True, True]
+        assert [o.result.workload for o in outcomes] == \
+            ["renamed", workload.program.name]
 
     def test_clear(self, cache):
         workload = dependency_chain(30)
