@@ -217,7 +217,6 @@ class RUUEngine(InOrderCommit, WindowedEngine):
         self._waiting.clear()
         self._ni = [0] * TOTAL_REGISTERS
         self._unresolved.clear()
-        self._pending_publish.clear()
         self.mdu.squash_from(0)
         self._clear_decode_watch()
 

@@ -194,10 +194,6 @@ class SpeculativeRUUEngine(RUUEngine):
         self._unresolved = deque(
             entry for entry in self._unresolved if entry.seq < boundary_seq
         )
-        self._pending_publish = [
-            entry for entry in self._pending_publish
-            if entry.seq < boundary_seq
-        ]
         self.mdu.squash_from(boundary_seq)
         self._pending_branches = [
             pending for pending in self._pending_branches

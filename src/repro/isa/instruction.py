@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Generic, Optional, Tuple, TypeVar, overload
+from typing import (
+    Callable, Dict, Generic, Optional, Sequence, Tuple, TypeVar, overload,
+)
 
 from .opcodes import FU_INDEX, FUClass, OpKind, Opcode
 from .registers import RegBank, Register
+from .semantics import ALU_OPERATIONS
 
 _T = TypeVar("_T")
 
@@ -119,6 +122,9 @@ class Instruction:
     #: Bitmask over register ids of everything read / written.
     src_mask = _Decoded[int]()
     dest_mask = _Decoded[int]()
+    #: ``(operands, imm) -> raw result`` of an ALU or immediate opcode
+    #: (``semantics.ALU_OPERATIONS``), else None.
+    operation = _Decoded[Optional[Callable[[Sequence, object], object]]]()
 
     def _decode(self) -> None:
         opcode = self.opcode
@@ -145,6 +151,7 @@ class Instruction:
             source_ids=source_ids,
             src_mask=src_mask,
             dest_mask=0 if dest_id is None else 1 << dest_id,
+            operation=ALU_OPERATIONS.get(opcode),
         )
 
     def __getstate__(self) -> Dict[str, object]:

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.semantics import coerce_for_bank, effective_address, evaluate
+from ..isa.semantics import coerce_for_bank, effective_address
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
@@ -62,8 +62,6 @@ class WindowEntry:
         "result",
         "fault",
         "address",
-        "datum_published",
-        "spec_depth",
         "squashed",
     )
 
@@ -79,8 +77,6 @@ class WindowEntry:
         self.result = None
         self.fault: Optional[Exception] = None
         self.address: Optional[int] = None
-        self.datum_published = False
-        self.spec_depth = 0        # unresolved predicted branches older
         self.squashed = False      # dropped by recovery; ignore completions
 
     # -- readiness ---------------------------------------------------------
@@ -110,11 +106,6 @@ class WindowEntry:
         """The tags of the operands still missing."""
         return [operand.tag for operand in self.operands if not operand.ready]
 
-    def operand_values(self) -> List[object]:
-        """Values of the explicit sources (excludes the address base)."""
-        count = len(self.inst.srcs)
-        return [operand.value for operand in self.operands[:count]]
-
     def __repr__(self) -> str:
         return f"<#{self.seq} {self.inst} [{self.state}]>"
 
@@ -127,13 +118,19 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
     stations' ready bits: the undispatched entries with no operand
     missing, in seq order.  Dispatch selects from it, and removes what
     it dispatches, instead of scanning the window.
+
+    A store publishes its datum to ``mdu`` (for loads to forward) as it
+    becomes ready.  Its operands are the datum and the base, and no
+    load can bind to it before the base has resolved its address, so
+    this is as early as any load can ask.
     """
 
-    __slots__ = ("ready",)
+    __slots__ = ("ready", "mdu")
 
-    def __init__(self) -> None:
+    def __init__(self, mdu: MemoryDependencyUnit) -> None:
         super().__init__()
         self.ready: List[WindowEntry] = []
+        self.mdu = mdu
 
     def add(self, entry: WindowEntry) -> None:
         """Index every operand of a new ``entry`` that waits on a tag;
@@ -149,6 +146,8 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
         else:
             # Issue is in seq order: the newest entry is the youngest.
             self.ready.append(entry)
+            if entry.inst.is_store:
+                self.mdu.publish(entry.seq, entry.datum)
 
     def wake(self, tag, value) -> None:
         """Deliver ``(tag, value)``: every waiting operand captures it."""
@@ -170,6 +169,8 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
         while index and ready[index - 1].seq > seq:
             index -= 1
         ready.insert(index, entry)
+        if entry.inst.is_store:
+            self.mdu.publish(seq, entry.datum)
 
     def clear(self) -> None:
         """Forget every waiter and every ready entry (a full squash)."""
@@ -215,11 +216,9 @@ class WindowedEngine(Engine):
         super().__init__(*args, **kwargs)
         self.mdu = MemoryDependencyUnit(self.config.n_load_registers)
         self.window: Deque[WindowEntry] = deque()
-        self._waiting = WakeupIndex()
+        self._waiting = WakeupIndex(self.mdu)
         #: Memory ops whose address is not yet known, in program order.
         self._unresolved: Deque[WindowEntry] = deque()
-        #: Stores whose datum loads may not yet forward.
-        self._pending_publish: List[WindowEntry] = []
         self.occupancy_accum = 0
 
     # ------------------------------------------------------------------
@@ -267,8 +266,6 @@ class WindowedEngine(Engine):
         if inst.is_memory:
             self.mdu.add(seq, inst.is_store)
             self._unresolved.append(entry)
-            if inst.is_store:
-                self._pending_publish.append(entry)
         self.note(seq, "issue")
         return True
 
@@ -281,10 +278,9 @@ class WindowedEngine(Engine):
             return
         if self._unresolved:
             self._resolve_addresses()
-        if self._pending_publish:
-            self._publish_store_data()
         self.occupancy_accum += len(self.window)
-        self._dispatch_ready()
+        if self._waiting.ready:
+            self._dispatch_ready()
 
     def _resolve_addresses(self) -> None:
         """Compute effective addresses strictly in program order: an
@@ -296,19 +292,6 @@ class WindowedEngine(Engine):
             self.mdu.resolve(entry.seq, entry.compute_address())
             self._unresolved.popleft()
 
-    def _publish_store_data(self) -> None:
-        """Make store data visible to forwarded loads once available."""
-        still_waiting: List[WindowEntry] = []
-        for entry in self._pending_publish:
-            if entry.squashed:
-                continue
-            if entry.operands[0].ready:
-                self.mdu.publish(entry.seq, entry.datum)
-                entry.datum_published = True
-            else:
-                still_waiting.append(entry)
-        self._pending_publish = still_waiting
-
     def _dispatch_ready(self) -> None:
         """Up to ``dispatch_paths`` instructions leave the window per
         cycle: loads and stores first, then the one that entered the
@@ -316,18 +299,22 @@ class WindowedEngine(Engine):
         the ready list have all their operands."""
         ready = self._waiting.ready
         budget = self.config.dispatch_paths
-        if not ready or budget <= 0:
+        if budget <= 0:
             return
+        others = []
         # A snapshot: dispatch removes entries from the ready list.
-        candidates = list(ready)
-        for memory in (True, False):
-            for entry in candidates:
-                if entry.inst.is_memory == memory \
-                        and self._entry_ready(entry) \
-                        and self._dispatch(entry):
-                    budget -= 1
-                    if budget == 0:
-                        return
+        for entry in tuple(ready):
+            if not entry.inst.is_memory:
+                others.append(entry)
+            elif self._entry_ready(entry) and self._dispatch(entry):
+                budget -= 1
+                if budget == 0:
+                    return
+        for entry in others:
+            if self._dispatch(entry):
+                budget -= 1
+                if budget == 0:
+                    return
 
     def _entry_ready(self, entry: WindowEntry) -> bool:
         """May ``entry``, whose operands are all present (it is on the
@@ -393,18 +380,20 @@ class WindowedEngine(Engine):
         """
         inst = entry.inst
         try:
-            if inst.is_load:
+            if not inst.is_memory:
+                # No base register: the operands are the explicit sources.
+                raw = inst.operation(
+                    [operand.value for operand in entry.operands], inst.imm
+                )
+                entry.result = coerce_for_bank(inst.dest, raw)
+            elif inst.is_load:
                 if self.mdu.binding_of(entry.seq) is FROM_MEMORY:
                     raw = self.memory.read(entry.address)
                 else:
                     raw = self.mdu.forwarded_value(entry.seq)
                 entry.result = coerce_for_bank(inst.dest, raw)
-            elif inst.is_store:
-                if not self.stores_at_commit:
-                    self.memory.write(entry.address, entry.datum)
-            else:
-                raw = evaluate(inst.opcode, entry.operand_values(), inst.imm)
-                entry.result = coerce_for_bank(inst.dest, raw)
+            elif not self.stores_at_commit:
+                self.memory.write(entry.address, entry.datum)
         except FAULT_TYPES as fault:
             entry.fault = fault
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..isa.instruction import Instruction
 from ..isa.registers import TOTAL_REGISTERS
-from ..isa.semantics import coerce_for_bank, effective_address, evaluate
+from ..isa.semantics import coerce_for_bank, effective_address
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
@@ -72,6 +72,9 @@ class DispatchStackEngine(Engine):
         self.stack: List[_StackEntry] = []
         #: Unfinished writers in the stack, by register id.
         self._pending_writes: List[int] = [0] * TOTAL_REGISTERS
+        #: Must dispatch walk the stack this cycle?  Set by an append
+        #: or a completion; see :meth:`_walk`.
+        self._rescan = True
         self.occupancy_accum = 0
 
     # ------------------------------------------------------------------
@@ -89,6 +92,7 @@ class DispatchStackEngine(Engine):
             self._pending_writes[inst.dest_id] += 1
         if inst.is_memory:
             self.mdu.add(seq, inst.is_store)
+        self._rescan = True
         self.note(seq, "issue")
         return True
 
@@ -98,50 +102,67 @@ class DispatchStackEngine(Engine):
         if self.interrupt_record is not None:
             return
         self.occupancy_accum += len(self.stack)
-        self._resolve_addresses()
+        if self._rescan:
+            self._rescan = self._walk()
+
+    def _walk(self) -> bool:
+        """Resolve addresses and dispatch in one oldest-first pass.
+
+        Addresses resolve in program order once hazard-free: without
+        operand capture the base register is read at resolution time,
+        which is safe only when no older entry still writes it -- the
+        same check dispatching uses.  An entry resolves before its own
+        dispatch test, and a younger resolution cannot change an older
+        entry's memory-ordering conditions, so one pass decides what
+        separate resolve and dispatch passes would.
+
+        Returns whether the next cycle must walk again: after a
+        candidate was offered to its unit, which dispatches it (one
+        port, so the next one waits a cycle) or refuses it (units and
+        bus slots free with time).  Otherwise every entry is held by a
+        hazard or a memory-ordering condition, and nothing the walk
+        reads changes until an append or a completion: a stall means
+        do not re-evaluate.
+        """
+        unresolved = self.mdu.oldest_unresolved()
         writers = readers = 0
+        rescan = False
+        dispatching = True
         for entry in self.stack:
             inst = entry.inst
-            if not entry.dispatched:
+            if entry.seq == unresolved:
+                if writers >> inst.base_id & 1:
+                    unresolved = None
+                else:
+                    entry.address = effective_address(
+                        self.regs.values[inst.base_id], inst.imm
+                    )
+                    self.mdu.resolve(entry.seq, entry.address)
+                    unresolved = self.mdu.oldest_unresolved()
+                if unresolved is None and not dispatching:
+                    break
+            if dispatching and not entry.dispatched:
                 # RAW: an older, unfinished writer of one of our sources.
                 # WAR: an older entry reads our destination and has not
                 # yet picked its operands up (reads happen at dispatch).
                 # WAW: an older, unfinished writer of our destination.
                 if not (inst.src_mask & writers
                         or inst.dest_mask & (readers | writers)) \
-                        and self._memory_clear(entry) \
-                        and self._dispatch(entry):
-                    return  # one dispatch port, as in the base RSTU machine
+                        and (not inst.is_memory
+                             or self._memory_clear(entry)):
+                    rescan = True
+                    if self._dispatch(entry):
+                        # One dispatch port, as in the base RSTU
+                        # machine; the walk goes on only to resolve.
+                        if unresolved is None:
+                            break
+                        dispatching = False
                 readers |= inst.src_mask
             writers |= inst.dest_mask
-
-    def _resolve_addresses(self) -> None:
-        """Addresses resolve in program order once hazard-free.
-
-        Without operand capture, the base register is read at
-        resolution time; this is safe only when no older entry still
-        writes it -- the same check dispatching uses.
-        """
-        seq = self.mdu.oldest_unresolved()
-        writers = 0
-        for entry in self.stack:
-            if seq is None:
-                return
-            inst = entry.inst
-            if entry.seq == seq:
-                if writers >> inst.base_id & 1:
-                    return
-                entry.address = effective_address(
-                    self.regs.values[inst.base_id], inst.imm
-                )
-                self.mdu.resolve(seq, entry.address)
-                seq = self.mdu.oldest_unresolved()
-            writers |= inst.dest_mask
+        return rescan
 
     def _memory_clear(self, entry: _StackEntry) -> bool:
         """The memory-ordering conditions of a load or store."""
-        if not entry.inst.is_memory:
-            return True
         if not self.mdu.is_resolved(entry.seq):
             return False
         if entry.inst.is_store:
@@ -175,7 +196,7 @@ class DispatchStackEngine(Engine):
                 self.memory.write(entry.address, datum)
             else:
                 operands = [values[reg] for reg in inst.src_ids]
-                raw = evaluate(inst.opcode, operands, inst.imm)
+                raw = inst.operation(operands, inst.imm)
                 entry.result = coerce_for_bank(inst.dest, raw)
         except FAULT_TYPES as fault:
             entry.fault = fault
@@ -193,6 +214,7 @@ class DispatchStackEngine(Engine):
 
     def _phase_complete(self) -> None:
         for entry in self._pop_completions():
+            self._rescan = True
             if entry.fault is not None:
                 self._take_interrupt(
                     entry.fault, seq=entry.seq, pc=entry.inst.pc,

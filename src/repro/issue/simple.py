@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.semantics import coerce_for_bank, effective_address, evaluate
+from ..isa.semantics import coerce_for_bank, effective_address
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
@@ -168,7 +168,7 @@ class SimpleEngine(Engine):
                 else:
                     self.memory.write(entry.address, operands[0])
             else:
-                raw = evaluate(inst.opcode, operands, inst.imm)
+                raw = inst.operation(operands, inst.imm)
                 entry.result = coerce_for_bank(inst.dest, raw)
         except FAULT_TYPES as fault:
             entry.fault = fault

@@ -104,8 +104,6 @@ class TomasuloEngine(WindowedEngine):
         memory unit's own dispatches change memory-op readiness.
         """
         ready = self._waiting.ready
-        if not ready:
-            return
         oldest: List[Optional[WindowEntry]] = [None] * len(FUClass)
         for entry in ready:
             fu = entry.inst.fu_index

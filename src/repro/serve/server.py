@@ -42,6 +42,7 @@ from ..version import get_version
 from .protocol import (
     LIMITS,
     ProtocolError,
+    SimRequest,
     parse_batch,
     parse_sim_request,
     result_to_wire,
@@ -447,11 +448,21 @@ class ServeApp:
         )
 
     @staticmethod
-    def _outcome_entry(outcome: Any, coalesced: bool) -> Dict[str, Any]:
+    def _outcome_entry(outcome: Any, coalesced: bool,
+                       request: SimRequest) -> Dict[str, Any]:
+        """The wire entry of ``request``'s settled ``outcome``.
+
+        Coalesced followers share their leader's outcome, and programs
+        that differ only in name share a point, so the entry carries
+        the requesting program's own name.  The wire form is a fresh
+        mapping: the shared result is never touched.
+        """
         if outcome.ok:
+            result = result_to_wire(outcome.result)
+            result["workload"] = request.point.workload.program.name
             return {
                 "ok": True,
-                "result": result_to_wire(outcome.result),
+                "result": result,
                 "cache_hit": outcome.cache_hit,
                 "coalesced": coalesced,
                 "attempts": outcome.attempts,
@@ -494,7 +505,7 @@ class ServeApp:
                 "the simulation did not settle within the request "
                 "deadline",
             )
-        entry = self._outcome_entry(outcome, coalesced)
+        entry = self._outcome_entry(outcome, coalesced, request)
         meta = {
             "coalesced": coalesced,
             "cache_hit": bool(entry.get("cache_hit")),
@@ -525,7 +536,7 @@ class ServeApp:
                 )
             except ProtocolError as exc:
                 entries[index] = {"ok": False, "error": exc.to_json()}
-        submissions: List[Tuple[int, Any, bool]] = []
+        submissions: List[Tuple[int, SimRequest, Any, bool]] = []
         if valid:
             try:
                 futures = self.service.submit_many(
@@ -547,8 +558,8 @@ class ServeApp:
                     503, "draining", "service is draining; no new work",
                 )
             submissions = [
-                (index, future, coalesced)
-                for (index, _), (future, coalesced)
+                (index, request, future, coalesced)
+                for (index, request), (future, coalesced)
                 in zip(valid, futures)
             ]
         # One deadline for the whole batch: each item awaits only the
@@ -558,7 +569,7 @@ class ServeApp:
             time.monotonic() + self.request_timeout
             if self.request_timeout is not None else None
         )
-        for index, future, coalesced in submissions:
+        for index, request, future, coalesced in submissions:
             remaining = (
                 max(0.0, deadline - time.monotonic())
                 if deadline is not None else None
@@ -576,7 +587,9 @@ class ServeApp:
                     },
                 }
                 continue
-            entries[index] = self._outcome_entry(outcome, coalesced)
+            entries[index] = self._outcome_entry(
+                outcome, coalesced, request
+            )
         n_ok = sum(1 for entry in entries if entry and entry["ok"])
         return _json_response(
             200,

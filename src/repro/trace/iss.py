@@ -19,12 +19,7 @@ from ..isa.instruction import Instruction
 from ..isa.opcodes import OpKind, Opcode
 from ..isa.program import Program
 from ..isa.registers import RegisterFile
-from ..isa.semantics import (
-    branch_taken,
-    coerce_for_bank,
-    effective_address,
-    evaluate,
-)
+from ..isa.semantics import branch_taken, coerce_for_bank, effective_address
 from ..machine.faults import FAULT_TYPES
 from ..machine.memory import Memory
 from .trace import Trace, TraceEntry
@@ -129,7 +124,7 @@ class FunctionalExecutor:
             return None, address
         # ALU / immediate
         operands = [self.regs.read(reg) for reg in inst.srcs]
-        raw = evaluate(opcode, operands, inst.imm)
+        raw = inst.operation(operands, inst.imm)
         self.regs.write(inst.dest, coerce_for_bank(inst.dest, raw))
         self.pc = inst.pc + 1
         return None, None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.analysis import ENGINE_FACTORIES
 from repro.machine import CRAY1_LIKE, MachineConfig
@@ -15,6 +16,16 @@ from repro.workloads.synthetic import (
     independent_streams,
     memory_alias_kernel,
     register_pressure,
+)
+
+#: ``pytest --hypothesis-profile=ci``: a fixed-seed property run with 5x
+#: the default examples (``tests/test_properties.py`` scales its per-test
+#: budgets by the same factor).  Tier-1 keeps the default profile.
+settings.register_profile(
+    "ci",
+    max_examples=5 * settings.get_profile("default").max_examples,
+    derandomize=True,
+    database=None,
 )
 
 

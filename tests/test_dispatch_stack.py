@@ -9,7 +9,10 @@ from repro.issue import (
     TomasuloEngine,
 )
 from repro.isa import A, S, assemble
-from repro.machine import MachineConfig
+from repro.machine import MachineConfig, Memory
+from repro.machine.invariants import run_checked
+from repro.machine.timeline import STAGES
+from repro.obs import TraceRecorder
 from repro.trace import reference_state
 from repro.workloads import all_loops
 
@@ -127,3 +130,74 @@ class TestOrderingBehaviour:
             HALT
         """)
         assert engine.regs.read(S(2)) == 7.0
+
+
+class TestRescanTriggers:
+    """Dispatch walks the stack only after an append, a completion, or a
+    walk that offered a candidate to its unit.  In each program below
+    one event is the only thing that lets the last instruction
+    dispatch; its dispatch cycle is pinned to the value of the
+    always-walking engine, under the per-cycle invariant checker."""
+
+    @staticmethod
+    def dispatch_cycles(source, config=MachineConfig(window_size=8)):
+        engine = DispatchStackEngine(assemble(source), config,
+                                     memory=Memory())
+        engine.recorder = TraceRecorder()
+        result, checker = run_checked(engine)
+        assert checker.cycles_checked == result.cycles
+        column = engine.recorder.stage_cycles[STAGES.index("dispatch")]
+        return column[:engine.recorder.seqs]
+
+    def test_result_bus_refusal_walks_again_next_cycle(self):
+        # F_ADD is ready at cycle 4, but F_MUL holds the bus at cycle
+        # 10; nothing is appended or completes at cycle 5.
+        assert self.dispatch_cycles("""
+            S_IMM S1, 2.0
+            S_IMM S4, 3.0
+            F_MUL S2, S1, S1
+            F_ADD S3, S4, S4
+            HALT
+        """) == [1, 2, 3, 5, -1]
+
+    def test_address_resolution_dispatches_in_the_same_walk(self):
+        # The load's base A2 arrives at cycle 8: the walk resolves the
+        # address and then dispatches the load.
+        assert self.dispatch_cycles("""
+            A_IMM A1, 3
+            A_MUL A2, A1, A1
+            LOAD_S S1, A2[0]
+            HALT
+        """) == [1, 2, 8, -1]
+
+    def test_completion_clearing_a_waw_hazard(self):
+        # S_IMM S2 waits for the older F_RECIP S2 to complete (cycle 16).
+        assert self.dispatch_cycles("""
+            S_IMM S1, 4.0
+            F_RECIP S2, S1
+            S_IMM S2, 9.0
+            HALT
+        """) == [1, 2, 16, -1]
+
+    def test_war_hazard_clears_when_the_reader_dispatches(self):
+        # F_ADD reads S1 at dispatch, once F_RECIP S2 completes (cycle
+        # 16).  The younger S_IMM S1 goes next cycle: a walk that
+        # dispatched leaves the next cycle dirty.
+        assert self.dispatch_cycles("""
+            S_IMM S1, 4.0
+            F_RECIP S2, S1
+            F_ADD S3, S2, S1
+            S_IMM S1, 9.0
+            HALT
+        """) == [1, 2, 16, 17, -1]
+
+    def test_freed_load_register_issues_then_dispatches(self):
+        # One load register: the second load issues when the first
+        # completes (cycle 13) and dispatches on the next cycle.
+        assert self.dispatch_cycles("""
+            A_IMM A1, 5
+            LOAD_S S1, A1[0]
+            LOAD_S S2, A1[1]
+            HALT
+        """, MachineConfig(window_size=8, n_load_registers=1)) \
+            == [1, 2, 14, -1]

@@ -4,15 +4,19 @@ The headline property: on any type-safe random program, every engine
 finishes with exactly the golden model's architectural state.  The
 precision property: whenever the RUU takes an interrupt, the visible
 state is exactly the sequential prefix state.
+
+Example budgets are written for the default Hypothesis profile and
+scale with the loaded one: ``--hypothesis-profile=ci`` (registered in
+``tests/conftest.py``) runs them derandomized with 5x the examples.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import ENGINE_FACTORIES
 from repro.core import BypassMode, RUUEngine, SpeculativeRUUEngine
 from repro.isa import ArithmeticFault, assemble, wrap_a, wrap_s_int
 from repro.isa.semantics import wrap_signed
-from repro.issue import RSTUEngine, SimpleEngine, TomasuloEngine
 from repro.machine import MachineConfig, Memory
 from repro.trace import FunctionalExecutor, prefix_state
 
@@ -26,13 +30,21 @@ from tests.strategies import (
 
 CONFIG = MachineConfig(window_size=6)
 
-ENGINE_CLASSES = [SimpleEngine, TomasuloEngine, RSTUEngine]
+#: The loaded profile's example count over the default profile's.
+SCALE = settings.default.max_examples / settings.get_profile(
+    "default").max_examples
 
-PROGRAM_SETTINGS = settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+
+def examples(count: int) -> settings:
+    """Settings for a property with ``count`` examples by default."""
+    return settings(
+        max_examples=round(count * SCALE),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+PROGRAM_SETTINGS = examples(40)
 
 
 def _build_memory(data):
@@ -55,20 +67,26 @@ def _golden(program, memory):
 
 class TestArchitecturalEquivalence:
     @PROGRAM_SETTINGS
-    @given(source=program_text(), data=initial_data())
-    def test_fixed_engines_match_golden(self, source, data):
+    @given(source=program_text(), data=initial_data(),
+           window=st.sampled_from([4, 12, 50]))
+    def test_fixed_engines_match_golden(self, source, data, window):
+        """Every engine of the zoo, the dispatch stack and the
+        Smith & Pleszkun engines included."""
         program = assemble(source)
         memory = _build_memory(data)
         golden = _golden(program, memory)
         assume(golden is not None)
-        for cls in ENGINE_CLASSES:
+        config = MachineConfig(window_size=window)
+        for name, factory in sorted(ENGINE_FACTORIES.items()):
+            if name.startswith("chaos-"):
+                continue
             run_memory = memory.copy()
-            engine = cls(program, CONFIG, memory=run_memory)
+            engine = factory(program, config, run_memory)
             result = engine.run()
-            assert engine.interrupt_record is None
-            assert engine.regs.diff(golden.regs) == {}, cls.name
-            assert run_memory.diff(golden.memory) == {}, cls.name
-            assert result.instructions == golden.executed, cls.name
+            assert engine.interrupt_record is None, name
+            assert engine.regs.diff(golden.regs) == {}, name
+            assert run_memory.diff(golden.memory) == {}, name
+            assert result.instructions == golden.executed, name
 
     @PROGRAM_SETTINGS
     @given(
@@ -108,8 +126,7 @@ class TestArchitecturalEquivalence:
         assert result.instructions == golden.executed
         assert not engine._pending_branches
 
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @examples(20)
     @given(source=program_text(), data=initial_data())
     def test_internal_invariants_on_random_programs(self, source, data):
         """Attach the per-cycle invariant checker to the RUU on random
@@ -139,8 +156,7 @@ class TestArchitecturalEquivalence:
 
 
 class TestConfigFuzz:
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @examples(25)
     @given(
         window=st.integers(2, 30),
         counter_bits=st.integers(1, 4),
@@ -180,8 +196,7 @@ class TestConfigFuzz:
 
 
 class TestPrecisionProperty:
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @examples(30)
     @given(
         source=program_text(),
         data=initial_data(),
@@ -218,8 +233,7 @@ class TestPrecisionProperty:
 
 
 class TestCheckpointProperty:
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @examples(25)
     @given(
         source=program_text(),
         data=initial_data(),
@@ -240,7 +254,6 @@ class TestCheckpointProperty:
         address, the drained engine must checkpoint/restore too.)"""
         import json as json_module
 
-        from repro.analysis import ENGINE_FACTORIES
         from repro.machine import Checkpoint
 
         program = assemble(source)

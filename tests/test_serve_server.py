@@ -197,6 +197,97 @@ class TestCoalescing:
             == coalesced_before + 2
 
 
+def _alias_workloads(service, workload, names):
+    """Register ``names`` as renamed copies of ``workload``: the same
+    instructions, so the same point for the coalescer."""
+    from dataclasses import replace
+
+    for name in names:
+        service.workloads[name] = replace(
+            workload, name=name,
+            program=replace(workload.program, name=name),
+        )
+
+
+def _without_name(result):
+    return json.dumps(
+        {key: value for key, value in result.items() if key != "workload"},
+        sort_keys=True,
+    )
+
+
+class TestCoalescedNames:
+    """A coalesced follower shares its leader's outcome but answers
+    with its own program's name."""
+
+    def test_concurrent_requests_keep_their_names(self, server):
+        from repro.isa import assemble
+        from repro.machine import Memory
+        from repro.workloads.base import Workload
+
+        names = ("spin-left", "spin-right")
+        spin = Workload(name="spin", program=assemble(SLOW_PROGRAM),
+                        initial_memory=Memory())
+        _alias_workloads(server.service, spin, names)
+        config = {"window_size": 5, "max_cycles": 5_000_777}
+        outputs = {}
+        barrier = threading.Barrier(len(names))
+
+        def fire(name):
+            c = ServeClient("127.0.0.1", server.port, timeout=120.0)
+            barrier.wait()
+            outputs[name] = c.run_raw(
+                {"workload": name, "config": config}, max_attempts=8,
+            )
+
+        threads = [threading.Thread(target=fire, args=(name,))
+                   for name in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [outputs[name]["result"]["workload"] for name in names] \
+            == list(names)
+        left, right = (outputs[name]["result"] for name in names)
+        assert _without_name(left) == _without_name(right)
+
+    def test_batch_followers_keep_their_names(self, client, server):
+        names = ("LLL9-a", "LLL9-b", "LLL9-c")
+        _alias_workloads(server.service, server.service.workloads["LLL9"],
+                         names)
+        coalesced_before = server.service.coalescer.coalesced
+        config = {"window_size": 7, "max_cycles": 5_000_654}
+        entries = client.run_batch(
+            [{"workload": name, "config": config} for name in names],
+            max_attempts=8,
+        )
+        assert server.service.coalescer.coalesced \
+            == coalesced_before + 2
+        assert [entry["result"]["workload"] for entry in entries] \
+            == list(names)
+        assert len({_without_name(entry["result"])
+                    for entry in entries}) == 1
+
+    def test_outcome_entry_leaves_the_shared_result_alone(self):
+        from types import SimpleNamespace
+
+        from repro.machine.stats import SimResult
+
+        shared = SimResult(engine="ruu-bypass", workload="leader",
+                           cycles=10, instructions=5)
+        outcome = SimpleNamespace(ok=True, result=shared, cache_hit=False,
+                                  attempts=1)
+
+        def request(name):
+            program = SimpleNamespace(name=name)
+            return SimpleNamespace(point=SimpleNamespace(
+                workload=SimpleNamespace(program=program)))
+
+        follower = ServeApp._outcome_entry(outcome, True, request("mine"))
+        assert follower["result"]["workload"] == "mine"
+        assert shared.workload == "leader"
+
+
 class TestBatch:
     def test_mixed_batch_settles_per_item(self, client):
         entries = client.run_batch(
