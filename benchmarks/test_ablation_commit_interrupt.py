@@ -79,7 +79,7 @@ def test_interrupt_response_and_squash_cost(benchmark, results_dir):
             engine.run()
             record = engine.interrupt_record
             assert record is not None and record.claims_precise
-            detected = engine.recorder.stages[record.seq]["complete"]
+            detected = engine.recorder.stage_maps()[record.seq]["complete"]
             rows.append(
                 (size, record.cycle - detected, engine.squashed)
             )

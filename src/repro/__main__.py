@@ -24,8 +24,6 @@ Commands:
 * ``serve``           -- run the simulator as a persistent HTTP
   service (bounded admission queue, request coalescing, shared result
   cache, Prometheus ``/metrics``; see ``docs/service.md``)
-* ``loadbench``       -- drive a server through the standard load
-  phases and emit ``BENCH_serve.json`` with pass/fail gates
 
 ``repro --version`` prints the package version.
 """
@@ -383,45 +381,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_loadbench(args: argparse.Namespace) -> int:
-    from .serve.loadgen import (
-        LoadGenerator,
-        format_report,
-        write_report_json,
-    )
-
-    handle = None
-    host, port = args.host, args.port
-    if args.spawn:
-        import tempfile
-
-        from .serve.server import serve_in_background
-
-        scratch = tempfile.mkdtemp(prefix="repro-loadbench-cache-")
-        handle = serve_in_background(
-            jobs=args.jobs,
-            queue_depth=args.queue_depth,
-            cache_dir=scratch,
-            point_timeout=args.point_timeout,
-        )
-        host, port = "127.0.0.1", handle.port
-        print(f"spawned server on port {port} "
-              f"(jobs={args.jobs}, queue={args.queue_depth})")
-    elif port is None:
-        print("either --port (attach) or --spawn is required")
-        return 2
-    try:
-        generator = LoadGenerator(host, port)
-        report = generator.run_all()
-    finally:
-        if handle is not None:
-            handle.stop()
-    print(format_report(report))
-    write_report_json(report, args.json)
-    print(f"wrote {args.json}")
-    return 0 if report["passed"] else 1
-
-
 def main(argv=None) -> int:
     from .version import get_version
 
@@ -596,29 +555,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--access-log", action="store_true",
                          help="print structured access-log lines")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_load = sub.add_parser(
-        "loadbench",
-        help="load-test a simulation server and emit BENCH_serve.json",
-    )
-    p_load.add_argument("--host", default="127.0.0.1")
-    p_load.add_argument("--port", type=int, default=None,
-                        help="attach to a running server at this port")
-    p_load.add_argument("--spawn", action="store_true",
-                        help="spawn a private in-process server "
-                             "instead of attaching")
-    p_load.add_argument("--jobs", type=int, default=2,
-                        help="worker processes for --spawn")
-    p_load.add_argument("--queue-depth", type=int, default=16,
-                        help="admission bound for --spawn (small by "
-                             "default so the burst phase can provoke "
-                             "backpressure)")
-    p_load.add_argument("--point-timeout", type=float, default=120.0,
-                        help="per-point timeout for --spawn")
-    p_load.add_argument("--json", default="BENCH_serve.json",
-                        metavar="FILE",
-                        help="write the machine-readable report here")
-    p_load.set_defaults(func=_cmd_loadbench)
 
     args = parser.parse_args(argv)
     return args.func(args)

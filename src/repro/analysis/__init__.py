@@ -20,8 +20,6 @@ from .depgraph import (
 )
 from .export import (
     ascii_chart,
-    result_to_dict,
-    results_to_json,
     sweep_to_csv,
     sweep_to_rows,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "ordering_holds",
     "paper_data",
     "per_loop_baseline",
-    "result_to_dict",
-    "results_to_json",
     "run_suite",
     "saturation_size",
     "shape_report",

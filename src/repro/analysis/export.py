@@ -1,18 +1,16 @@
-"""Result export (CSV/JSON) and dependency-free ASCII charts.
+"""Sweep export (CSV) and dependency-free ASCII charts.
 
-Sweeps and results can be persisted for external tooling and rendered
-as terminal line charts -- the repository is offline-first, so no
-plotting library is assumed.
+Sweeps can be persisted for external tooling and rendered as terminal
+line charts -- the repository is offline-first, so no plotting library
+is assumed.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from ..machine.stats import SimResult
 from .sweeps import Sweep
 
 
@@ -39,35 +37,6 @@ def sweep_to_csv(sweep: Sweep) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def result_to_dict(result: SimResult) -> Dict[str, object]:
-    """JSON-safe dictionary for one simulation result."""
-    return {
-        "engine": result.engine,
-        "workload": result.workload,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "issue_rate": result.issue_rate,
-        "branches": result.branches,
-        "branches_taken": result.branches_taken,
-        "interrupts": result.interrupts,
-        "mispredictions": result.mispredictions,
-        "squashed": result.squashed,
-        "stalls": dict(result.stalls),
-        "extra": {
-            key: value
-            for key, value in result.extra.items()
-            if isinstance(value, (int, float, str, dict, list))
-        },
-    }
-
-
-def results_to_json(results: Sequence[SimResult], indent: int = 2) -> str:
-    """Serialize results to a JSON document."""
-    return json.dumps(
-        [result_to_dict(result) for result in results], indent=indent
-    )
 
 
 def ascii_chart(

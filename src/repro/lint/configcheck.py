@@ -23,13 +23,30 @@ confusing mid-run fault or a silently meaningless number:
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set
 
 from ..isa.opcodes import FUClass
 from ..isa.program import Program
 from ..isa.registers import Register
 from ..machine.config import MachineConfig
 from .diagnostics import Diagnostic, Severity
+
+#: Sizing rules: the least value of each integer ``MachineConfig``
+#: field below which a machine cannot run (``config-bad-sizing``).
+SIZING_MINIMUMS: Dict[str, int] = {
+    "issue_width": 1,
+    "window_size": 1,
+    "dispatch_paths": 1,
+    "commit_paths": 1,
+    "n_tags": 1,
+    "counter_bits": 1,
+    "max_cycles": 1,
+    "watchdog_cycles": 0,
+    "branch_taken_penalty": 0,
+    "branch_not_taken_penalty": 0,
+    "forward_latency": 1,
+    "store_execute_latency": 1,
+}
 
 
 def check_config(program: Program, config: MachineConfig) -> List[Diagnostic]:
@@ -61,20 +78,7 @@ def check_config(program: Program, config: MachineConfig) -> List[Diagnostic]:
                 )
             )
 
-    for attribute, minimum in (
-        ("issue_width", 1),
-        ("window_size", 1),
-        ("dispatch_paths", 1),
-        ("commit_paths", 1),
-        ("n_tags", 1),
-        ("counter_bits", 1),
-        ("max_cycles", 1),
-        ("watchdog_cycles", 0),
-        ("branch_taken_penalty", 0),
-        ("branch_not_taken_penalty", 0),
-        ("forward_latency", 1),
-        ("store_execute_latency", 1),
-    ):
+    for attribute, minimum in SIZING_MINIMUMS.items():
         value = getattr(config, attribute)
         if value < minimum:
             diagnostics.append(

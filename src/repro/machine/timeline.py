@@ -43,10 +43,11 @@ class Timeline:
 
     @classmethod
     def of(cls, recorder) -> "Timeline":
-        """A live view of a detail ``TraceRecorder``'s stage map."""
+        """The stage map of a detail ``TraceRecorder`` (a snapshot:
+        build it after the run)."""
         if not recorder.detail:
             raise ValueError("a Timeline needs a TraceRecorder(detail=True)")
-        return cls(recorder.stages)
+        return cls(recorder.stage_maps())
 
     def events_for(self, seq: int) -> Dict[str, int]:
         return dict(self._events.get(seq, {}))

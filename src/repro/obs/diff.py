@@ -223,7 +223,12 @@ def _first_divergence(order_a: List[int], order_b: List[int],
 
 
 def _texts(recorder: TraceRecorder) -> Dict[int, str]:
-    return {seq: text for seq, (_, _, text) in recorder.insts.items()}
+    info = recorder.inst_info
+    return {
+        seq: info(inst)[2]
+        for seq, inst in enumerate(recorder.inst_of[:recorder.seqs])
+        if inst is not None
+    }
 
 
 def diff_recorders(recorder_a: TraceRecorder, recorder_b: TraceRecorder,
@@ -252,6 +257,7 @@ def diff_recorders(recorder_a: TraceRecorder, recorder_b: TraceRecorder,
             for key in sorted(keys)
         }
     texts_a, texts_b = _texts(recorder_a), _texts(recorder_b)
+    events_a, events_b = recorder_a.stage_maps(), recorder_b.stage_maps()
     return TraceDiff(
         engine_a=recorder_a.engine_name or "a",
         engine_b=recorder_b.engine_name or "b",
@@ -266,11 +272,9 @@ def diff_recorders(recorder_a: TraceRecorder, recorder_b: TraceRecorder,
         ),
         bucket_deltas=buckets,
         top_deltas=diff_stage_events(
-            recorder_a.stages, recorder_b.stages, texts=texts_a, top=top
+            events_a, events_b, texts=texts_a, top=top
         ),
-        compared_instructions=len(
-            set(recorder_a.stages) & set(recorder_b.stages)
-        ),
+        compared_instructions=len(events_a.keys() & events_b.keys()),
     )
 
 
@@ -287,9 +291,11 @@ def diff_against_iss(recorder: TraceRecorder, trace) -> Optional[
     retirement is exactly the divergence this reports.
     """
     texts = _texts(recorder)
+    inst_of, info = recorder.inst_of, recorder.inst_info
     order = [
         seq for seq in recorder.commit_order
-        if recorder.insts.get(seq, (0, None, ""))[1] is not None
+        if seq < recorder.seqs and inst_of[seq] is not None
+        and info(inst_of[seq])[1] is not None
     ]
     iss_entries = [
         entry for entry in trace.entries

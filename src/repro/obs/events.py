@@ -44,17 +44,16 @@ container per instruction or per cycle:
   with the occupancy keys kept once per run of samples that share
   them (engines keep theirs fixed, so a run has one).
 
-``stages`` (seq -> {stage: first cycle}), ``insts`` (seq -> (pc, fu,
-text)), ``cycle_buckets`` and ``samples`` are read views built from
-the columns on demand.
+``stage_maps()`` (seq -> {stage: first cycle}), ``inst_info`` (a
+static instruction's ``(pc, fu, text)``), ``cycle_buckets`` and
+``samples`` are built from the columns on demand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.opcodes import FUClass
 from ..machine.timeline import STAGES
@@ -77,27 +76,6 @@ SampleRun = Tuple[Tuple[str, ...], List[int]]
 SAMPLE_FIELDS = 3
 
 _CYCLE = itemgetter(1)
-
-
-class SeqView(Mapping):
-    """Read-only ``seq -> value`` view over a recorder's columns."""
-
-    def __init__(self, lookup: Callable[[int], object],
-                 seqs: Callable[[], Iterator[int]]) -> None:
-        self._lookup = lookup
-        self._seqs = seqs
-
-    def __getitem__(self, seq: int):
-        value = self._lookup(seq) if isinstance(seq, int) else None
-        if value is None:
-            raise KeyError(seq)
-        return value
-
-    def __iter__(self) -> Iterator[int]:
-        return self._seqs()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._seqs())
 
 
 class TraceRecorder:
@@ -283,27 +261,6 @@ class TraceRecorder:
             self._described[id(inst)] = entry
         return entry[1]
 
-    @property
-    def stages(self) -> SeqView:
-        """Read view: seq -> {stage: first cycle} (what
-        ``Timeline.of`` renders)."""
-        return SeqView(self._stage_map, self._staged_seqs)
-
-    @property
-    def insts(self) -> SeqView:
-        """Read view: seq -> (pc, fu name or None, disassembly text)."""
-        return SeqView(self._inst_info_at, self._described_seqs)
-
-    def _inst_info_at(self, seq: int) -> Optional[InstInfo]:
-        if not 0 <= seq < self.seqs or self.inst_of[seq] is None:
-            return None
-        return self.inst_info(self.inst_of[seq])
-
-    def _described_seqs(self) -> Iterator[int]:
-        for seq, inst in zip(range(self.seqs), self.inst_of):
-            if inst is not None:
-                yield seq
-
     def _stage_map(self, seq: int) -> Optional[Dict[str, int]]:
         if not 0 <= seq < self.seqs:
             return None
@@ -316,10 +273,15 @@ class TraceRecorder:
         )
         return dict(pairs) if pairs else None
 
-    def _staged_seqs(self) -> Iterator[int]:
-        for seq, row in zip(range(self.seqs), zip(*self.stage_cycles)):
-            if max(row) >= 0:
-                yield seq
+    def stage_maps(self) -> Dict[int, Dict[str, int]]:
+        """seq -> {stage: first cycle} for every staged seq (what
+        ``Timeline.of`` renders)."""
+        maps = {}
+        for seq in range(self.seqs):
+            stages = self._stage_map(seq)
+            if stages is not None:
+                maps[seq] = stages
+        return maps
 
     def recent_stages(self, count: int) -> Dict[int, Dict[str, int]]:
         """Stage maps of the ``count`` highest staged seqs, ascending."""

@@ -21,9 +21,7 @@ Layering (stdlib only, no web framework):
 * :mod:`~repro.serve.server`    -- the asyncio HTTP front end
   (``/run``, ``/batch``, ``/healthz``, ``/metrics``);
 * :mod:`~repro.serve.client`    -- a small blocking client (tests,
-  load generator) that honours ``Retry-After``;
-* :mod:`~repro.serve.loadgen`   -- the closed-loop load generator
-  behind ``repro loadbench`` (emits ``BENCH_serve.json``).
+  CI smoke load) that honours ``Retry-After``.
 """
 
 from .protocol import (

@@ -51,6 +51,7 @@ from ..analysis.cache import SCHEMA_VERSION, cache_key, deserialize_result, \
 from ..analysis.parallel import SimPoint
 from ..analysis.sweeps import ENGINE_FACTORIES
 from ..isa import AssemblyError, ProgramError, assemble
+from ..lint.configcheck import SIZING_MINIMUMS
 from ..machine.config import CRAY1_LIKE, MachineConfig
 from ..machine.memory import Memory
 from ..machine.stats import SimResult
@@ -160,11 +161,14 @@ def _parse_config(payload: Any) -> MachineConfig:
                 f"got {type(value).__name__}",
                 field=name,
             )
-        if value < 0:
+        minimum = SIZING_MINIMUMS.get(name, 0)
+        if value < minimum:
             raise ProtocolError(
                 "bad_config_value",
-                f"config field {name!r} must be non-negative, got {value}",
+                f"config field {name!r} must be at least {minimum}, "
+                f"got {value}",
                 field=name,
+                minimum=minimum,
             )
         overrides[name] = value
     max_cycles = overrides.get("max_cycles")

@@ -604,7 +604,7 @@ class ServeApp:
 
 
 # ----------------------------------------------------------------------
-# embedding helper (tests, loadgen --spawn)
+# embedding helper (tests, perfbench)
 # ----------------------------------------------------------------------
 
 
@@ -632,8 +632,8 @@ def serve_in_background(host: str = "127.0.0.1", port: int = 0,
                         **service_kwargs: Any) -> ServerHandle:
     """Start a full server on an ephemeral port; returns its handle.
 
-    Used by the test suite and ``repro loadbench --spawn``: the handle
-    exposes the bound ``port``, the underlying service (for white-box
+    Used by the test suite and perfbench's ``serve`` workload: the
+    handle exposes the bound ``port``, the underlying service (for white-box
     assertions), and ``stop()`` for a graceful drain.
     """
     service = SimService(**service_kwargs)

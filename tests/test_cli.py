@@ -114,19 +114,13 @@ class TestArgErrors:
             main(["run", asm_file, "--engine", "nope"])
 
 
-class TestLoadbenchArgs:
-    def test_attach_requires_a_port(self, capsys):
-        assert main(["loadbench"]) == 2
-        assert "--port" in capsys.readouterr().out
-
-
 class TestHelpListsCommands:
     def test_help_lists_trace_and_diff(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for command in ("run", "trace", "diff", "serve", "loadbench"):
+        for command in ("run", "trace", "diff", "serve"):
             assert command in out
 
 

@@ -181,7 +181,7 @@ class TestZooCoverage:
             engine.run()
         recent = excinfo.value.diagnostic.recent_events
         assert recent
-        stages = engine.recorder.stages
+        stages = engine.recorder.stage_maps()
         assert sorted(recent) == sorted(stages)[-len(recent):]
         for seq, events in recent.items():
             assert events == stages[seq]

@@ -1,20 +1,16 @@
-"""Tests for CSV/JSON export and ASCII charts."""
+"""Tests for CSV export and ASCII charts."""
 
 import csv
 import io
-import json
 
 import pytest
 
 from repro.analysis import (
     ascii_chart,
-    result_to_dict,
-    results_to_json,
     sweep_to_csv,
     sweep_to_rows,
     sweep_sizes,
 )
-from repro.machine import SimResult
 from repro.workloads import dependency_chain
 
 
@@ -39,32 +35,6 @@ class TestSweepExport:
         assert float(parsed[0]["speedup"]) == pytest.approx(
             sweep.rows[0].speedup
         )
-
-
-class TestResultExport:
-    def test_dict_roundtrip(self):
-        result = SimResult("ruu", "LLL1", cycles=100, instructions=40)
-        result.stalls["window_full"] = 7
-        result.extra["bypass_mode"] = "bypass"
-        data = result_to_dict(result)
-        assert data["issue_rate"] == 0.4
-        assert data["stalls"]["window_full"] == 7
-        assert data["extra"]["bypass_mode"] == "bypass"
-
-    def test_non_json_extras_dropped(self):
-        result = SimResult("ruu", "w", 1, 1)
-        result.extra["interrupt"] = object()
-        data = result_to_dict(result)
-        assert "interrupt" not in data["extra"]
-
-    def test_json_document(self):
-        results = [
-            SimResult("a", "w1", 10, 5),
-            SimResult("a", "w2", 20, 8),
-        ]
-        doc = json.loads(results_to_json(results))
-        assert len(doc) == 2
-        assert doc[1]["cycles"] == 20
 
 
 class TestAsciiChart:

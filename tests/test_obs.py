@@ -17,7 +17,7 @@ import pytest
 from repro.analysis import ENGINE_FACTORIES
 from repro.core import RUUEngine, SpeculativeRUUEngine, StaticBTFNPredictor
 from repro.machine import MachineConfig
-from repro.machine.timeline import Timeline
+from repro.machine.timeline import STAGES, Timeline
 from repro.obs import (
     AttributionError,
     TraceRecorder,
@@ -74,15 +74,19 @@ class TestRecorder:
         timeline = Timeline.of(recorder)
         assert timeline.sequences() == list(range(engine.next_seq))
         for seq in timeline.sequences():
-            assert recorder.stages.get(seq) \
-                == timeline.events_for(seq), seq
+            recorded = {
+                stage: column[seq]
+                for stage, column in zip(STAGES, recorder.stage_cycles)
+                if column[seq] >= 0
+            }
+            assert recorded == timeline.events_for(seq), seq
 
     def test_streaming_mode_keeps_no_detail(self, livermore_loops,
                                             config):
         _, recorder, result = recorded_run(
             livermore_loops[0], config, detail=False)
         assert recorder.cycles_seen == result.cycles
-        assert recorder.stages == {}
+        assert recorder.stage_maps() == {}
         assert recorder.samples == []
         assert recorder.cycle_buckets == []
         assert sum(recorder.buckets.values()) == result.cycles

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.parallel import run_point
+from repro.lint.configcheck import SIZING_MINIMUMS
 from repro.machine.config import CRAY1_LIKE, MachineConfig
 from repro.serve.protocol import (
     LIMITS,
@@ -144,10 +145,28 @@ class TestRejections:
             {"workload": "LLL3", "config": {"window_size": True}}
         ) == "bad_config_value"
 
-    def test_negative_config_value(self):
-        assert reason_of(
-            {"workload": "LLL3", "config": {"window_size": -1}}
-        ) == "bad_config_value"
+    @pytest.mark.parametrize("overrides", [
+        {"window_size": -1},
+        {"window_size": 0},
+        {"issue_width": 0},
+        {"dispatch_paths": 0},
+        {"counter_bits": 0},
+        {"max_cycles": 0},
+        {"window_size": 0, "watchdog_cycles": 0},
+    ], ids=lambda overrides: ",".join(
+        f"{name}={value}" for name, value in overrides.items()))
+    def test_negative_config_value(self, overrides):
+        """Every sizing rule ``configcheck`` calls an error is a 400:
+        a zero window would otherwise spin a worker until the
+        watchdog (or ``max_cycles``) fires."""
+        with pytest.raises(ProtocolError) as excinfo:
+            parse({"workload": "LLL3", "config": overrides})
+        assert excinfo.value.reason == "bad_config_value"
+        field = next(name for name, value in overrides.items()
+                     if value < SIZING_MINIMUMS[name])
+        assert excinfo.value.detail == {
+            "field": field, "minimum": SIZING_MINIMUMS[field],
+        }
 
     def test_max_cycles_limit_pinned(self):
         too_big = LIMITS["max_max_cycles"] + 1
