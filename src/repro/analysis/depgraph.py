@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..isa.opcodes import FUClass
 from ..machine.config import CRAY1_LIKE, MachineConfig
 from ..trace.trace import Trace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_dependence_graph(trace: Trace) -> "nx.DiGraph":
@@ -40,6 +41,10 @@ def build_dependence_graph(trace: Trace) -> "nx.DiGraph":
     anti and output dependencies are artifacts of register reuse that
     every mechanism in the repository renames away.
     """
+    # Imported here, its only use, so that ``import repro`` does not
+    # pay for loading networkx.
+    import networkx as nx
+
     graph = nx.DiGraph()
     last_writer: Dict[object, int] = {}
     last_store: Dict[int, int] = {}

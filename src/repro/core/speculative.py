@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
@@ -212,10 +212,10 @@ class SpeculativeRUUEngine(RUUEngine):
     def _drained(self) -> bool:
         return super()._drained() and not self._pending_branches
 
-    def occupancy(self) -> Dict[str, int]:
-        occupancy = super().occupancy()
-        occupancy["pending_branches"] = len(self._pending_branches)
-        return occupancy
+    occupancy_keys = ("window", "pending_branches")
+
+    def occupancy_counts(self) -> Tuple[int, ...]:
+        return len(self.window), len(self._pending_branches)
 
     def result(self):
         sim_result = super().result()

@@ -31,7 +31,7 @@ repairs the register file.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.registers import RegisterFile
@@ -109,8 +109,10 @@ class InOrderPreciseEngine(InOrderCommit, SimpleEngine):
     def waiting_entries(self) -> Sequence[InOrderEntry]:
         return self.window
 
-    def occupancy(self) -> Dict[str, int]:
-        return {"buffer": len(self.window)}
+    occupancy_keys = ("buffer",)
+
+    def occupancy_counts(self) -> Tuple[int, ...]:
+        return (len(self.window),)
 
 
 class ReorderBufferEngine(InOrderPreciseEngine):

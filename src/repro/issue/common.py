@@ -196,7 +196,7 @@ class WindowedEngine(Engine):
     implement the hooks: :meth:`_issue_stall`, :meth:`_source_operand`,
     :meth:`_allocate_dest_tag`, :meth:`_register_pending` and
     :meth:`_phase_complete`, and set :attr:`release_at_dispatch` and
-    :attr:`structure`.  In-order commit comes from
+    :attr:`occupancy_keys`.  In-order commit comes from
     :class:`~repro.machine.engine.InOrderCommit`, which also turns on
     :attr:`stores_at_commit`.
     """
@@ -210,7 +210,7 @@ class WindowedEngine(Engine):
     #: occupies its unit for ``config.store_execute_latency`` cycles.
     stores_at_commit = False
     #: The name traces give the window's occupancy counter.
-    structure = "window"
+    occupancy_keys = ("window",)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -405,8 +405,8 @@ class WindowedEngine(Engine):
     def waiting_entries(self) -> Sequence[WindowEntry]:
         return self.window
 
-    def occupancy(self) -> Dict[str, int]:
-        return {self.structure: len(self.window)}
+    def occupancy_counts(self) -> Tuple[int, ...]:
+        return (len(self.window),)
 
     def _drained(self) -> bool:
         return not self.window and not self._completions

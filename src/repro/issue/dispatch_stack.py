@@ -22,7 +22,7 @@ instances simply remove (ablation A3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.registers import TOTAL_REGISTERS
@@ -244,8 +244,10 @@ class DispatchStackEngine(Engine):
     def waiting_entries(self) -> Sequence[_StackEntry]:
         return self.stack
 
-    def occupancy(self) -> Dict[str, int]:
-        return {"stack": len(self.stack)}
+    occupancy_keys = ("stack",)
+
+    def occupancy_counts(self) -> Tuple[int, ...]:
+        return (len(self.stack),)
 
     def result(self):
         sim_result = super().result()

@@ -30,7 +30,7 @@ class RSPoolEngine(TagUnitEngine):
     """
 
     name = "rspool"
-    structure = "pool"
+    occupancy_keys = ("pool",)
 
     def _issue_stall(self, inst: Instruction) -> Optional[str]:
         if inst.is_memory and not self.mdu.can_accept():

@@ -47,7 +47,7 @@ class TomasuloEngine(WindowedEngine):
 
     name = "tomasulo"
     claims_precise_interrupts = False
-    structure = "stations"
+    occupancy_keys = ("stations",)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

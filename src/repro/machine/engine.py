@@ -232,11 +232,19 @@ class Engine(abc.ABC):
         them.  Default: none (no window)."""
         return ()
 
+    #: Names of the instruction-holding structures, fixed per engine
+    #: class; :meth:`occupancy_counts` counts them in this order.
+    occupancy_keys: Tuple[str, ...] = ()
+
+    def occupancy_counts(self) -> Tuple[int, ...]:
+        """Entries held per structure of :attr:`occupancy_keys`; a detail
+        :class:`~repro.obs.events.TraceRecorder` samples it every cycle.
+        Default: no structures."""
+        return ()
+
     def occupancy(self) -> Dict[str, int]:
-        """Entries held per instruction-holding structure, by name; a
-        detail :class:`~repro.obs.events.TraceRecorder` samples it every
-        cycle.  Default: no structures."""
-        return {}
+        """Entries held per instruction-holding structure, by name."""
+        return dict(zip(self.occupancy_keys, self.occupancy_counts()))
 
     def inflight(self) -> int:
         """Functional-unit results scheduled but not yet delivered."""

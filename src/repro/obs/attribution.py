@@ -136,7 +136,8 @@ def attribute_cycles(result: SimResult,
     cycle of the run (attached before ``run()``) and its stall events
     reconcile exactly with ``result.stalls``.
     """
-    total = sum(recorder.buckets.values())
+    buckets = dict(recorder.buckets)
+    total = sum(buckets.values())
     if total != result.cycles or recorder.cycles_seen != result.cycles:
         raise AttributionError(
             f"{result.engine} on {result.workload}: recorder classified "
@@ -155,7 +156,7 @@ def attribute_cycles(result: SimResult,
         workload=result.workload,
         cycles=result.cycles,
         instructions=result.instructions,
-        buckets=dict(recorder.buckets),
+        buckets=buckets,
         stall_events=dict(recorder.stall_counts),
     )
 

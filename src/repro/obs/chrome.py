@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from typing import Dict, List, Optional
 
 from .events import SAMPLE_FIELDS, TraceRecorder
@@ -27,10 +28,6 @@ _PHASES = {"M", "X", "b", "e", "C"}
 
 #: Thread ids: 0 is the retire track, FUs get stable ids from 1.
 _RETIRE_TID = 0
-
-#: Exact number types: the validator's fast path (bools are ints but
-#: not numbers here).
-_NUMBERS = {int, float}
 
 
 def chrome_trace(recorder: TraceRecorder,
@@ -92,12 +89,17 @@ def _document(recorder: TraceRecorder,
             pc, fu, text = info
             if fu is not None and fu not in fu_tids:
                 fu_tids[fu] = len(fu_tids) + 1
-        latest = max(row)
-        if latest < 0:
+        decode, _, dispatch, complete, _ = row
+        # Decode comes first in every instruction's life and the columns
+        # keep first cycles, so a recorded decode is the earliest stage.
+        if decode >= 0:
+            first = decode
+        elif max(row) < 0:
             continue
+        else:
+            first = min(cycle for cycle in row if cycle >= 0)
         name = f"#{seq} {text}"
         args = {"seq": seq, "pc": pc}
-        _, _, dispatch, complete, _ = row
         # Execution slice on the FU track (dispatch -> complete).
         if fu is not None and dispatch >= 0:
             end = complete if complete >= 0 else dispatch + 1
@@ -108,10 +110,7 @@ def _document(recorder: TraceRecorder,
                 "args": args,
             })
         # Whole-lifetime async slice (decode -> retire).
-        first = min(row)
-        if first < 0:
-            first = min(cycle for cycle in row if cycle >= 0)
-        last = retired if retired >= 0 else latest
+        last = retired if retired >= 0 else max(row)
         append({
             "name": name, "cat": "inst", "ph": "b", "id": seq,
             "pid": pid, "tid": _RETIRE_TID, "ts": first, "args": args,
@@ -175,19 +174,30 @@ def _document(recorder: TraceRecorder,
         start_cycle = recorder.start_cycle
         names = recorder.bucket_names
         running: Dict[str, int] = {}
-        final = len(tape) - 1
-        for offset, bucket_id in enumerate(tape):
-            bucket = names[bucket_id]
-            if bucket in running:
-                running[bucket] += 1
-            else:
-                running[bucket] = 1
-            if offset % counter_every == 0 or offset == final:
+        buckets = map(names.__getitem__, tape)
+        if counter_every == 1:
+            for cycle, bucket in enumerate(buckets, start_cycle):
+                if bucket in running:
+                    running[bucket] += 1
+                else:
+                    running[bucket] = 1
                 append({
                     "name": "cycle_buckets", "ph": "C", "pid": pid,
-                    "tid": 0, "ts": start_cycle + offset,
-                    "args": dict(running),
+                    "tid": 0, "ts": cycle, "args": dict(running),
                 })
+        else:
+            final = len(tape) - 1
+            for offset, bucket in enumerate(buckets):
+                if bucket in running:
+                    running[bucket] += 1
+                else:
+                    running[bucket] = 1
+                if offset % counter_every == 0 or offset == final:
+                    append({
+                        "name": "cycle_buckets", "ph": "C", "pid": pid,
+                        "tid": 0, "ts": start_cycle + offset,
+                        "args": dict(running),
+                    })
 
     return {
         "traceEvents": events,
@@ -213,13 +223,15 @@ def write_chrome_trace(path: str, recorder: TraceRecorder,
 
 def _is_int(value: object) -> bool:
     """An int that is not a bool (``True`` is an ``int`` in Python)."""
-    return type(value) is int or (
-        isinstance(value, int) and not isinstance(value, bool))
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value: object) -> bool:
-    return type(value) in _NUMBERS or (
-        isinstance(value, (int, float)) and not isinstance(value, bool))
+    """A finite int or float that is not a bool: JSON has no NaN or
+    Infinity (``json.dumps`` writes them anyway)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def validate_chrome_trace(document: object,
@@ -227,11 +239,16 @@ def validate_chrome_trace(document: object,
     """Schema-check a trace document; returns a list of problems.
 
     Pins what Perfetto's JSON importer needs: a ``traceEvents`` list
-    whose entries carry a known ``ph``, a ``pid``, a name, numeric
+    whose entries carry a known ``ph``, a ``pid``, a name, finite
     non-negative ``ts`` (except metadata), paired async begin/end ids,
     and -- when ``cycles`` is given -- no timestamp beyond the run.
-    Booleans are not numbers here.  One pass; an event's location is
-    only formatted when it has a problem.
+    Booleans are not numbers here.
+
+    One pass.  An event shaped the way the exporter writes it (int
+    ``pid``, ``ts`` and ``dur``, str name, dict ``args``) passes on
+    exact type tests alone, its phase tested in order of frequency;
+    any other event gets the full per-event checks, which find and
+    word its problems.
     """
     if not isinstance(document, dict):
         return [f"document is {type(document).__name__}, expected object"]
@@ -240,55 +257,98 @@ def validate_chrome_trace(document: object,
         return ["traceEvents must be a non-empty list"]
     problems: List[str] = []
     open_async: Dict[object, int] = {}
-    limit = float("inf") if cycles is None else cycles
+    limit = math.inf if cycles is None else cycles
+    index = -1
+    for event in trace_events:
+        index += 1
+        try:
+            if type(event) is dict and type(event["pid"]) is int:
+                name = event["name"]
+                phase = event["ph"]
+                if type(name) is not str or not name:
+                    pass
+                elif phase == "C":
+                    ts = event["ts"]
+                    if type(ts) is int and 0 <= ts <= limit \
+                            and type(event["args"]) is dict:
+                        continue
+                elif phase == "b":
+                    ts = event["ts"]
+                    key = event["id"]
+                    if type(ts) is int and 0 <= ts <= limit \
+                            and key is not None and key not in open_async:
+                        open_async[key] = index
+                        continue
+                elif phase == "e":
+                    ts = event["ts"]
+                    key = event["id"]
+                    if type(ts) is int and 0 <= ts <= limit \
+                            and key in open_async:
+                        del open_async[key]
+                        continue
+                elif phase == "X":
+                    ts = event["ts"]
+                    dur = event["dur"]
+                    if type(ts) is int and 0 <= ts <= limit \
+                            and type(dur) is int and dur > 0:
+                        continue
+                elif phase == "M":
+                    continue
+        except KeyError:
+            pass
+        _check_event(index, event, limit, cycles, open_async, problems)
+    for key, index in sorted(open_async.items(), key=lambda kv: kv[1]):
+        problems.append(f"traceEvents[{index}]: async id {key!r} never "
+                        f"closed")
+    return problems
 
-    def problem(index: int, message: str) -> None:
+
+def _check_event(index: int, event: object, limit: float,
+                 cycles: Optional[int], open_async: Dict[object, int],
+                 problems: List[str]) -> None:
+    """Every check on one event, with the async bookkeeping; appends its
+    problems."""
+
+    def problem(message: str) -> None:
         problems.append(f"traceEvents[{index}]: {message}")
 
-    for index, event in enumerate(trace_events):
-        if not isinstance(event, dict):
-            problem(index, "not an object")
-            continue
-        phase = event.get("ph")
-        if phase not in _PHASES:
-            problem(index, f"unknown phase {phase!r}")
-            continue
-        name = event.get("name")
-        if not name or not isinstance(name, str):
-            problem(index, "missing name")
-        # The exact-type tests are the fast path for valid events.
-        pid = event.get("pid")
-        if type(pid) is not int and not _is_int(pid):
-            problem(index, "missing integer pid")
-        if phase == "M":
-            continue
-        ts = event.get("ts")
-        if type(ts) not in _NUMBERS and not _is_number(ts) or ts < 0:
-            problem(index, f"bad ts {ts!r}")
-        elif ts > limit:
-            problem(index, f"ts {ts} beyond the {cycles}-cycle run")
-        if phase == "C":
-            if not isinstance(event.get("args"), dict):
-                problem(index, "C event needs args")
-        elif phase == "X":
-            dur = event.get("dur")
-            if type(dur) not in _NUMBERS and not _is_number(dur) \
-                    or dur <= 0:
-                problem(index, "X event needs positive dur")
-        elif phase == "b":
-            key = event.get("id")
-            if key is None:
-                problem(index, "async begin without id")
-            elif key in open_async:
-                problem(index, f"async id {key!r} reopened")
-            else:
-                open_async[key] = index
-        elif phase == "e":
-            key = event.get("id")
-            if key not in open_async:
-                problem(index, "async end without matching begin")
-            else:
-                del open_async[key]
-    for key, index in sorted(open_async.items(), key=lambda kv: kv[1]):
-        problem(index, f"async id {key!r} never closed")
-    return problems
+    if not isinstance(event, dict):
+        problem("not an object")
+        return
+    phase = event.get("ph")
+    if phase not in _PHASES:
+        problem(f"unknown phase {phase!r}")
+        return
+    name = event.get("name")
+    if not name or not isinstance(name, str):
+        problem("missing name")
+    if not _is_int(event.get("pid")):
+        problem("missing integer pid")
+    if phase == "M":
+        return
+    ts = event.get("ts")
+    if not _is_number(ts) or ts < 0:
+        problem(f"bad ts {ts!r}")
+    elif ts > limit:
+        problem(f"ts {ts} beyond the {cycles}-cycle run")
+    if phase == "C":
+        if not isinstance(event.get("args"), dict):
+            problem("C event needs args")
+    elif phase == "X":
+        dur = event.get("dur")
+        if not _is_number(dur) or dur <= 0:
+            problem("X event needs positive dur")
+    elif phase == "b":
+        key = event.get("id")
+        if key is None:
+            problem("async begin without id")
+        elif key in open_async:
+            problem(f"async id {key!r} reopened")
+        else:
+            open_async[key] = index
+    elif phase == "e":
+        key = event.get("id")
+        if key not in open_async:
+            problem("async end without matching begin")
+        else:
+            del open_async[key]

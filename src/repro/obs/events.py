@@ -16,7 +16,7 @@ decode metadata -- plus one end-of-tick callback per cycle
 (``on_cycle``).  The per-cycle callback is what makes *full-cycle*
 accounting possible: it folds the cycle's events into exactly one
 attribution bucket (see :mod:`repro.obs.attribution`) and, in detail
-mode, samples the engine's own ``occupancy()``.  A detail recorder's
+mode, samples the engine's own occupancy counts.  A detail recorder's
 stage map is also what :class:`~repro.machine.timeline.Timeline`
 renders and what deadlock diagnostics quote as recent history.
 
@@ -38,11 +38,15 @@ container per instruction or per cycle:
   column and a column of the static ``Instruction`` decoded under each
   seq (its ``(pc, fu, text)`` is built once per static instruction);
 * the bucket tape, a ``bytearray`` of bucket ids (``bucket_names``
-  maps them back);
+  maps them back); a detail recorder's ``buckets`` and
+  ``cycles_seen`` are counted from it;
 * occupancy samples as flat int rows -- cycle, result-bus
   reservations, in-flight instructions, then the occupancy values --
   with the occupancy keys kept once per run of samples that share
-  them (engines keep theirs fixed, so a run has one).
+  them.  An engine's keys are fixed (``Engine.occupancy_keys``), so a
+  sample appends the ints of ``occupancy_counts()`` and a run has one
+  key set; an object whose ``occupancy()`` is its own is sampled
+  through that dict, and a change of its keys starts a new run.
 
 ``stage_maps()`` (seq -> {stage: first cycle}), ``inst_info`` (a
 static instruction's ``(pc, fu, text)``), ``cycle_buckets`` and
@@ -56,6 +60,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..isa.opcodes import FUClass
+from ..machine.engine import Engine
 from ..machine.timeline import STAGES
 
 #: Synthetic bucket names (everything else is a ``StallReason`` key).
@@ -88,15 +93,13 @@ class TraceRecorder:
         self.sample_every = sample_every
 
         # -- streaming accounting (both modes) -------------------------
-        #: Attribution bucket -> cycles spent there.  Every simulated
-        #: cycle lands in exactly one bucket.
-        self.buckets: Counter = Counter()
         #: Stall-event counts; mirrors ``SimResult.stalls`` exactly.
         self.stall_counts: Counter = Counter()
-        #: Cycles this recorder classified (== engine cycles when the
-        #: recorder was attached before the first ``run()``).
-        self.cycles_seen = 0
         self.start_cycle: Optional[int] = None
+        # Bucket totals and classified cycles without detail (a detail
+        # recorder counts both from its tape).
+        self._buckets: Counter = Counter()
+        self._cycles = 0
 
         # -- finalized by on_run_end -----------------------------------
         self.engine_name: Optional[str] = None
@@ -132,6 +135,10 @@ class TraceRecorder:
         self._bucket_ids: Dict[str, int] = {}
         self._sample_keys: Optional[Tuple[str, ...]] = None
         self._sample_rows: List[int] = []
+        #: Sample ``Engine.occupancy_counts()`` (the engine derives
+        #: ``occupancy()`` from it) rather than ``occupancy()``; set by
+        #: the first ``on_cycle``.
+        self._counts_only = False
         #: id(inst) -> (inst, info); holding the instruction keeps its
         #: id from being reused.
         self._described: Dict[int, Tuple[object, InstInfo]] = {}
@@ -181,47 +188,56 @@ class TraceRecorder:
         those is either the one that took an interrupt, a drain cycle
         (nothing left to fetch, decode empty, window emptying), or --
         the invariant the test-suite enforces never happens --
-        unaccounted.
+        unaccounted.  Each branch clears the scratch flags it read.
         """
-        if self.start_cycle is None:
-            self.start_cycle = engine.cycle
         if self._cycle_retired:
             bucket = COMMITTED
+            self._cycle_retired = self._cycle_issued = False
+            self._cycle_stall = None
         elif self._cycle_issued:
             bucket = ISSUED
+            self._cycle_issued = False
+            self._cycle_stall = None
         elif self._cycle_stall is not None:
             bucket = self._cycle_stall
+            self._cycle_stall = None
         elif engine.interrupt_record is not None:
             bucket = INTERRUPT
         elif engine.fetch_done and engine.decode_slot is None:
             bucket = DRAIN
         else:
             bucket = UNACCOUNTED
-        self.buckets[bucket] += 1
-        self.cycles_seen += 1
-        self._cycle_retired = False
-        self._cycle_issued = False
-        self._cycle_stall = None
+        if self.start_cycle is None:
+            self.start_cycle = engine.cycle
+            self._counts_only = type(engine).occupancy is Engine.occupancy
         if not self.detail:
+            self._buckets[bucket] += 1
+            self._cycles += 1
             return
-        bucket_id = self._bucket_ids.get(bucket)
-        if bucket_id is None:
-            bucket_id = self._bucket_ids[bucket] = len(self.bucket_names)
+        try:
+            self.bucket_tape.append(self._bucket_ids[bucket])
+        except KeyError:
+            self._bucket_ids[bucket] = len(self.bucket_names)
             self.bucket_names.append(bucket)
-        self.bucket_tape.append(bucket_id)
-        if engine.cycle % self.sample_every:
+            self.bucket_tape.append(self._bucket_ids[bucket])
+        cycle = engine.cycle
+        if cycle % self.sample_every:
             return
-        occupancy = engine.occupancy()
-        keys = tuple(occupancy)
-        if keys != self._sample_keys:
+        if self._counts_only:
+            keys = engine.occupancy_keys
+            counts = engine.occupancy_counts()
+        else:
+            occupancy = engine.occupancy()
+            keys = tuple(occupancy)
+            counts = occupancy.values()
+        if keys is not self._sample_keys and keys != self._sample_keys:
             self._sample_keys = keys
             self._sample_rows = []
             self.sample_runs.append((keys, self._sample_rows))
         rows = self._sample_rows
-        rows.append(engine.cycle)
-        rows.append(engine.result_bus.reservations())
-        rows.append(engine.next_seq - engine.retired)
-        rows += occupancy.values()
+        rows += (cycle, engine.result_bus.reservations(),
+                 engine.next_seq - engine.retired)
+        rows += counts
 
     def on_run_end(self, engine) -> None:
         """Snapshot the run's final architectural facts (called by
@@ -248,6 +264,22 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
+
+    @property
+    def buckets(self) -> Counter:
+        """Attribution bucket -> cycles spent there, in order of first
+        appearance.  Every simulated cycle lands in exactly one bucket."""
+        if not self.detail:
+            return self._buckets
+        tape = self.bucket_tape
+        return Counter({name: tape.count(bucket_id)
+                        for bucket_id, name in enumerate(self.bucket_names)})
+
+    @property
+    def cycles_seen(self) -> int:
+        """Cycles this recorder classified (== engine cycles when the
+        recorder was attached before the first ``run()``)."""
+        return len(self.bucket_tape) if self.detail else self._cycles
 
     def inst_info(self, inst) -> InstInfo:
         """``(pc, fu, text)`` of a static instruction, built once."""

@@ -1,7 +1,11 @@
 """Tests for the dependence-graph and dataflow-limit analysis."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.analysis.depgraph import (
     build_dependence_graph,
     dataflow_limit,
@@ -153,3 +157,19 @@ class TestDataflowLimit:
         )
         fast = dataflow_limit(trace)
         assert slow.critical_path_cycles > fast.critical_path_cycles
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    """networkx is imported by ``build_dependence_graph``, its only
+    user, so ``import repro`` does not pay for loading it."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert completed.stdout.split() == ["False"]

@@ -352,6 +352,19 @@ class TestChromeExport:
         ({"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "ts": 1,
                            "dur": True}]},
          "positive dur"),
+        # JSON has no NaN or Infinity, though json.dumps writes them.
+        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0,
+                           "ts": float("nan"), "args": {}}]},
+         "bad ts"),
+        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0,
+                           "ts": float("inf"), "args": {}}]},
+         "bad ts"),
+        ({"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "ts": 1,
+                           "dur": float("nan")}]},
+         "positive dur"),
+        ({"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "ts": 1,
+                           "dur": float("inf")}]},
+         "positive dur"),
         ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0, "ts": 1}]},
          "C event needs args"),
         ({"traceEvents": [{"ph": "b", "name": "x", "pid": 0, "ts": 1}]},

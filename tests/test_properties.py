@@ -3,7 +3,9 @@
 The headline property: on any type-safe random program, every engine
 finishes with exactly the golden model's architectural state.  The
 precision property: whenever the RUU takes an interrupt, the visible
-state is exactly the sequential prefix state.
+state is exactly the sequential prefix state.  The schema property:
+every exported Chrome trace validates, and any one corrupted event of
+it is reported at its index.
 
 Example budgets are written for the default Hypothesis profile and
 scale with the loaded one: ``--hypothesis-profile=ci`` (registered in
@@ -18,6 +20,7 @@ from repro.core import BypassMode, RUUEngine, SpeculativeRUUEngine
 from repro.isa import ArithmeticFault, assemble, wrap_a, wrap_s_int
 from repro.isa.semantics import wrap_signed
 from repro.machine import MachineConfig, Memory
+from repro.obs import TraceRecorder, chrome_trace, validate_chrome_trace
 from repro.trace import FunctionalExecutor, prefix_state
 
 from tests.strategies import (
@@ -284,6 +287,108 @@ class TestCheckpointProperty:
         assert machine.regs.diff(golden.regs) == {}
         assert machine.memory.diff(golden.memory) == {}
         assert machine.retired == golden.executed
+
+
+def _set(key, value):
+    def mutate(events, index):
+        event = dict(events[index])
+        event[key] = value
+        return events[:index] + [event] + events[index + 1:], index
+    return mutate
+
+
+def _drop(key):
+    def mutate(events, index):
+        event = dict(events[index])
+        del event[key]
+        return events[:index] + [event] + events[index + 1:], index
+    return mutate
+
+
+def _replace(value):
+    def mutate(events, index):
+        return events[:index] + [value] + events[index + 1:], index
+    return mutate
+
+
+def _reopen(events, index):
+    """A second begin with the same async id, right after the first."""
+    return events[:index + 1] + [dict(events[index])] \
+        + events[index + 1:], index + 1
+
+
+#: Corruptions of one event, by the phase they apply to ("*": any);
+#: each returns (mutated events, index the problem must be reported at).
+MUTATIONS = {
+    "*": {
+        "bool pid": _set("pid", True),
+        "float pid": _set("pid", 0.0),
+        "no name": _drop("name"),
+        "empty name": _set("name", ""),
+        "no pid": _drop("pid"),
+        "unknown phase": _set("ph", "Q"),
+        "no phase": _drop("ph"),
+        "list event": _replace([]),
+        "str event": _replace("event"),
+        "null event": _replace(None),
+    },
+    "timed": {
+        "bool ts": _set("ts", True),
+        "NaN ts": _set("ts", float("nan")),
+        "infinite ts": _set("ts", float("inf")),
+        "negative ts": _set("ts", -1),
+        "no ts": _drop("ts"),
+    },
+    "C": {"no args": _drop("args"), "list args": _set("args", [])},
+    "X": {
+        "bool dur": _set("dur", True),
+        "NaN dur": _set("dur", float("nan")),
+        "zero dur": _set("dur", 0),
+        "no dur": _drop("dur"),
+    },
+    "b": {"reopened id": _reopen, "null id": _set("id", None),
+          "no id": _drop("id")},
+    "e": {"unmatched id": _set("id", "unmatched"),
+          "null id": _set("id", None), "no id": _drop("id")},
+}
+
+TRACED_ENGINES = sorted(name for name in ENGINE_FACTORIES
+                        if not name.startswith("chaos-"))
+
+
+class TestChromeSchemaProperty:
+    @examples(25)
+    @given(source=program_text(), data=initial_data(),
+           name=st.sampled_from(TRACED_ENGINES), choice=st.data())
+    def test_exports_validate_and_one_bad_event_is_reported(
+            self, source, data, name, choice):
+        """Guards the validator's exact-type fast path: an event it
+        lets through must be one the full checks find nothing in.  Each
+        corruption that applies to the drawn event is tried on its
+        own."""
+        engine = ENGINE_FACTORIES[name](
+            assemble(source), CONFIG, _build_memory(data))
+        engine.recorder = TraceRecorder()
+        result = engine.run()
+        events = chrome_trace(engine.recorder)["traceEvents"]
+        assert validate_chrome_trace(
+            {"traceEvents": events}, cycles=result.cycles) == []
+        # Phase first, so the rarer phases get drawn as often.
+        phase = choice.draw(st.sampled_from(
+            sorted({event["ph"] for event in events})), label="phase")
+        index = choice.draw(st.sampled_from(
+            [at for at, event in enumerate(events) if event["ph"] == phase]),
+            label="index")
+        mutations = dict(MUTATIONS["*"])
+        if phase != "M":
+            mutations.update(MUTATIONS["timed"])
+        mutations.update(MUTATIONS.get(phase, {}))
+        for label, mutate in sorted(mutations.items()):
+            mutated, at = mutate(events, index)
+            problems = validate_chrome_trace(
+                {"traceEvents": mutated}, cycles=result.cycles)
+            assert any(problem.startswith(f"traceEvents[{at}]: ")
+                       for problem in problems), (label, problems)
 
 
 class TestSemanticsProperties:
