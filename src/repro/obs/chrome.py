@@ -19,6 +19,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from .events import SAMPLE_FIELDS, TraceRecorder
@@ -68,6 +69,21 @@ def _document(recorder: TraceRecorder,
         "args": {"name": f"{engine} on {workload}"},
     }]
     append = events.append
+    # Events are built as copies of a template with the varying fields
+    # set: a dict copy costs less than the same keys inserted afresh,
+    # and it keeps the template's key order.
+    new_execute = {
+        "name": None, "cat": "execute", "ph": "X", "pid": pid,
+        "tid": None, "ts": None, "dur": None, "args": None,
+    }.copy
+    new_begin = {
+        "name": None, "cat": "inst", "ph": "b", "id": None, "pid": pid,
+        "tid": _RETIRE_TID, "ts": None, "args": None,
+    }.copy
+    new_end = {
+        "name": None, "cat": "inst", "ph": "e", "id": None, "pid": pid,
+        "tid": _RETIRE_TID, "ts": None, "args": None,
+    }.copy
 
     # -- per-instruction slices, one pass over the seq columns ---------
     # FU thread ids go by first appearance in seq order; their metadata
@@ -103,23 +119,27 @@ def _document(recorder: TraceRecorder,
         # Execution slice on the FU track (dispatch -> complete).
         if fu is not None and dispatch >= 0:
             end = complete if complete >= 0 else dispatch + 1
-            append({
-                "name": name, "cat": "execute", "ph": "X",
-                "pid": pid, "tid": fu_tids[fu],
-                "ts": dispatch, "dur": max(1, end - dispatch),
-                "args": args,
-            })
+            event = new_execute()
+            event["name"] = name
+            event["tid"] = fu_tids[fu]
+            event["ts"] = dispatch
+            event["dur"] = max(1, end - dispatch)
+            event["args"] = args
+            append(event)
         # Whole-lifetime async slice (decode -> retire).
         last = retired if retired >= 0 else max(row)
-        append({
-            "name": name, "cat": "inst", "ph": "b", "id": seq,
-            "pid": pid, "tid": _RETIRE_TID, "ts": first, "args": args,
-        })
-        append({
-            "name": name, "cat": "inst", "ph": "e", "id": seq,
-            "pid": pid, "tid": _RETIRE_TID, "ts": max(first + 1, last),
-            "args": {},
-        })
+        event = new_begin()
+        event["name"] = name
+        event["id"] = seq
+        event["ts"] = first
+        event["args"] = args
+        append(event)
+        event = new_end()
+        event["name"] = name
+        event["id"] = seq
+        event["ts"] = max(first + 1, last)
+        event["args"] = {}
+        append(event)
 
     # -- thread tracks: one per functional unit seen, plus retire ------
     threads: List[Dict[str, object]] = [{
@@ -134,24 +154,24 @@ def _document(recorder: TraceRecorder,
 
     # -- counter tracks ------------------------------------------------
     # Sample rows are flat, so every field of the kept samples is one
-    # strided slice; the events are built column-wise and interleaved.
+    # strided slice.
+    new_occupancy = {
+        "name": "occupancy", "ph": "C", "pid": pid, "tid": 0, "ts": None,
+        "args": None,
+    }.copy
+    new_in_flight = {
+        "name": "in_flight", "ph": "C", "pid": pid, "tid": 0, "ts": None,
+        "args": None,
+    }.copy
     index = 0
     for keys, rows in recorder.sample_runs:
         width = SAMPLE_FIELDS + len(keys)
         start = -index % counter_every * width
         step = counter_every * width
         index += len(rows) // width
-        in_flight = [{
-            "name": "in_flight", "ph": "C", "pid": pid, "tid": 0,
-            "ts": cycle,
-            "args": {"instructions": inflight, "result_bus": bus},
-        } for cycle, bus, inflight in zip(rows[start::step],
-                                           rows[start + 1::step],
-                                           rows[start + 2::step])]
         if not keys:
-            events += in_flight
-            continue
-        if len(keys) == 1:
+            args = repeat(None)
+        elif len(keys) == 1:
             key, = keys
             args = [{key: value}
                     for value in rows[start + SAMPLE_FIELDS::step]]
@@ -159,14 +179,18 @@ def _document(recorder: TraceRecorder,
             args = [dict(zip(keys, sample)) for sample in zip(*[
                 rows[start + SAMPLE_FIELDS + column::step]
                 for column in range(len(keys))])]
-        occupancy = [{
-            "name": "occupancy", "ph": "C", "pid": pid, "tid": 0,
-            "ts": cycle, "args": sample,
-        } for cycle, sample in zip(rows[start::step], args)]
-        both = [None] * (2 * len(in_flight))
-        both[0::2] = occupancy
-        both[1::2] = in_flight
-        events += both
+        for cycle, bus, inflight, sample in zip(
+                rows[start::step], rows[start + 1::step],
+                rows[start + 2::step], args):
+            if keys:
+                event = new_occupancy()
+                event["ts"] = cycle
+                event["args"] = sample
+                append(event)
+            event = new_in_flight()
+            event["ts"] = cycle
+            event["args"] = {"instructions": inflight, "result_bus": bus}
+            append(event)
 
     # Cumulative attribution buckets as one stacked counter track.
     tape = recorder.bucket_tape
@@ -174,6 +198,10 @@ def _document(recorder: TraceRecorder,
         start_cycle = recorder.start_cycle
         names = recorder.bucket_names
         running: Dict[str, int] = {}
+        new_buckets = {
+            "name": "cycle_buckets", "ph": "C", "pid": pid, "tid": 0,
+            "ts": None, "args": None,
+        }.copy
         buckets = map(names.__getitem__, tape)
         if counter_every == 1:
             for cycle, bucket in enumerate(buckets, start_cycle):
@@ -181,10 +209,10 @@ def _document(recorder: TraceRecorder,
                     running[bucket] += 1
                 else:
                     running[bucket] = 1
-                append({
-                    "name": "cycle_buckets", "ph": "C", "pid": pid,
-                    "tid": 0, "ts": cycle, "args": dict(running),
-                })
+                event = new_buckets()
+                event["ts"] = cycle
+                event["args"] = running.copy()
+                append(event)
         else:
             final = len(tape) - 1
             for offset, bucket in enumerate(buckets):
@@ -193,11 +221,10 @@ def _document(recorder: TraceRecorder,
                 else:
                     running[bucket] = 1
                 if offset % counter_every == 0 or offset == final:
-                    append({
-                        "name": "cycle_buckets", "ph": "C", "pid": pid,
-                        "tid": 0, "ts": start_cycle + offset,
-                        "args": dict(running),
-                    })
+                    event = new_buckets()
+                    event["ts"] = start_cycle + offset
+                    event["args"] = running.copy()
+                    append(event)
 
     return {
         "traceEvents": events,
