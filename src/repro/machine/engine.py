@@ -242,10 +242,6 @@ class Engine(abc.ABC):
         Default: no structures."""
         return ()
 
-    def occupancy(self) -> Dict[str, int]:
-        """Entries held per instruction-holding structure, by name."""
-        return dict(zip(self.occupancy_keys, self.occupancy_counts()))
-
     def inflight(self) -> int:
         """Functional-unit results scheduled but not yet delivered."""
         return sum(len(payloads) for payloads in self._completions.values())

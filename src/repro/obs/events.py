@@ -43,10 +43,9 @@ container per instruction or per cycle:
 * occupancy samples as flat int rows -- cycle, result-bus
   reservations, in-flight instructions, then the occupancy values --
   with the occupancy keys kept once per run of samples that share
-  them.  An engine's keys are fixed (``Engine.occupancy_keys``), so a
-  sample appends the ints of ``occupancy_counts()`` and a run has one
-  key set; an object whose ``occupancy()`` is its own is sampled
-  through that dict, and a change of its keys starts a new run.
+  them.  A sample appends the ints of the engine's
+  ``occupancy_counts()``; its ``occupancy_keys`` are fixed per engine
+  class, so a run has one key set (a change of keys starts a new run).
 
 ``stage_maps()`` (seq -> {stage: first cycle}), ``inst_info`` (a
 static instruction's ``(pc, fu, text)``), ``cycle_buckets`` and
@@ -60,7 +59,6 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..isa.opcodes import FUClass
-from ..machine.engine import Engine
 from ..machine.timeline import STAGES
 
 #: Synthetic bucket names (everything else is a ``StallReason`` key).
@@ -135,10 +133,6 @@ class TraceRecorder:
         self._bucket_ids: Dict[str, int] = {}
         self._sample_keys: Optional[Tuple[str, ...]] = None
         self._sample_rows: List[int] = []
-        #: Sample ``Engine.occupancy_counts()`` (the engine derives
-        #: ``occupancy()`` from it) rather than ``occupancy()``; set by
-        #: the first ``on_cycle``.
-        self._counts_only = False
         #: id(inst) -> (inst, info); holding the instruction keeps its
         #: id from being reused.
         self._described: Dict[int, Tuple[object, InstInfo]] = {}
@@ -209,7 +203,6 @@ class TraceRecorder:
             bucket = UNACCOUNTED
         if self.start_cycle is None:
             self.start_cycle = engine.cycle
-            self._counts_only = type(engine).occupancy is Engine.occupancy
         if not self.detail:
             self._buckets[bucket] += 1
             self._cycles += 1
@@ -223,13 +216,7 @@ class TraceRecorder:
         cycle = engine.cycle
         if cycle % self.sample_every:
             return
-        if self._counts_only:
-            keys = engine.occupancy_keys
-            counts = engine.occupancy_counts()
-        else:
-            occupancy = engine.occupancy()
-            keys = tuple(occupancy)
-            counts = occupancy.values()
+        keys = engine.occupancy_keys
         if keys is not self._sample_keys and keys != self._sample_keys:
             self._sample_keys = keys
             self._sample_rows = []
@@ -237,7 +224,7 @@ class TraceRecorder:
         rows = self._sample_rows
         rows += (cycle, engine.result_bus.reservations(),
                  engine.next_seq - engine.retired)
-        rows += counts
+        rows += engine.occupancy_counts()
 
     def on_run_end(self, engine) -> None:
         """Snapshot the run's final architectural facts (called by

@@ -179,8 +179,12 @@ class TestRecorder:
                 def reservations():
                     return 2
 
-            def occupancy(self):
-                return dict(shapes[self.cycle])
+            @property
+            def occupancy_keys(self):
+                return tuple(shapes[self.cycle])
+
+            def occupancy_counts(self):
+                return tuple(shapes[self.cycle].values())
 
         recorder = TraceRecorder()
         stub = Stub()
