@@ -356,6 +356,16 @@ class TestChromeExport:
         ({"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "ts": 1,
                            "dur": True}]},
          "positive dur"),
+        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0, "ts": 1}]},
+         "C event needs args"),
+        ({"traceEvents": [{"ph": "b", "name": "x", "pid": 0, "ts": 1}]},
+         "async begin without id"),
+        ({"traceEvents": [
+            {"ph": "b", "name": "x", "pid": 0, "ts": 1, "id": 7},
+            {"ph": "b", "name": "x", "pid": 0, "ts": 2, "id": 7},
+            {"ph": "e", "name": "x", "pid": 0, "ts": 3, "id": 7},
+        ]},
+         "async id 7 reopened"),
         # JSON has no NaN or Infinity, though json.dumps writes them.
         ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0,
                            "ts": float("nan"), "args": {}}]},
@@ -369,16 +379,6 @@ class TestChromeExport:
         ({"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "ts": 1,
                            "dur": float("inf")}]},
          "positive dur"),
-        ({"traceEvents": [{"ph": "C", "name": "x", "pid": 0, "ts": 1}]},
-         "C event needs args"),
-        ({"traceEvents": [{"ph": "b", "name": "x", "pid": 0, "ts": 1}]},
-         "async begin without id"),
-        ({"traceEvents": [
-            {"ph": "b", "name": "x", "pid": 0, "ts": 1, "id": 7},
-            {"ph": "b", "name": "x", "pid": 0, "ts": 2, "id": 7},
-            {"ph": "e", "name": "x", "pid": 0, "ts": 3, "id": 7},
-        ]},
-         "async id 7 reopened"),
     ])
     def test_validator_rejects(self, document, fragment):
         problems = validate_chrome_trace(document)
