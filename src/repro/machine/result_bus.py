@@ -15,11 +15,15 @@ from typing import Dict, List, Optional, Set, Tuple
 class ResultBus:
     """Tracks which future cycles the result bus is already reserved for."""
 
-    __slots__ = ("_reserved", "conflicts")
+    __slots__ = ("_reserved", "conflicts", "_counted", "_past")
 
     def __init__(self) -> None:
         self._reserved: Set[int] = set()
         self.conflicts = 0
+        # For ``reservations(after)``: ``_past`` reserved cycles are at
+        # or before cycle ``_counted``.
+        self._counted = -1
+        self._past = 0
 
     def is_free(self, cycle: int) -> bool:
         """Can a result appear on the bus at ``cycle``?"""
@@ -36,10 +40,39 @@ class ResultBus:
     def release_past(self, now: int) -> None:
         """Garbage-collect reservations at or before ``now``."""
         self._reserved = {cycle for cycle in self._reserved if cycle > now}
+        self._counted = now
+        self._past = 0
 
-    def reservations(self) -> int:
-        """How many reservations are outstanding (unsorted count)."""
-        return len(self._reserved)
+    def reservations(self, after: int) -> int:
+        """How many reservations are outstanding: the reserved cycles
+        after cycle ``after``.
+
+        Past cycles stay in the set until :meth:`release_past`, so the
+        reserved cycles at or before ``after`` are counted and taken
+        off.  The count carries over between calls, which makes a call
+        for the cycle after the previous call's one membership test.
+        Carrying it over assumes what every engine does: a cycle is
+        reserved before it passes (results complete in a later cycle
+        than their dispatch).
+        """
+        reserved = self._reserved
+        if after == self._counted + 1:
+            self._counted = after
+            if after in reserved:
+                self._past += 1
+            return len(reserved) - self._past
+        counted = self._counted
+        if after < counted or after - counted > len(reserved):
+            past = sum(1 for cycle in reserved if cycle <= after)
+        else:
+            past = self._past
+            while counted < after:
+                counted += 1
+                if counted in reserved:
+                    past += 1
+        self._counted = after
+        self._past = past
+        return len(reserved) - past
 
     def reserved_cycles(self) -> List[int]:
         """All outstanding reservations, sorted (for debugging/tests)."""

@@ -41,7 +41,8 @@ container per instruction or per cycle:
   maps them back); a detail recorder's ``buckets`` and
   ``cycles_seen`` are counted from it;
 * occupancy samples as flat int rows -- cycle, result-bus
-  reservations, in-flight instructions, then the occupancy values --
+  reservations outstanding after it, in-flight instructions, then the
+  occupancy values --
   with the occupancy keys kept once per run of samples that share
   them.  A sample appends the ints of the engine's
   ``occupancy_counts()``; its ``occupancy_keys`` are fixed per engine
@@ -72,7 +73,8 @@ UNACCOUNTED = "unaccounted"
 InstInfo = Tuple[int, Optional[str], str]
 
 #: (occupancy keys, flat sample rows of ``SAMPLE_FIELDS + len(keys)``
-#: ints: cycle, result-bus reservations, in-flight, occupancy values).
+#: ints: cycle, result-bus reservations after that cycle, in-flight,
+#: occupancy values).
 SampleRun = Tuple[Tuple[str, ...], List[int]]
 
 #: Leading fields of every sample row (cycle, bus, in-flight).
@@ -222,7 +224,7 @@ class TraceRecorder:
             self._sample_rows = []
             self.sample_runs.append((keys, self._sample_rows))
         rows = self._sample_rows
-        rows += (cycle, engine.result_bus.reservations(),
+        rows += (cycle, engine.result_bus.reservations(cycle),
                  engine.next_seq - engine.retired)
         rows += engine.occupancy_counts()
 

@@ -124,6 +124,18 @@ class TestResultBus:
         bus.reserve(3)
         assert bus.is_free(4)
 
+    def test_reservations_after_a_cycle(self):
+        bus = ResultBus()
+        for cycle in (5, 15, 16):
+            bus.reserve(cycle)
+        assert [bus.reservations(after) for after in (3, 5, 14, 15)] \
+            == [3, 2, 2, 1]
+        assert bus.reservations(4) == 3  # going back recounts
+        bus.release_past(10)
+        assert bus.reserved_cycles() == [15, 16]
+        assert [bus.reservations(after) for after in (12, 15, 16, 99)] \
+            == [2, 1, 0, 0]
+
 
 class TestBroadcastBus:
     def test_single_payload_per_cycle(self):

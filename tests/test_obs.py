@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis import ENGINE_FACTORIES
 from repro.core import RUUEngine, SpeculativeRUUEngine, StaticBTFNPredictor
-from repro.machine import MachineConfig
+from repro.machine import MachineConfig, ResultBus
 from repro.machine.timeline import STAGES, Timeline
 from repro.obs import (
     AttributionError,
@@ -32,7 +32,7 @@ from repro.obs import (
 )
 from repro.obs.events import COMMITTED, DRAIN, UNACCOUNTED
 from repro.trace import FunctionalExecutor
-from repro.workloads import branch_heavy, fault_probe
+from repro.workloads import branch_heavy, dependency_chain, fault_probe
 
 
 def recorded_run(workload, config, engine_name="ruu-bypass",
@@ -155,6 +155,35 @@ class TestRecorder:
             assert any(sum(occupancy.values())
                        for _, occupancy, _, _ in recorder.samples)
 
+    def test_bus_samples_count_outstanding_reservations(self):
+        """A sample's result-bus value is the reservations for cycles
+        after it, also once ``Engine.run`` has pruned past ones at a
+        4096-cycle boundary."""
+        workload = dependency_chain(1500)
+        engine = ENGINE_FACTORIES["ruu-bypass"](
+            workload.program, MachineConfig(window_size=12),
+            workload.make_memory())
+        made = []  # (cycle reserved at, cycle reserved)
+
+        class SpyBus(ResultBus):
+            __slots__ = ()
+
+            def reserve(self, cycle):
+                taken = super().reserve(cycle)
+                if taken:
+                    made.append((engine.cycle, cycle))
+                return taken
+
+        engine.result_bus = SpyBus()
+        engine.recorder = recorder = TraceRecorder(sample_every=3)
+        result = engine.run()
+        assert result.cycles > 2 * 4096
+        samples = recorder.samples
+        assert len(samples) == (result.cycles + 2) // 3
+        for cycle, _, bus, _ in samples:
+            assert bus == sum(1 for at, reserved in made
+                              if at <= cycle < reserved), cycle
+
     def test_describe_mentions_buckets(self, livermore_loops, config):
         _, recorder, _ = recorded_run(livermore_loops[0], config)
         text = recorder.describe()
@@ -176,7 +205,7 @@ class TestRecorder:
 
             class result_bus:
                 @staticmethod
-                def reservations():
+                def reservations(after):
                     return 2
 
             @property

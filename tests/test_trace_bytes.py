@@ -3,9 +3,12 @@
 The detail ``TraceRecorder`` and the Chrome exporter may change how
 they store and stream a run, never what they emit.  Each case below
 hashes the compact JSON of ``chrome_trace(recorder)`` and of
-``Timeline.of(recorder).to_json()``; the goldens were computed before
-the recorder moved to flat storage, so any change to event order, key
-order, values or stage maps fails here.
+``Timeline.of(recorder).to_json()``; the timeline goldens were computed
+before the recorder moved to flat storage, and the Chrome goldens when
+the ``in_flight`` counter's ``result_bus`` became the reservations
+outstanding after each sampled cycle (it had counted every reservation
+kept since the last prune), so any change to event order, key order,
+values or stage maps fails here.
 """
 
 import functools
@@ -26,75 +29,75 @@ CONFIG = MachineConfig(window_size=8)
 #: case -> (sha256 of the Chrome JSON, sha256 of the timeline JSON).
 GOLDEN = {
     "lll1-dispatch-stack": (
-        "ea2021d074f1675e90ea51cdbb4fcdd42b9c086f818d4cbb488f99da46193870",
+        "a4234e9bcd2ce6ab8cae5e2a6ff92ffc7c4d89318bf65d67f0ded41a6e23b1a6",
         "a987e498a10c02099a71110a12e7451117bb460aa2a08cc68788c746fd91bb7c",
     ),
     "lll1-future-file": (
-        "bb6312d85a19f102f98a04135d6bda01ee1aeaff1be30051185d3d082dff2d16",
+        "e6c52e0de936d5f3cecb7bd81d27137cc3f25e558284d319cc4609b0c7f63630",
         "e12d3ecabae088cc3990d1499abc8e367603baf6a9265cea621d4589ab303d23",
     ),
     "lll1-history-buffer": (
-        "b0b7c1ca55cd974fbd1cb317578847b5e01cb1d1e57ed8d41087561606957a39",
+        "bf77f8ca28c1e9755bbf3bfa1846287e7102135a3dc256f183125f11bbdbfca3",
         "e12d3ecabae088cc3990d1499abc8e367603baf6a9265cea621d4589ab303d23",
     ),
     "lll1-reorder-buffer": (
-        "af3122b61fd4ca733ec0f4674934a8f8c27b87570073a53e9ff602d80cce2dfa",
+        "f2efcb5907dd528eb76dd2241d1060c22c8686cc723260a4d4be16b11c7342f8",
         "8f70b7689b51ad5aabe75b79650e71378c248856a67125fcefe703152ac227d3",
     ),
     "lll1-rob-bypass": (
-        "342077eb54bb4ac129d5cba894c6a10f50bed6291586e14e372bfb0315c6d9fa",
+        "5542c84ee25929a92119712b9222c02baa051fae8a7f9ac0b350e4fae3792765",
         "d156252ba9367635cdc1041ff0fa455b31d54f9ca8ac486085f1cd16461f335b",
     ),
     "lll1-rspool": (
-        "721bedd239032b86099f3c7e0e814c0f4c6be3035f729de821b5aea0934e0c79",
+        "61390a4b330b03de01a8bda37168b30c2992d350bc6b3fa77c1d2b58ec72069b",
         "bb3a068a90c877bb83550ddda52b2a76919198791a4bb3307bbb7c5a37575318",
     ),
     "lll1-rstu": (
-        "ad22d39ea761e4a9912611364165d8222fa55b1af71f369e7f3449e50dd7880b",
+        "832c5b80e2e9242d27f55f473d29274cd7201e2ba5e41f57213084768048c40a",
         "5e2295740cb9da1f4be10f30608b08a9c4fb4ff5c1922ba1200738e7ce715556",
     ),
     "lll1-ruu-bypass": (
-        "0c09547957d6f9d7360da860c3f2e52d310bdd0e7415fef155498def8fda3620",
+        "ec7cb0c26e171aa094c7032797394aad5598bc439d900e68d4f205e5e1d0dd7b",
         "749b851591edc7edf62cce5b941cd67640a16dc3203d093646eb247ffe3b61bd",
     ),
     "lll1-ruu-limited": (
-        "39a3b976990ec97fc657b9ca5876f18b35c19c07b43f9b0c1e06caf81e265551",
+        "7005b6ba7a883d1df0dff890c0a3b47d4b865d9bf672a72ab65201c1679a6e91",
         "6aa7aca002883e908a24ad7074e1a5381b571cc59d3e1caf3fac1e9bf8cae2c6",
     ),
     "lll1-ruu-nobypass": (
-        "7b5c48a99f1ffc8e513c02ef5b7b6f7aeca210dea55c90affafaa5a7100587ec",
+        "6aa81c250e22d38e1cb59ed5a43b31658e174a54aa08b84b5410f04da4161b84",
         "6aa7aca002883e908a24ad7074e1a5381b571cc59d3e1caf3fac1e9bf8cae2c6",
     ),
     "lll1-simple": (
-        "87b818f2072632378cf0375dfc3e3852b71db4b411dcca659d9020b95930cbc0",
+        "9e9de8a2eb45f75066a8d4a0d36f17e4c692015def9eeb8b7b5dd392a657e9f0",
         "4cb009793b8f643cb2b12be0a5faa2c78d046345a6bf2166e77036467fc7d432",
     ),
     "lll1-spec-ruu": (
-        "115759d8357ec63793ef2decede33c6247917bf27162a266db547ff84bb0153f",
+        "58ee50c7885536f1de7eda7417ee3b37f69f96dc1060c94f741f662deea864b0",
         "749b851591edc7edf62cce5b941cd67640a16dc3203d093646eb247ffe3b61bd",
     ),
     "lll1-tagunit": (
-        "19a54e2d247b4a7561392a6348f428715753cdcf66b2402de311a419485fda64",
+        "372443c2c918e4a7fa6cf7b19313ba1bcbd1ae0b754408ab08beefa8a2c3713b",
         "909728dca6fc923c883bbb0ceadc955a63181a0f659e85725cec477996bd1c2a",
     ),
     "lll1-tomasulo": (
-        "511bd80784edaa20d6223e03f3145c2d20889c7ebad8fdd86ccdcee1d3f67a5b",
+        "af5c7afdaa7158c1bb6a50d13873590dc5c97a2c4f654881e0b1f78301836116",
         "909728dca6fc923c883bbb0ceadc955a63181a0f659e85725cec477996bd1c2a",
     ),
     "spec-ruu-branchy": (
-        "e097b42cb06461e1d5c8fa9e545925ccb18747c8291cc47d3d820e2c9502a87b",
+        "a1c07541252ba2e041025d04e55e84b356e1b93aefcea4a873ba0d7a65928ea5",
         "ab8db1e01a181d6e03ac9427b8e165c03aab0a83f637848c4c4c6b4b1000bb66",
     ),
     "faulted": (
-        "cc7ed6619f6d04fe2d82c17b9232310c2ab5000a1c9c143facece8b11465faf6",
+        "a19a9136bc002cd71d815269d67d8d4008a1393c9a8d0a996e783f39d6b21aa5",
         "e6d81c5f55fa84e6f5532d0eaa3714c7a9fc33eea27ea8677ff275e71decf558",
     ),
     "counter-every-32": (
-        "0b6d0f4aa4deec232174d503ca31748d6335538de6fd219c5e30a8a6ec75a96a",
+        "f6799f4fbe287a2b91730cce2ce0118eaff930ed7d3bf4f4b2fb9392a3285d3d",
         "daabf44352db821168317dc63f431795b423dd9f70f936ceca39996907b30eb0",
     ),
     "sample-every-4": (
-        "1f1f73033d0705fd49a39ae6c854d9f01c5ea86551a49f7e5cc6620e67f1cdfc",
+        "392f484be6efd18c2ee49b4dd1cd2144c8ec7f57404f15f5c498fca9c5fd5460",
         "5d2e990409348f07d3085516128be5a40000501fbcf647fe79865f2c9154f90a",
     ),
 }
