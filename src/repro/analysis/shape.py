@@ -14,7 +14,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 
 def monotonic_fraction(curve: Dict[int, float], tolerance: float = 0.01) -> float:

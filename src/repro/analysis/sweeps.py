@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.prediction import BranchPredictor, TwoBitPredictor
+from ..core.prediction import TwoBitPredictor
 from ..core.ruu import BypassMode, RUUEngine
 from ..core.speculative import SpeculativeRUUEngine
 from ..interrupts.inorder import (

@@ -7,7 +7,7 @@ optionally side by side with the paper's published column.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..machine.stats import SimResult
 from .sweeps import Sweep

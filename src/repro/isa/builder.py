@@ -7,7 +7,7 @@ construct programs through this builder; the text assembler
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from .instruction import Instruction
 from .opcodes import Opcode

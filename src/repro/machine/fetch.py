@@ -19,7 +19,7 @@ paper's always-hit model -- the ablation benchmark quantifies this.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..isa.encoding import parcel_count
 from ..isa.program import Program

@@ -33,8 +33,8 @@ The unit is engine-agnostic.  Engines drive it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..machine.faults import SimulationError
 

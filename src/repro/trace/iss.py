@@ -16,11 +16,10 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import OpKind, Opcode
+from ..isa.opcodes import OpKind
 from ..isa.program import Program
 from ..isa.registers import RegisterFile
 from ..isa.semantics import branch_taken, coerce_for_bank, effective_address
-from ..machine.faults import FAULT_TYPES
 from ..machine.memory import Memory
 from .trace import Trace, TraceEntry
 

@@ -16,7 +16,7 @@ static instruction kinds).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from ..isa.program import Program
 from .trace import Trace, TraceEntry

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import FUClass
 
 
 @dataclass(frozen=True)

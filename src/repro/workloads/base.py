@@ -1,20 +1,20 @@
 """Workload infrastructure.
 
 A :class:`Workload` bundles a program of the model ISA with its input
-data and an independently computed expected result (NumPy), playing the
-role of the paper's CFT-compiled benchmark binaries.  Engines receive a
-fresh copy of the initial memory per run; validation compares the final
-memory against the NumPy reference -- this checks that the hand-written
-assembly implements the kernel's mathematics, independently of the
-engine-vs-ISS equivalence checks.
+data and an independently computed expected result (a pure-Python
+reference), playing the role of the paper's CFT-compiled benchmark
+binaries.  Engines receive a fresh copy of the initial memory per run;
+validation compares the final memory against the reference -- this
+checks that the hand-written assembly implements the kernel's
+mathematics, independently of the engine-vs-ISS equivalence checks.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from ..isa.program import Program
 from ..machine.memory import Memory
@@ -28,7 +28,7 @@ class Workload:
     program: Program
     initial_memory: Memory
     #: label -> (base address, expected contents) for validation.
-    expected_outputs: Dict[str, Tuple[int, np.ndarray]] = field(
+    expected_outputs: Dict[str, Tuple[int, Sequence[float]]] = field(
         default_factory=dict
     )
     description: str = ""
@@ -38,27 +38,36 @@ class Workload:
         return self.initial_memory.copy()
 
     def validate(self, memory: Memory, rtol: float = 1e-9) -> List[str]:
-        """Compare ``memory`` against the NumPy reference.
+        """Compare ``memory`` against the reference.
 
-        Returns a list of mismatch descriptions (empty means correct).
+        A word matches by :func:`_close`.  Returns a list of mismatch
+        descriptions (empty means correct).
         """
         failures: List[str] = []
         for label, (base, expected) in self.expected_outputs.items():
-            actual = np.array(
-                [float(value) for value in
-                 memory.read_array(base, len(expected))]
-            )
-            if not np.allclose(actual, expected, rtol=rtol, atol=1e-12):
-                bad = np.flatnonzero(
-                    ~np.isclose(actual, expected, rtol=rtol, atol=1e-12)
-                )
-                first = bad[0] if len(bad) else 0
+            actual = memory.read_array(base, len(expected))
+            bad = [
+                offset
+                for offset, (got, want) in enumerate(zip(actual, expected))
+                if not _close(float(got), want, rtol)
+            ]
+            if bad:
+                first = bad[0]
                 failures.append(
                     f"{self.name}/{label}: {len(bad)} of {len(expected)} "
                     f"words differ; first at +{first}: "
-                    f"got {actual[first]!r}, want {expected[first]!r}"
+                    f"got {float(actual[first])!r}, "
+                    f"want {float(expected[first])!r}"
                 )
         return failures
+
+
+def _close(got: float, want: float, rtol: float) -> bool:
+    """``numpy.isclose(got, want, rtol, atol=1e-12)``: within
+    ``1e-12 + rtol * |want|``, or equal infinities; NaN never matches."""
+    if got == want:
+        return True
+    return abs(got - want) <= 1e-12 + rtol * abs(want) < math.inf
 
 
 def memory_from_arrays(arrays: Dict[int, Sequence]) -> Memory:
@@ -70,9 +79,11 @@ def memory_from_arrays(arrays: Dict[int, Sequence]) -> Memory:
 
 
 def _to_word(value):
-    """Convert a NumPy scalar to a plain Python int/float memory word."""
-    if isinstance(value, (np.floating,)):
+    """A plain Python int/float memory word, from any int- or float-like
+    scalar (NumPy's included)."""
+    if type(value) is float or type(value) is int:
+        return value
+    try:
+        return operator.index(value)
+    except TypeError:
         return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value

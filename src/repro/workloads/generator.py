@@ -23,13 +23,12 @@ bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
-
-import numpy as np
 
 from ..isa.assembler import assemble
 from .base import Workload, memory_from_arrays
+from .rng import Generator
 
 #: registers reserved by the loop scaffolding
 _COUNTER = "A7"     # loop counter
@@ -74,7 +73,7 @@ class GeneratorSpec:
 def generate_workload(spec: GeneratorSpec) -> Workload:
     """Build the workload described by ``spec``."""
     rng = random.Random(spec.seed * 7919 + 13)
-    data_rng = np.random.default_rng(spec.seed + 4242)
+    data_rng = Generator(spec.seed + 4242)
     data = data_rng.uniform(0.01, 0.1, spec.working_set)
 
     stream_regs = [f"S{i + 1}" for i in range(spec.streams)]

@@ -24,18 +24,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-import numpy as np
-
 from ..isa.assembler import assemble
 from .base import Workload, memory_from_arrays
+from .rng import Generator
 
 
-def _rng(loop: int) -> np.random.Generator:
+def _rng(loop: int) -> Generator:
     """Deterministic per-loop data generator."""
-    return np.random.default_rng(1987 + loop)
+    return Generator(1987 + loop)
 
 
-def _values(rng: np.random.Generator, count: int, low=0.1, high=1.0):
+def _values(rng: Generator, count: int, low=0.1, high=1.0):
     """Random float64 data bounded away from zero and overflow."""
     return rng.uniform(low, high, count)
 
@@ -87,7 +86,7 @@ def lll1(n: int = 120) -> Workload:
         HALT
     """
 
-    expected = np.empty(n)
+    expected = [0.0] * n
     for k in range(n):
         expected[k] = q + y[k] * (r * z[k + 10] + t * z[k + 11])
 
@@ -172,7 +171,7 @@ def lll2(n: int = 64) -> Workload:
         name="LLL2",
         program=assemble(source, "LLL2"),
         initial_memory=memory_from_arrays({XB: x0, VB: v}),
-        expected_outputs={"x": (XB, np.array(x))},
+        expected_outputs={"x": (XB, x)},
         description="ICCG excerpt",
     )
 
@@ -215,7 +214,7 @@ def lll3(n: int = 200) -> Workload:
         name="LLL3",
         program=assemble(source, "LLL3"),
         initial_memory=memory_from_arrays({ZB: z, XB: x}),
-        expected_outputs={"q": (RES, np.array([q]))},
+        expected_outputs={"q": (RES, [q])},
         description="inner product",
     )
 
@@ -285,7 +284,7 @@ def lll4(n: int = 100, xsize: int = 201) -> Workload:
         name="LLL4",
         program=assemble(source, "LLL4"),
         initial_memory=memory_from_arrays({XB: x0, YB: y}),
-        expected_outputs={"x": (XB, np.array(x))},
+        expected_outputs={"x": (XB, x)},
         description="banded linear equations",
     )
 
@@ -322,7 +321,7 @@ def lll5(n: int = 150) -> Workload:
         HALT
     """
 
-    expected = np.empty(n)
+    expected = [0.0] * n
     carry = x0
     for i in range(n):
         carry = z[i + 1] * (y[i + 1] - carry)
@@ -387,7 +386,7 @@ def lll6(n: int = 24) -> Workload:
         name="LLL6",
         program=assemble(source, "LLL6"),
         initial_memory=memory_from_arrays({WB: w0, BB: b}),
-        expected_outputs={"w": (WB, np.array(w))},
+        expected_outputs={"w": (WB, w)},
         description="general linear recurrence",
     )
 
@@ -456,7 +455,7 @@ def lll7(n: int = 100) -> Workload:
         HALT
     """
 
-    expected = np.empty(n)
+    expected = [0.0] * n
     for k in range(n):
         expected[k] = u[k] + r * (z[k] + r * y[k]) + t * (
             (u[k + 3] + r * (u[k + 2] + r * u[k + 1]))
@@ -577,7 +576,7 @@ def lll8(n: int = 16) -> Workload:
     """
 
     def mirror(u_own, du_sources, coeffs):
-        out = np.zeros(4 * stride)
+        out = [0.0] * (4 * stride)
         u1l, u2l, u3l = du_sources
         c1, c2, c3 = coeffs
         for kx in (1, 2):
@@ -667,7 +666,7 @@ def lll9(n: int = 40) -> Workload:
         HALT
     """
 
-    out = px.copy()
+    out = list(px)
     for i in range(n):
         row = i * cols
         acc = consts["dm28"] * px[row + 12]
@@ -729,7 +728,7 @@ def lll10(n: int = 40) -> Workload:
         HALT
     """
 
-    out = px.copy()
+    out = list(px)
     for i in range(n):
         row = i * cols
         carry = cx[row + 4]
@@ -774,7 +773,7 @@ def lll11(n: int = 200) -> Workload:
         HALT
     """
 
-    expected = np.empty(n)
+    expected = [0.0] * n
     carry = 0.0
     for k in range(n):
         carry = carry + y[k]
@@ -815,7 +814,7 @@ def lll12(n: int = 200) -> Workload:
         HALT
     """
 
-    expected = np.array([y[k + 1] - y[k] for k in range(n)])
+    expected = [y[k + 1] - y[k] for k in range(n)]
 
     return Workload(
         name="LLL12",
@@ -836,16 +835,13 @@ def lll13(n_particles: int = 48, grid: int = 8) -> Workload:
     fields = 4   # i1, j1, val1, val2 per particle
     mask = grid - 1
     rng = _rng(13)
-    p = np.zeros(n_particles * fields)
-    p[0::fields] = rng.integers(0, grid, n_particles)       # i1
-    p[1::fields] = rng.integers(0, grid, n_particles)       # j1
-    p[2::fields] = _values(rng, n_particles)
-    p[3::fields] = _values(rng, n_particles)
+    p_words = [0] * (n_particles * fields)
+    p_words[0::fields] = rng.integers(0, grid, n_particles)       # i1
+    p_words[1::fields] = rng.integers(0, grid, n_particles)       # j1
+    p_words[2::fields] = _values(rng, n_particles)
+    p_words[3::fields] = _values(rng, n_particles)
     b = _values(rng, grid * grid)
     c = _values(rng, grid * grid)
-    p_words = [
-        int(v) if idx % fields < 2 else float(v) for idx, v in enumerate(p)
-    ]
 
     source = f"""
         S_IMM S6, {mask}      ; wrap mask, via the logical unit
@@ -905,8 +901,8 @@ def lll13(n_particles: int = 48, grid: int = 8) -> Workload:
         program=assemble(source, "LLL13"),
         initial_memory=memory_from_arrays({PB: p_words, BB: b, CB: c}),
         expected_outputs={
-            "p": (PB, np.array([float(v) for v in p_out])),
-            "h": (HB, np.array(h)),
+            "p": (PB, [float(v) for v in p_out]),
+            "h": (HB, h),
         },
         description="2-D particle in cell",
     )
@@ -962,7 +958,7 @@ def lll14(n: int = 100, cells: int = 32) -> Workload:
         HALT
     """
 
-    ir_out = [int(v) for v in ir]
+    ir_out = list(ir)
     vx_out = list(vx)
     xx_out = list(xx)
     rh = [0.0] * cells
@@ -977,13 +973,13 @@ def lll14(n: int = 100, cells: int = 32) -> Workload:
         name="LLL14",
         program=assemble(source, "LLL14"),
         initial_memory=memory_from_arrays(
-            {IR: [int(v) for v in ir], VX: vx, XX: xx, EX: ex}
+            {IR: ir, VX: vx, XX: xx, EX: ex}
         ),
         expected_outputs={
-            "vx": (VX, np.array(vx_out)),
-            "xx": (XX, np.array(xx_out)),
-            "rh": (RH, np.array(rh)),
-            "ir": (IR, np.array([float(v) for v in ir_out])),
+            "vx": (VX, vx_out),
+            "xx": (XX, xx_out),
+            "rh": (RH, rh),
+            "ir": (IR, [float(v) for v in ir_out]),
         },
         description="1-D particle in cell",
     )

@@ -17,18 +17,15 @@ Each kernel isolates one behaviour the Livermore loops mix together:
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
-
 from ..isa.assembler import assemble
 from .base import Workload, memory_from_arrays
+from .rng import Generator
 
 
 def dependency_chain(length: int = 200) -> Workload:
     """``s = (s + y[k]) * z`` -- every operation depends on the last."""
     YB, RES = 1000, 9000
-    rng = np.random.default_rng(100)
+    rng = Generator(100)
     y = rng.uniform(0.01, 0.1, length)
     z = 0.75
 
@@ -56,7 +53,7 @@ def dependency_chain(length: int = 200) -> Workload:
         name="chain",
         program=assemble(source, "chain"),
         initial_memory=memory_from_arrays({YB: y}),
-        expected_outputs={"s": (RES, np.array([acc]))},
+        expected_outputs={"s": (RES, [acc])},
         description="serial dependency chain",
     )
 
@@ -64,7 +61,7 @@ def dependency_chain(length: int = 200) -> Workload:
 def independent_streams(length: int = 100) -> Workload:
     """Four independent accumulations -- near-perfect ILP."""
     B0, B1, B2, B3, RES = 1000, 2000, 3000, 4000, 9000
-    rng = np.random.default_rng(101)
+    rng = Generator(101)
     data = [rng.uniform(0.01, 0.1, length) for _ in range(4)]
 
     source = f"""
@@ -112,7 +109,7 @@ def independent_streams(length: int = 100) -> Workload:
         initial_memory=memory_from_arrays(
             {B0: data[0], B1: data[1], B2: data[2], B3: data[3]}
         ),
-        expected_outputs={"sums": (RES, np.array(sums))},
+        expected_outputs={"sums": (RES, sums)},
         description="independent parallel streams",
     )
 
@@ -155,7 +152,7 @@ def memory_alias_kernel(iterations: int = 60) -> Workload:
         name="alias",
         program=assemble(source, "alias"),
         initial_memory=memory_from_arrays({BUF: [0.0] * size}),
-        expected_outputs={"buf": (BUF, np.array(buf))},
+        expected_outputs={"buf": (BUF, buf)},
         description="same-address load/store traffic",
     )
 
@@ -164,7 +161,7 @@ def branch_heavy(length: int = 120, seed: int = 7) -> Workload:
     """Per-element data-dependent branching: add the element when it is
     'positive-coded' (1), subtract when 0 -- directions look random."""
     FLAGS, VALS, RES = 1000, 2000, 9000
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     flags = rng.integers(0, 2, length)
     vals = rng.uniform(0.1, 1.0, length)
 
@@ -199,9 +196,9 @@ def branch_heavy(length: int = 120, seed: int = 7) -> Workload:
         name="branchy",
         program=assemble(source, "branchy"),
         initial_memory=memory_from_arrays(
-            {FLAGS: [int(f) for f in flags], VALS: vals}
+            {FLAGS: flags, VALS: vals}
         ),
-        expected_outputs={"acc": (RES, np.array([acc]))},
+        expected_outputs={"acc": (RES, [acc])},
         description="data-dependent branches",
     )
 
@@ -210,7 +207,7 @@ def register_pressure(iterations: int = 40) -> Workload:
     """Cycle values through many B/T registers each iteration, creating
     a large population of simultaneously live destinations."""
     SRC, RES = 1000, 9000
-    rng = np.random.default_rng(103)
+    rng = Generator(103)
     data = rng.uniform(0.1, 0.5, iterations)
 
     moves = []
@@ -249,7 +246,7 @@ def register_pressure(iterations: int = 40) -> Workload:
         name="pressure",
         program=assemble(source, "pressure"),
         initial_memory=memory_from_arrays({SRC: data}),
-        expected_outputs={"acc": (RES, np.array([acc]))},
+        expected_outputs={"acc": (RES, [acc])},
         description="B/T register pressure",
     )
 
@@ -261,7 +258,7 @@ def fault_probe(n: int = 20, fault_index: int = 13) -> Workload:
     The faulting address is ``1000 + fault_index``.
     """
     SRC, DST = 1000, 2000
-    rng = np.random.default_rng(104)
+    rng = Generator(104)
     data = rng.uniform(0.5, 1.5, n)
 
     source = f"""
@@ -279,7 +276,7 @@ def fault_probe(n: int = 20, fault_index: int = 13) -> Workload:
         BR_NONZERO A0, loop
         HALT
     """
-    expected = np.array([v * 2.0 for v in data])
+    expected = [v * 2.0 for v in data]
 
     wl = Workload(
         name="faultprobe",

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.analysis import ENGINE_FACTORIES
-from repro.machine import CRAY1_LIKE, MachineConfig
+from repro.machine import MachineConfig
 from repro.trace import reference_state
 from repro.workloads import all_loops
 from repro.workloads.synthetic import (

@@ -1,14 +1,12 @@
 """Tests for the dispatch-stack engine (OoO issue without renaming)."""
 
-import pytest
-
 from repro.issue import (
     DispatchStackEngine,
     RSTUEngine,
     SimpleEngine,
     TomasuloEngine,
 )
-from repro.isa import A, S, assemble
+from repro.isa import S, assemble
 from repro.machine import MachineConfig, Memory
 from repro.machine.invariants import run_checked
 from repro.machine.timeline import STAGES

@@ -4,7 +4,7 @@ backup-file memory traffic, occupancy accounting, TU slot hygiene."""
 import pytest
 
 from repro.core import BypassMode, RUUEngine
-from repro.isa import A, B, S, T, assemble
+from repro.isa import A, S, assemble
 from repro.issue import RSTUEngine, TagUnitEngine, TomasuloEngine
 from repro.machine import MachineConfig, Memory
 from repro.machine.result_bus import ResultBus

@@ -1,8 +1,6 @@
 """Behavioural tests for the RUU engine: queue discipline, NI/LI
 counters, bypass modes, in-order commit."""
 
-import pytest
-
 from repro.core import BypassMode, RUUEngine
 from repro.isa import A, S, assemble
 from repro.machine import MachineConfig, Memory, StallReason

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import FUClass, assemble
+from repro.isa import assemble
 from repro.issue import SimpleEngine
 from repro.machine import MachineConfig, Memory, StallReason
 

@@ -11,7 +11,7 @@ from repro.issue import (
     TagUnitEngine,
     TomasuloEngine,
 )
-from repro.machine import MachineConfig, Memory, StallReason
+from repro.machine import MachineConfig, StallReason
 from repro.trace import reference_state
 
 WINDOW_ENGINES = [TomasuloEngine, TagUnitEngine, RSPoolEngine, RSTUEngine]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.isa import A, B, Instruction, Opcode, S, T, assemble
+from repro.isa import A, Instruction, Opcode, S, assemble
 from repro.isa.encoding import (
     EncodingError,
     decode_program,
@@ -13,7 +13,7 @@ from repro.isa.encoding import (
 )
 from repro.workloads import all_loops
 
-from tests.strategies import initial_data, program_text
+from tests.strategies import program_text
 
 
 def roundtrip(program):

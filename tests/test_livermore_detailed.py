@@ -5,7 +5,7 @@ the benchmark suite (serial vs parallel, B/T usage, aliasing, ...)."""
 import pytest
 
 from repro.analysis import ENGINE_FACTORIES, dataflow_limit
-from repro.isa import FUClass, Opcode, RegBank
+from repro.isa import Opcode, RegBank
 from repro.machine import MachineConfig
 from repro.trace import FunctionalExecutor
 from repro.workloads import LIVERMORE_FACTORIES

@@ -11,7 +11,7 @@ from repro.core import (
     StaticBTFNPredictor,
     TwoBitPredictor,
 )
-from repro.isa import A, S, assemble
+from repro.isa import A, assemble
 from repro.machine import MachineConfig
 from repro.trace import reference_state
 from repro.workloads import branch_heavy, lll3, lll5

@@ -1,7 +1,5 @@
 """Tests for SimResult arithmetic, sweeps, tables and shape metrics."""
 
-import math
-
 import pytest
 
 from repro.analysis import (

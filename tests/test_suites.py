@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import run_suite
-from repro.machine import MachineConfig, speedup
+from repro.machine import MachineConfig
 from repro.trace import FunctionalExecutor
 from repro.workloads.suites import SIZE_PRESETS, SUITES, livermore_suite
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BypassMode, RUUEngine
+from repro.core import RUUEngine
 from repro.interrupts import ReorderBufferEngine
 from repro.isa import assemble
 from repro.issue import RSTUEngine, SimpleEngine

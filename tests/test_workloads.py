@@ -6,7 +6,7 @@ import pytest
 from repro.isa import FUClass
 from repro.trace import FunctionalExecutor
 from repro.workloads import LIVERMORE_FACTORIES, all_loops
-from repro.workloads.livermore import lll2, lll4
+from repro.workloads.livermore import lll2
 from repro.workloads.synthetic import ALL_SYNTHETIC
 
 
