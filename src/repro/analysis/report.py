@@ -107,7 +107,7 @@ def build_report(
         + "\n"
     )
 
-    # -- stall breakdown -------------------------------------------------------
+    # -- stall breakdown ------------------------------------------------------
     if spec.include_stalls:
         sections.append("## Stall breakdown (cycles lost per cause)\n")
         causes = sorted({
@@ -123,7 +123,7 @@ def build_report(
             )
         sections.append(_md_table(headers, rows) + "\n")
 
-    # -- sweeps ------------------------------------------------------------------
+    # -- sweeps ---------------------------------------------------------------
     for engine in spec.sweep_engines:
         sections.append(f"## Window sweep: {engine}\n")
         sweep = sweep_sizes(

@@ -17,7 +17,8 @@ import math
 from typing import Dict, Sequence
 
 
-def monotonic_fraction(curve: Dict[int, float], tolerance: float = 0.01) -> float:
+def monotonic_fraction(curve: Dict[int, float],
+                       tolerance: float = 0.01) -> float:
     """Fraction of consecutive steps that do not decrease (within tol)."""
     sizes = sorted(curve)
     if len(sizes) < 2:

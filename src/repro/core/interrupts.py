@@ -57,7 +57,8 @@ class PrecisionReport:
             detail += f" register deviations: {self.register_diff}"
         if self.memory_diff:
             detail += f" memory deviations: {self.memory_diff}"
-        return f"{self.engine}: {self.interrupt.describe()} -> {verdict}{detail}"
+        return (f"{self.engine}: {self.interrupt.describe()} -> "
+                f"{verdict}{detail}")
 
 
 def run_with_page_fault(
@@ -216,7 +217,8 @@ def demonstrate_restartability(
     fault_address: int,
 ) -> bool:
     """End-to-end check: fault + resume reaches the fault-free state."""
-    engine, records = run_with_recovery(factory, program, memory, fault_address)
+    engine, records = run_with_recovery(
+        factory, program, memory, fault_address)
     if not records:
         raise SimulationError(
             f"address {fault_address} was never accessed; no fault taken"

@@ -189,7 +189,7 @@ class ProgramBuilder:
             Instruction(Opcode.STORE_T, srcs=(src,), base=base, imm=offset)
         )
 
-    # -- control flow -----------------------------------------------------------
+    # -- control flow ---------------------------------------------------------
 
     def br_zero(self, test: Register, target: Target) -> "ProgramBuilder":
         return self.emit(

@@ -192,8 +192,9 @@ def _signed16(value: int) -> int:
     return value - 0x10000 if value >= 0x8000 else value
 
 
-def decode_instruction(parcels: Sequence[int], offset: int,
-                       pool_values: Sequence[object]) -> Tuple[Instruction, int]:
+def decode_instruction(
+    parcels: Sequence[int], offset: int, pool_values: Sequence[object],
+) -> Tuple[Instruction, int]:
     """Decode one instruction at ``offset``; returns (inst, parcels used)."""
     word0 = parcels[offset]
     opcode = _OPCODES[(word0 >> 9) & 0x7F]

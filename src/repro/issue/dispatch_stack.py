@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..isa.instruction import Instruction
 from ..isa.registers import TOTAL_REGISTERS
 from ..isa.semantics import coerce_for_bank, effective_address
-from ..machine.engine import Engine
+from ..machine.engine import NEVER, Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
 from ..memdep import FROM_MEMORY, MemoryDependencyUnit
@@ -81,10 +81,10 @@ class DispatchStackEngine(Engine):
 
     def _try_issue(self, inst: Instruction, seq: int) -> bool:
         if len(self.stack) >= self.config.window_size:
-            self.stall(StallReason.WINDOW_FULL)
+            self._stall_until_event(StallReason.WINDOW_FULL)
             return False
         if inst.is_memory and not self.mdu.can_accept():
-            self.stall(StallReason.NO_LOAD_REGISTER)
+            self._stall_until_event(StallReason.NO_LOAD_REGISTER)
             return False
         entry = _StackEntry(seq, inst)
         self.stack.append(entry)
@@ -240,6 +240,17 @@ class DispatchStackEngine(Engine):
 
     def _drained(self) -> bool:
         return not self.stack and not self._completions
+
+    def _next_event(self) -> Optional[int]:
+        """Without a pending walk, the stack, the load registers and the
+        hazards change only at a completion."""
+        if self._rescan:
+            return None
+        completions = self._completions
+        return min(completions) if completions else NEVER
+
+    def _idle_cycles(self, count: int) -> None:
+        self.occupancy_accum += len(self.stack) * count
 
     def waiting_entries(self) -> Sequence[_StackEntry]:
         return self.stack

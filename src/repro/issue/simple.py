@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.semantics import coerce_for_bank, effective_address
-from ..machine.engine import Engine
+from ..machine.engine import NEVER, Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
 
@@ -107,17 +107,17 @@ class SimpleEngine(Engine):
         if self._issue_stall is not None:
             reason = self._issue_stall(inst)
             if reason is not None:
-                self.stall(reason)
+                self._stall_until_event(reason)
                 return False
         operands = None
         if inst.src_mask & self._busy:
             if self._bypass_operands is not None:
                 operands = self._bypass_operands(inst.source_ids)
             if operands is None:
-                self.stall(StallReason.SOURCE_BUSY)
+                self._stall_until_event(StallReason.SOURCE_BUSY)
                 return False
         if inst.dest_mask & self._busy:
-            self.stall(StallReason.DEST_BUSY)
+            self._stall_until_event(StallReason.DEST_BUSY)
             return False
         fu = inst.fu_index
         if not self.fus.can_accept(fu, self.cycle):
@@ -200,3 +200,9 @@ class SimpleEngine(Engine):
 
     def _drained(self) -> bool:
         return not self._completions
+
+    def _next_event(self) -> Optional[int]:
+        """Busy bits clear and buffers drain only at a completion (or
+        at the commit one allows)."""
+        completions = self._completions
+        return min(completions) if completions else NEVER

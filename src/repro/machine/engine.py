@@ -21,6 +21,21 @@ A cycle ("tick") has four phases, in order:
    decode stage (they never enter the window); a resolved branch charges
    the configured dead cycles before fetch resumes.
 
+**Idle spans.**  Some stalls can end only at an event: a busy register
+clears when its writer completes or commits, a full buffer or a full set
+of load registers drains at a completion or a commit, and the branch
+dead cycles end at ``fetch_resume_cycle``.  Where issue stalls on such a
+reason and the engine can name its next event
+(:meth:`Engine._next_event`), it records ``idle_until``, the earliest
+cycle at which anything can change: until then every cycle would repeat
+the same stall and do nothing else.  :meth:`Engine.run` jumps over those
+cycles and accounts for them as the stepping loop would have (stall
+counts, per-cycle bookkeeping, the recorder's tape and samples),
+stopping early where a budget check or a result-bus release is due.
+Only the in-order engines and the dispatch stack declare spans; an
+attached :class:`~repro.machine.invariants.InvariantChecker` turns them
+off, so a checked run steps through every cycle.
+
 Engines are *execution-driven*: they compute real values through the
 shared ISA semantics, so the test-suite can require every engine to
 finish with exactly the golden model's architectural state.
@@ -29,9 +44,10 @@ finish with exactly the golden model's architectural state.
 from __future__ import annotations
 
 import abc
+import sys
 import time
-from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter, defaultdict
+from typing import DefaultDict, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
@@ -46,6 +62,9 @@ from .interrupts import InterruptRecord
 from .memory import Memory
 from .result_bus import ResultBus
 from .stats import SimResult, StallReason
+
+#: An event cycle no run reaches: ``run()`` clamps a span to its limits.
+NEVER = sys.maxsize
 
 
 class Engine(abc.ABC):
@@ -69,6 +88,7 @@ class Engine(abc.ABC):
         "branches", "branches_taken", "interrupt_record",
         "interrupt_count", "squashed", "mispredictions", "_completions",
         "recorder", "fetch_unit", "host_seconds", "last_commit_cycle",
+        "idle_until", "idle_reason",
     )
 
     def __init__(
@@ -95,7 +115,11 @@ class Engine(abc.ABC):
         self.next_seq = 0
         self.retired = 0
         self.retire_log: List[int] = []
-        self.stalls: Counter = Counter()
+        #: Stall events by reason.  A ``defaultdict``, not a ``Counter``:
+        #: ``stalls[reason] += 1`` runs on most stalled cycles, and on a
+        #: ``Counter`` (a Python-level dict subclass) it costs about
+        #: 2.5x as much; ``result()`` hands out a ``Counter``.
+        self.stalls: DefaultDict[str, int] = defaultdict(int)
         self.branches = 0
         self.branches_taken = 0
         self.interrupt_record: Optional[InterruptRecord] = None
@@ -123,6 +147,12 @@ class Engine(abc.ABC):
         #: Cycle of the most recent architectural retirement -- the
         #: progress signal the deadlock watchdog monitors.
         self.last_commit_cycle = 0
+        #: End of the idle span the last stall declared (see
+        #: :meth:`_stall_until_event`): ``run()`` jumps from the next
+        #: cycle to this one, each skipped cycle a stall on
+        #: ``idle_reason``.  Spent when ``cycle`` reaches it.
+        self.idle_until = 0
+        self.idle_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     # main loop
@@ -139,12 +169,15 @@ class Engine(abc.ABC):
         cycles -- typically long before the cycle budget burns down.
         Both raise a :class:`DeadlockError` carrying an
         :class:`~repro.machine.diagnostics.EngineDiagnostic` snapshot.
+        An idle span a tick declares is skipped (:meth:`_skip_idle`).
         """
         limit = max_cycles if max_cycles is not None \
             else self.config.max_cycles
         watchdog = self.config.watchdog_cycles
         # A resumed run must not inherit staleness from before the trap.
         self.last_commit_cycle = max(self.last_commit_cycle, self.cycle)
+        # Only a span declared by this run's ticks may be skipped.
+        self.idle_until = 0
         started = time.perf_counter()
         try:
             while not self.done():
@@ -166,11 +199,41 @@ class Engine(abc.ABC):
                     break
                 if self.cycle % 4096 == 0:
                     self.result_bus.release_past(self.cycle)
+                if self.idle_until > self.cycle:
+                    self._skip_idle(limit, watchdog)
         finally:
             self.host_seconds += time.perf_counter() - started
         if self.recorder is not None:
             self.recorder.on_run_end(self)
         return self.result()
+
+    def _skip_idle(self, limit: int, watchdog: int) -> None:
+        """Jump to ``idle_until``, doing what the skipped cycles would
+        have done: each stalls issue on ``idle_reason`` and changes
+        nothing else.  The jump stops at the first cycle on which the
+        ``limit`` or ``watchdog`` check would fire or the result bus is
+        due for a release, so those happen on the same cycle as when
+        stepping."""
+        cycle = self.cycle
+        until = self.idle_until
+        if until > limit:
+            until = limit
+        release = cycle - cycle % 4096 + 4096
+        if until > release:
+            until = release
+        if watchdog and until > self.last_commit_cycle + watchdog:
+            until = self.last_commit_cycle + watchdog
+        skipped = until - cycle
+        if skipped <= 0:
+            return
+        reason = self.idle_reason
+        self.stalls[reason] += skipped
+        self._idle_cycles(skipped)
+        if self.recorder is not None:
+            self.recorder.on_idle(self, reason, skipped)
+        self.cycle = until
+        if until % 4096 == 0:
+            self.result_bus.release_past(until)
 
     def _deadlock(self, reason: str) -> DeadlockError:
         """Build a :class:`DeadlockError` with a pipeline snapshot."""
@@ -346,7 +409,8 @@ class Engine(abc.ABC):
         if self.fetch_done:
             return
         if self.cycle < self.fetch_resume_cycle:
-            self.stall(StallReason.BRANCH_DEAD)
+            self._stall_until_event(
+                StallReason.BRANCH_DEAD, self.fetch_resume_cycle)
             return
         if self.fetch_unit is not None:
             delay = self.fetch_unit.access(self.pc, self.cycle)
@@ -430,6 +494,34 @@ class Engine(abc.ABC):
         self.stalls[reason] += 1
         if self.recorder is not None:
             self.recorder.on_stall(reason, self.cycle)
+
+    def _stall_until_event(self, reason: str,
+                           cap: Optional[int] = None) -> None:
+        """Record a stall that only an event (or cycle ``cap``) can end,
+        and declare the cycles before it idle when the engine can name
+        its next event."""
+        # stall(), inlined: this runs on most stalled cycles.
+        self.stalls[reason] += 1
+        if self.recorder is not None:
+            self.recorder.on_stall(reason, self.cycle)
+        event = self._next_event()
+        if event is not None:
+            if cap is not None and cap < event:
+                event = cap
+            self.idle_until = event
+            self.idle_reason = reason
+
+    def _next_event(self) -> Optional[int]:
+        """The earliest cycle at which a completion, a commit or a
+        dispatch can change this engine's state, while issue stalls:
+        :data:`NEVER` if none is pending, None if the next cycle may.
+        Default None: the engine declares no idle spans (a windowed
+        engine's dispatch depends on the cycle)."""
+        return None
+
+    def _idle_cycles(self, count: int) -> None:
+        """Hook: the per-cycle bookkeeping of ``count`` skipped idle
+        cycles (occupancy sums).  Default: none."""
 
     def note(self, seq: int, stage: str) -> None:
         """Record a pipeline event if a recorder is attached."""
@@ -545,6 +637,12 @@ class InOrderCommit(Engine):
         self.note(entry.seq, "commit")
         self._note_retired(entry.seq)
         return True
+
+    def _next_event(self) -> Optional[int]:
+        """An executed head commits next cycle."""
+        if self.window and self.window[0].executed_cycle is not None:
+            return None
+        return super()._next_event()
 
     @abc.abstractmethod
     def _commit_register(self, entry) -> None:

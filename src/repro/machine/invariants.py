@@ -7,7 +7,10 @@ Attach to an engine before running::
     engine.run()     # raises InvariantViolation on the first bad cycle
 
 The checker wraps ``tick()`` and, after every cycle, asserts the
-structural properties the design relies on:
+structural properties the design relies on.  It also stops the engine
+from declaring idle spans (see :mod:`repro.machine.engine`), so a
+checked run steps through, and checks, every cycle: the stepping
+reference a plain run's jumps must reproduce.  The properties:
 
 * the window is in strict program (sequence) order;
 * ``NI[r]`` equals the number of live window entries destined for ``r``
@@ -67,6 +70,7 @@ class InvariantChecker:
         self.window_cycles_checked = 0
         self.ruu_cycles_checked = 0
         self._original_tick = engine.tick
+        self._original_next_event = engine._next_event
         self._last_retired = engine.retired
         self._last_recoveries = self._recoveries()
 
@@ -84,10 +88,12 @@ class InvariantChecker:
             checker.check()
 
         engine.tick = checked_tick
+        engine._next_event = _no_event
         return checker
 
     def detach(self) -> None:
         self.engine.tick = self._original_tick
+        self.engine._next_event = self._original_next_event
 
     # ------------------------------------------------------------------
 
@@ -248,6 +254,12 @@ class InvariantChecker:
                 f"mdu tracks {engine.mdu.in_flight()} memory ops, window "
                 f"holds {window_mem}"
             )
+
+
+def _no_event() -> None:
+    """A checked engine names no next event, so it declares no idle
+    span and ``run()`` ticks every cycle."""
+    return None
 
 
 def _by_name(counts: List[int]) -> Dict[str, int]:

@@ -149,5 +149,6 @@ class Timeline:
         ]
         lines = ["average stage delays (cycles):"]
         for a, b in pairs:
-            lines.append(f"  {a:>8s} -> {b:<8s}: {self.average_delay(a, b):6.2f}")
+            delay = self.average_delay(a, b)
+            lines.append(f"  {a:>8s} -> {b:<8s}: {delay:6.2f}")
         return "\n".join(lines)

@@ -64,17 +64,13 @@ class MemoryDependencyUnit:
         self._by_address: Dict[int, List[int]] = {}
         self._published: Dict[int, object] = {}
         self._consumers: Dict[int, int] = {}   # producer seq -> waiting loads
-        self.blocked_issues = 0
         self.forwards = 0
 
     # -- issue ----------------------------------------------------------
 
     def can_accept(self) -> bool:
         """Is a load register free for a new memory instruction?"""
-        if len(self._order) < self.capacity:
-            return True
-        self.blocked_issues += 1
-        return False
+        return len(self._order) < self.capacity
 
     def add(self, seq: int, is_store: bool) -> None:
         """Track a newly issued memory operation."""
@@ -174,7 +170,7 @@ class MemoryDependencyUnit:
     def mark_dispatched(self, seq: int) -> None:
         self._ops[seq].dispatched = True
 
-    # -- retirement -------------------------------------------------------------
+    # -- retirement -----------------------------------------------------------
 
     def finish(self, seq: int) -> None:
         """The operation has left the machine; free its load register."""
@@ -205,7 +201,7 @@ class MemoryDependencyUnit:
                     del self._by_address[op.address]
         del self._ops[seq]
 
-    # -- recovery ----------------------------------------------------------------
+    # -- recovery -------------------------------------------------------------
 
     def squash_from(self, boundary_seq: int) -> None:
         """Discard every in-flight op with ``seq >= boundary_seq``
@@ -227,7 +223,7 @@ class MemoryDependencyUnit:
         for seq in list(self._ops):
             self._maybe_drop(seq)
 
-    # -- introspection ----------------------------------------------------------------
+    # -- introspection --------------------------------------------------------
 
     def in_flight(self) -> int:
         return len(self._order)

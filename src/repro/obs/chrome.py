@@ -7,8 +7,9 @@ dispatch to completion), async ``b``/``e`` slices for whole instruction
 lifetimes (decode to retirement -- overlapping lifetimes render as the
 window filling up), and ``C`` counter tracks for structure occupancy,
 result-bus reservations outstanding after each sampled cycle,
-in-flight instructions and the cumulative cycle-attribution buckets.  Timestamps are in "microseconds": one
-simulated cycle = 1 us, so Perfetto's ruler reads directly in cycles.
+in-flight instructions and the cumulative cycle-attribution buckets.
+Timestamps are in "microseconds": one simulated cycle = 1 us, so
+Perfetto's ruler reads directly in cycles.
 
 The exporter has a matching :func:`validate_chrome_trace` used by tests
 and CI, so the schema the viewer needs is pinned in-repo.

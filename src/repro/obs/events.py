@@ -13,7 +13,8 @@ The recorder listens to the four hook streams every engine already
 emits -- stage transitions (``Engine.note``), stall causes
 (``Engine.stall``), architectural retirement (``_note_retired``) and
 decode metadata -- plus one end-of-tick callback per cycle
-(``on_cycle``).  The per-cycle callback is what makes *full-cycle*
+(``on_cycle``), or one per idle span an engine jumps over
+(``on_idle``).  The per-cycle callback is what makes *full-cycle*
 accounting possible: it folds the cycle's events into exactly one
 attribution bucket (see :mod:`repro.obs.attribution`) and, in detail
 mode, samples the engine's own occupancy counts.  A detail recorder's
@@ -212,21 +213,61 @@ class TraceRecorder:
         try:
             self.bucket_tape.append(self._bucket_ids[bucket])
         except KeyError:
-            self._bucket_ids[bucket] = len(self.bucket_names)
-            self.bucket_names.append(bucket)
-            self.bucket_tape.append(self._bucket_ids[bucket])
+            self.bucket_tape.append(self._new_bucket(bucket))
         cycle = engine.cycle
         if cycle % self.sample_every:
             return
         keys = engine.occupancy_keys
-        if keys is not self._sample_keys and keys != self._sample_keys:
-            self._sample_keys = keys
-            self._sample_rows = []
-            self.sample_runs.append((keys, self._sample_rows))
+        if keys is not self._sample_keys:
+            self._sample_run(keys)
         rows = self._sample_rows
         rows += (cycle, engine.result_bus.reservations(cycle),
                  engine.next_seq - engine.retired)
         rows += engine.occupancy_counts()
+
+    def on_idle(self, engine, reason: str, count: int) -> None:
+        """``count`` cycles from ``engine.cycle`` on, each of which only
+        stalled issue on ``reason``: what ``count`` ``on_stall`` and
+        ``on_cycle`` calls would have recorded, for an engine that
+        jumps over an idle span."""
+        self.stall_counts[reason] += count
+        if not self.detail:
+            self._buckets[reason] += count
+            self._cycles += count
+            return
+        bucket_id = self._bucket_ids.get(reason)
+        if bucket_id is None:
+            bucket_id = self._new_bucket(reason)
+        self.bucket_tape += bytes((bucket_id,)) * count
+        first = engine.cycle
+        every = self.sample_every
+        cycles = range(first + -first % every, first + count, every)
+        if not cycles:
+            return
+        keys = engine.occupancy_keys
+        if keys is not self._sample_keys:
+            self._sample_run(keys)
+        rows = self._sample_rows
+        reservations = engine.result_bus.reservations
+        inflight = engine.next_seq - engine.retired
+        occupancy = engine.occupancy_counts()
+        for cycle in cycles:
+            rows += (cycle, reservations(cycle), inflight)
+            rows += occupancy
+
+    def _new_bucket(self, bucket: str) -> int:
+        """Give ``bucket`` the next bucket id."""
+        bucket_id = self._bucket_ids[bucket] = len(self.bucket_names)
+        self.bucket_names.append(bucket)
+        return bucket_id
+
+    def _sample_run(self, keys: Tuple[str, ...]) -> None:
+        """Start a run of samples for ``keys`` unless they equal the
+        last sample's."""
+        if keys != self._sample_keys:
+            self._sample_keys = keys
+            self._sample_rows = []
+            self.sample_runs.append((keys, self._sample_rows))
 
     def on_run_end(self, engine) -> None:
         """Snapshot the run's final architectural facts (called by

@@ -90,7 +90,9 @@ class FunctionalExecutor:
 
     # ------------------------------------------------------------------
 
-    def _execute(self, inst: Instruction) -> Tuple[Optional[bool], Optional[int]]:
+    def _execute(
+        self, inst: Instruction,
+    ) -> Tuple[Optional[bool], Optional[int]]:
         """Apply one instruction's semantics; returns (taken, address)."""
         opcode = inst.opcode
         kind = opcode.kind

@@ -79,7 +79,8 @@ class Trace:
         for fu, count in sorted(
             self.fu_mix().items(), key=lambda item: -item[1]
         ):
-            lines.append(f"  {fu.value:>16s}: {count:6d} ({count / total:5.1%})")
+            lines.append(
+                f"  {fu.value:>16s}: {count:6d} ({count / total:5.1%})")
         return "\n".join(lines)
 
     # -- serialization ----------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.analysis import ENGINE_FACTORIES
 from repro.machine import CRAY1_LIKE
+from repro.workloads.generator import GeneratorSpec, generate_workload
 
 
 def run_and_check(builder, workload, golden_state, config=None):
@@ -35,3 +36,17 @@ def run_and_check(builder, workload, golden_state, config=None):
 
 def builder_for(name):
     return ENGINE_FACTORIES[name]
+
+
+def generated_programs(seed):
+    """The two generated programs of perfbench's ``zoo`` workload."""
+    return [
+        generate_workload(GeneratorSpec(
+            streams=2, memory_fraction=0.5, working_set=4, branch_every=0,
+            iterations=8, body_ops=16, seed=seed,
+        )),
+        generate_workload(GeneratorSpec(
+            streams=3, memory_fraction=0.25, working_set=64,
+            branch_every=3, iterations=8, body_ops=16, seed=seed + 1,
+        )),
+    ]

@@ -220,8 +220,9 @@ class TestDispatchPaths:
             F_ADD S3, S1, S1
             HALT
         """
-        _, pool = run_engine(RSPoolEngine, source, MachineConfig(window_size=1))
-        _, rstu = run_engine(RSTUEngine, source, MachineConfig(window_size=1))
+        config = MachineConfig(window_size=1)
+        _, pool = run_engine(RSPoolEngine, source, config)
+        _, rstu = run_engine(RSTUEngine, source, config)
         # RS pool frees the station at dispatch; the RSTU only at
         # completion, so the RSTU run is strictly longer.
         assert rstu.cycles > pool.cycles

@@ -51,18 +51,20 @@ class TestCampaigns:
 
     def test_speculative_engine_campaign(self):
         workload = LIVERMORE_FACTORIES[3](n=30)
-        factory = lambda program, memory: SpeculativeRUUEngine(
-            program, CONFIG, memory=memory
-        )
+
+        def factory(program, memory):
+            return SpeculativeRUUEngine(program, CONFIG, memory=memory)
+
         result = fault_injection_campaign(factory, workload, max_sites=12)
         assert result.faults_taken > 0
         assert result.all_precise and result.all_recovered
 
     def test_history_buffer_campaign(self):
         workload = LIVERMORE_FACTORIES[12](n=30)
-        factory = lambda program, memory: HistoryBufferEngine(
-            program, CONFIG, memory=memory
-        )
+
+        def factory(program, memory):
+            return HistoryBufferEngine(program, CONFIG, memory=memory)
+
         result = fault_injection_campaign(factory, workload, max_sites=12)
         assert result.all_precise and result.all_recovered
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import repro
 from repro.workloads import ALL_SYNTHETIC, SIZE_PRESETS, livermore_suite
-from repro.workloads.generator import GeneratorSpec, generate_workload
+
+from tests.support import generated_programs
 
 FINGERPRINTS = {
     "LLL1@quick":
@@ -124,20 +125,6 @@ FINGERPRINTS = {
     "gen-s3-m25-w64-b3-x3":
         "854fd0aec9245d96014ec2507743208c66cb0de9cfe94cfe3c031309f8c665af",
 }
-
-
-def generated_programs(seed):
-    """The two generated programs of perfbench's ``zoo`` workload."""
-    return [
-        generate_workload(GeneratorSpec(
-            streams=2, memory_fraction=0.5, working_set=4, branch_every=0,
-            iterations=8, body_ops=16, seed=seed,
-        )),
-        generate_workload(GeneratorSpec(
-            streams=3, memory_fraction=0.25, working_set=64,
-            branch_every=3, iterations=8, body_ops=16, seed=seed + 1,
-        )),
-    ]
 
 
 def pinned_workloads():
