@@ -172,11 +172,12 @@ class RUUEngine(InOrderCommit, WindowedEngine):
     # ------------------------------------------------------------------
 
     def _phase_complete(self) -> None:
-        for entry in self._pop_completions():
+        for entry in self._completions.pop(self.cycle, ()):
             if entry.squashed:
                 continue
             entry.executed_cycle = self.cycle
-            self.note(entry.seq, "complete")
+            if self.recorder is not None:
+                self.recorder.on_stage(entry.seq, "complete", self.cycle)
             if entry.fault is not None:
                 continue  # no result to broadcast; trap taken at commit
             if entry.dest_tag is not None:
@@ -208,7 +209,10 @@ class RUUEngine(InOrderCommit, WindowedEngine):
         self.regs.values[dest] = entry.result
         self._ni[dest] -= 1
         # The RUU-to-register-file bus is snooped like the result bus.
-        self._broadcast(entry.dest_tag, entry.result)
+        # With full bypass nothing still waits for an executed,
+        # fault-free producer (``InvariantChecker.check_ruu``).
+        if self.bypass is not BypassMode.FULL:
+            self._broadcast(entry.dest_tag, entry.result)
         self._live.pop(entry.dest_tag, None)
 
     def _squash_all(self) -> None:

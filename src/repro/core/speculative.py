@@ -70,7 +70,8 @@ class SpeculativeRUUEngine(RUUEngine):
     # ------------------------------------------------------------------
 
     def tick(self) -> None:
-        self._phase_complete()
+        if self.cycle in self._completions:
+            self._phase_complete()
         self._resolve_pending_branches()
         self._phase_commit()
         self._phase_dispatch()
@@ -99,7 +100,8 @@ class SpeculativeRUUEngine(RUUEngine):
         )
         # The branch leaves decode into the pending list: that is its
         # issue, even though it resolves (and retires) much later.
-        self.note(self.decode_seq, "issue")
+        if self.recorder is not None:
+            self.recorder.on_stage(self.decode_seq, "issue", self.cycle)
         self._clear_decode_watch()
         if predicted:
             self.pc = inst.target
@@ -133,7 +135,8 @@ class SpeculativeRUUEngine(RUUEngine):
             if taken:
                 self.branches_taken += 1
             self._pending_branches.pop(0)
-            self.note(pending.seq, "commit")
+            if self.recorder is not None:
+                self.recorder.on_stage(pending.seq, "commit", self.cycle)
             self._note_retired(pending.seq)
             if taken != pending.predicted:
                 self.mispredictions += 1

@@ -79,11 +79,12 @@ class InOrderPreciseEngine(InOrderCommit, SimpleEngine):
     # ------------------------------------------------------------------
 
     def _phase_complete(self) -> None:
-        for entry in self._pop_completions():
+        for entry in self._completions.pop(self.cycle, ()):
             if entry.squashed:
                 continue
             entry.executed_cycle = self.cycle
-            self.note(entry.seq, "complete")
+            if self.recorder is not None:
+                self.recorder.on_stage(entry.seq, "complete", self.cycle)
             if entry.fault is None:
                 self._on_complete(entry)
 

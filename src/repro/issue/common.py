@@ -266,7 +266,8 @@ class WindowedEngine(Engine):
         if inst.is_memory:
             self.mdu.add(seq, inst.is_store)
             self._unresolved.append(entry)
-        self.note(seq, "issue")
+        if self.recorder is not None:
+            self.recorder.on_stage(seq, "issue", self.cycle)
         return True
 
     # ------------------------------------------------------------------
@@ -337,15 +338,19 @@ class WindowedEngine(Engine):
         bus conflict cancels the dispatch (retried next cycle).
         """
         inst = entry.inst
-        if not self.fus.can_accept(inst.fu_index, self.cycle):
+        cycle = self.cycle
+        if not self.fus.can_accept(inst.fu_index, cycle):
             return False
-        done_cycle = self.cycle + self._execution_latency(entry)
+        if inst.is_memory:
+            done_cycle = cycle + self._execution_latency(entry)
+        else:
+            done_cycle = cycle + self.fus.latency[inst.fu_index]
         if inst.dest_id is not None \
                 and not self.result_bus.is_free(done_cycle):
             self.result_bus.conflicts += 1
             return False
         self._execute(entry)
-        self.fus.accept(inst.fu_index, self.cycle)
+        self.fus.accept(inst.fu_index, cycle)
         if inst.dest_id is not None:
             self.result_bus.reserve(done_cycle)
         entry.dispatched = True
@@ -354,11 +359,20 @@ class WindowedEngine(Engine):
             self.mdu.mark_dispatched(entry.seq)
         if self.release_at_dispatch:
             self.window.remove(entry)
-        self._schedule_completion(done_cycle, entry)
-        self.note(entry.seq, "dispatch")
+        # _schedule_completion, inlined but for its late-delivery error.
+        if done_cycle <= cycle:
+            self._schedule_completion(done_cycle, entry)
+        pending = self._completions.get(done_cycle)
+        if pending is None:
+            self._completions[done_cycle] = [entry]
+        else:
+            pending.append(entry)
+        if self.recorder is not None:
+            self.recorder.on_stage(entry.seq, "dispatch", cycle)
         return True
 
     def _execution_latency(self, entry: WindowEntry) -> int:
+        """A memory op's latency: it may not be its unit's."""
         inst = entry.inst
         if inst.is_store and self.stores_at_commit:
             return self.config.store_execute_latency

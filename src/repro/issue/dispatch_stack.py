@@ -93,7 +93,8 @@ class DispatchStackEngine(Engine):
         if inst.is_memory:
             self.mdu.add(seq, inst.is_store)
         self._rescan = True
-        self.note(seq, "issue")
+        if self.recorder is not None:
+            self.recorder.on_stage(seq, "issue", self.cycle)
         return True
 
     # ------------------------------------------------------------------
@@ -207,13 +208,14 @@ class DispatchStackEngine(Engine):
         if inst.is_memory:
             self.mdu.mark_dispatched(entry.seq)
         self._schedule_completion(done_cycle, entry)
-        self.note(entry.seq, "dispatch")
+        if self.recorder is not None:
+            self.recorder.on_stage(entry.seq, "dispatch", self.cycle)
         return True
 
     # ------------------------------------------------------------------
 
     def _phase_complete(self) -> None:
-        for entry in self._pop_completions():
+        for entry in self._completions.pop(self.cycle, ()):
             self._rescan = True
             if entry.fault is not None:
                 self._take_interrupt(
@@ -230,7 +232,8 @@ class DispatchStackEngine(Engine):
                     self.mdu.publish(entry.seq, entry.result)
                 self.mdu.finish(entry.seq)
             self.stack.remove(entry)
-            self.note(entry.seq, "complete")
+            if self.recorder is not None:
+                self.recorder.on_stage(entry.seq, "complete", self.cycle)
             self._note_retired(entry.seq)
 
     # ------------------------------------------------------------------

@@ -123,7 +123,7 @@ class SimpleEngine(Engine):
         if not self.fus.can_accept(fu, self.cycle):
             self.stall(StallReason.FU_BUSY)
             return False
-        done_cycle = self.fus.result_cycle(fu, self.cycle)
+        done_cycle = self.cycle + self.fus.latency[fu]
         if inst.dest_mask and not self.result_bus.is_free(done_cycle):
             self.stall(StallReason.RESULT_BUS)
             return False
@@ -139,8 +139,10 @@ class SimpleEngine(Engine):
             self._busy |= inst.dest_mask
         self._issued(entry)
         self._schedule_completion(done_cycle, entry)
-        self.note(seq, "issue")
-        self.note(seq, "dispatch")  # issue is dispatch on this machine
+        if self.recorder is not None:
+            # Issue is dispatch on this machine.
+            self.recorder.on_stage(seq, "issue", self.cycle)
+            self.recorder.on_stage(seq, "dispatch", self.cycle)
         return True
 
     def _execute(self, entry: InOrderEntry, operands: List) -> None:
@@ -176,7 +178,7 @@ class SimpleEngine(Engine):
     # ------------------------------------------------------------------
 
     def _phase_complete(self) -> None:
-        for entry in self._pop_completions():
+        for entry in self._completions.pop(self.cycle, ()):
             if entry.fault is not None:
                 self._take_interrupt(
                     entry.fault, seq=entry.seq, pc=entry.inst.pc,
@@ -187,7 +189,8 @@ class SimpleEngine(Engine):
             if dest is not None:
                 self.regs.values[dest] = entry.result
                 self._busy &= ~entry.inst.dest_mask
-            self.note(entry.seq, "complete")
+            if self.recorder is not None:
+                self.recorder.on_stage(entry.seq, "complete", self.cycle)
             self._note_retired(entry.seq)
 
     def _branch_operand(self, reg_id: int) -> Tuple[bool, object]:

@@ -118,7 +118,7 @@ class TomasuloEngine(WindowedEngine):
     # ------------------------------------------------------------------
 
     def _phase_complete(self) -> None:
-        for entry in self._pop_completions():
+        for entry in self._completions.pop(self.cycle, ()):
             if entry.fault is not None:
                 self._take_interrupt(
                     entry.fault, seq=entry.seq, pc=entry.inst.pc,
@@ -136,7 +136,8 @@ class TomasuloEngine(WindowedEngine):
                 self.mdu.finish(entry.seq)
             if not self.release_at_dispatch:
                 self.window.remove(entry)
-            self.note(entry.seq, "complete")
+            if self.recorder is not None:
+                self.recorder.on_stage(entry.seq, "complete", self.cycle)
             self._note_retired(entry.seq)
 
     def _register_pending(self, reg_id: int) -> bool:

@@ -16,7 +16,7 @@ from .faults import (
     SimulationError,
 )
 from .fetch import InstructionBuffers
-from .functional_units import FunctionalUnit, FUPool
+from .functional_units import FUPool
 from .interrupts import InterruptRecord
 from .memory import Memory
 from .result_bus import BroadcastBus, ResultBus
@@ -34,7 +34,6 @@ __all__ = [
     "EngineDiagnostic",
     "FAULT_TYPES",
     "FUPool",
-    "FunctionalUnit",
     "InstructionBuffers",
     "InterruptRecord",
     "MachineConfig",

@@ -9,7 +9,7 @@ A cycle ("tick") has four phases, in order:
 
 1. **complete** -- results scheduled for this cycle appear on the result
    bus and are broadcast (reservation stations capture operands,
-   registers/tag units update).
+   registers/tag units update).  Skipped when none is due.
 2. **commit** -- in-order state update from a program-ordered queue
    (:class:`InOrderCommit`: the RUU family and the Smith--Pleszkun
    engines; no-op otherwise).  An instruction may commit no earlier
@@ -131,11 +131,11 @@ class Engine(abc.ABC):
         self._completions: Dict[int, List[object]] = {}
         #: Optional observability recorder (see
         #: :mod:`repro.obs.events`); attach before ``run()``.  Receives
-        #: every ``note``/``stall``/retire event plus one end-of-tick
-        #: callback per cycle, so it can attribute every cycle of the
-        #: run; :meth:`repro.machine.timeline.Timeline.of` renders its
-        #: stage map.  None (the default) costs one attribute test per
-        #: event.
+        #: every stage/stall/retire event plus one end-of-tick callback
+        #: per cycle, so it can attribute every cycle of the run;
+        #: :meth:`repro.machine.timeline.Timeline.of` renders its stage
+        #: map.  Each call site tests it first, so None (the default)
+        #: costs one attribute test per event and no call.
         self.recorder = None
         #: Optional instruction-buffer model (see
         #: :mod:`repro.machine.fetch`); when None, fetch always hits --
@@ -180,7 +180,8 @@ class Engine(abc.ABC):
         self.idle_until = 0
         started = time.perf_counter()
         try:
-            while not self.done():
+            while not (self.fetch_done and self.decode_slot is None
+                       and self._drained()):
                 if self.cycle >= limit:
                     raise self._deadlock(
                         f"exceeded the {limit}-cycle budget"
@@ -310,8 +311,10 @@ class Engine(abc.ABC):
         return sum(len(payloads) for payloads in self._completions.values())
 
     def tick(self) -> None:
-        """Advance one clock cycle through the four phases."""
-        self._phase_complete()
+        """Advance one clock cycle through the four phases.  The
+        complete phase runs only on a cycle with a result due."""
+        if self.cycle in self._completions:
+            self._phase_complete()
         self._phase_commit()
         self._phase_dispatch()
         self._phase_issue()
@@ -368,7 +371,8 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def _phase_complete(self) -> None:
-        """Deliver this cycle's functional-unit results."""
+        """Deliver this cycle's functional-unit results: pop
+        ``_completions[cycle]``, if any."""
 
     def _phase_commit(self) -> None:
         """In-order state update; :class:`InOrderCommit` implements it."""
@@ -379,7 +383,9 @@ class Engine(abc.ABC):
     def _phase_issue(self) -> None:
         if self.interrupt_record is not None:
             return
-        for _ in range(self.config.issue_width):
+        width = self.config.issue_width
+        while width:
+            width -= 1
             if self.decode_slot is None:
                 self._refill_decode()
             inst = self.decode_slot
@@ -418,13 +424,13 @@ class Engine(abc.ABC):
                 self.fetch_resume_cycle = self.cycle + delay
                 self.stall(StallReason.FETCH_MISS)
                 return
-        inst = self.program[self.pc]
+        inst = self.program.instructions[self.pc]
         self.decode_slot = inst
         self.decode_seq = self.next_seq
         self.next_seq += 1
         self.pc = inst.pc + 1
-        self.note(self.decode_seq, "decode")
         if self.recorder is not None:
+            self.recorder.on_stage(self.decode_seq, "decode", self.cycle)
             self.recorder.on_inst(self.decode_seq, inst)
 
     def _issue_control_flow(self, inst: Instruction) -> None:
@@ -456,8 +462,9 @@ class Engine(abc.ABC):
             self.pc = inst.pc + 1
             penalty = self.config.branch_not_taken_penalty
         self.fetch_resume_cycle = self.cycle + 1 + penalty
-        self.note(self.decode_seq, "issue")
-        self.note(self.decode_seq, "commit")
+        if self.recorder is not None:
+            self.recorder.on_stage(self.decode_seq, "issue", self.cycle)
+            self.recorder.on_stage(self.decode_seq, "commit", self.cycle)
         self._note_retired(self.decode_seq)
         self.decode_slot = None
 
@@ -523,11 +530,6 @@ class Engine(abc.ABC):
         """Hook: the per-cycle bookkeeping of ``count`` skipped idle
         cycles (occupancy sums).  Default: none."""
 
-    def note(self, seq: int, stage: str) -> None:
-        """Record a pipeline event if a recorder is attached."""
-        if self.recorder is not None:
-            self.recorder.on_stage(seq, stage, self.cycle)
-
     def _note_retired(self, seq: int) -> None:
         """An instruction has architecturally completed."""
         self.retired += 1
@@ -549,10 +551,6 @@ class Engine(abc.ABC):
             self._completions[cycle] = [payload]
         else:
             pending.append(payload)
-
-    def _pop_completions(self) -> Sequence[object]:
-        """Pop every payload scheduled for the current cycle."""
-        return self._completions.pop(self.cycle, ())
 
     def _restart_at(self, seq: int, pc: int, penalty: int = 0) -> None:
         """Refetch from ``pc`` after squashing every instruction from
@@ -634,7 +632,8 @@ class InOrderCommit(Engine):
         if inst.dest_id is not None:
             self._commit_register(entry)
         self.window.popleft()
-        self.note(entry.seq, "commit")
+        if self.recorder is not None:
+            self.recorder.on_stage(entry.seq, "commit", self.cycle)
         self._note_retired(entry.seq)
         return True
 

@@ -21,7 +21,10 @@ reference a plain run's jumps must reproduce.  The properties:
   still satisfy (no orphaned waiters -> no deadlocks);
 * the ``_live`` map names only live producers;
 * the memory queue's in-flight population matches the window's
-  un-finished memory instructions.
+  un-finished memory instructions;
+* with full bypass, no operand and no decode-stage watch still waits
+  on the tag of an executed, fault-free entry: its commit does not
+  broadcast on the commit bus.
 
 The RUU engines opt into these checks through the engine's
 ``invariant_checks`` hook (counted in ``ruu_cycles_checked``).  Every
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.ruu import tag_parts
+from ..core.ruu import BypassMode, tag_parts
 from ..isa.registers import REGISTERS, TOTAL_REGISTERS
 from .faults import SimulationError
 
@@ -254,6 +257,18 @@ class InvariantChecker:
                 f"mdu tracks {engine.mdu.in_flight()} memory ops, window "
                 f"holds {window_mem}"
             )
+
+        # (7) with full bypass a commit does not broadcast, so the result
+        # bus must have woken every waiter of an executed entry
+        if engine.bypass is BypassMode.FULL:
+            for entry in window:
+                tag = entry.dest_tag
+                if entry.executed_cycle is not None and entry.fault is None \
+                        and tag is not None and (tag in engine._waiting or (
+                            tag == engine._decode_watch_tag
+                            and not engine._decode_watch_hit)):
+                    self._fail(f"{engine.tag_name(tag)} of executed "
+                               f"#{entry.seq} still has a waiter")
 
 
 def _no_event() -> None:

@@ -56,19 +56,40 @@ def test_engine_instance_dict_stays_in_the_fast_layout(engine_name):
     assert not set(keys) & set(Engine.__slots__)
 
 
-def test_instance_overrides_of_phases_still_apply():
+@pytest.mark.parametrize("phase", ["complete", "commit", "dispatch",
+                                   "issue"])
+def test_instance_overrides_of_phases_still_apply(phase):
+    """perfbench's phase timers wrap these per instance.  The complete
+    phase runs once per cycle with a result due, the others once per
+    cycle."""
     workload = all_loops()[0]
     engine = ENGINE_FACTORIES["ruu-bypass"](
         workload.program, MachineConfig(window_size=12),
         workload.make_memory(),
     )
+    due = engine._completions = ScheduledCycles()
     calls = []
-    original = engine._phase_dispatch
+    original = getattr(engine, f"_phase_{phase}")
 
     def counted():
         calls.append(engine.cycle)
         original()
 
-    engine._phase_dispatch = counted
+    setattr(engine, f"_phase_{phase}", counted)
     result = engine.run()
-    assert len(calls) == result.cycles
+    if phase == "complete":
+        assert calls == sorted(due.scheduled)
+    else:
+        assert calls == list(range(result.cycles))
+
+
+class ScheduledCycles(dict):
+    """A completion queue that remembers every cycle it was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled = set()
+
+    def __setitem__(self, cycle, payloads):
+        self.scheduled.add(cycle)
+        super().__setitem__(cycle, payloads)

@@ -3,10 +3,12 @@
 Where issue stalls until an event, the in-order engines and the
 dispatch stack declare the cycles before it idle, and ``Engine.run``
 jumps over them.  An attached :class:`InvariantChecker` turns the spans
-off, so a checked run ticks every cycle: it is the reference each plain
-run must reproduce -- in its results, its retire log and, with a detail
-:class:`TraceRecorder`, in its bucket tape, samples, attribution and
-Chrome document.
+off, so a checked run ticks every cycle; its ``tick`` is also replaced
+by one that runs all four phases, where a plain tick runs the complete
+phase only on a cycle with a result due.  That run is the reference
+each plain run must reproduce -- in its results, its retire log and,
+with a detail :class:`TraceRecorder`, in its bucket tape, samples,
+attribution and Chrome document.
 """
 
 import pytest
@@ -51,6 +53,22 @@ class RecordingBus(ResultBus):
         super().release_past(now)
 
 
+def four_phase_tick(engine):
+    """A ``tick`` for ``engine`` that runs every phase on every cycle,
+    spec-ruu's branch resolution included."""
+    resolve = getattr(engine, "_resolve_pending_branches", None)
+
+    def tick():
+        engine._phase_complete()
+        if resolve is not None:
+            resolve()
+        engine._phase_commit()
+        engine._phase_dispatch()
+        engine._phase_issue()
+
+    return tick
+
+
 class Run:
     """One simulated point: the engine, its result and its ticks."""
 
@@ -69,7 +87,10 @@ class Run:
             # instructions.
             engine.fetch_unit = InstructionBuffers(
                 workload.program, n_buffers=1, parcels_per_buffer=8)
-        checker = InvariantChecker.attach(engine) if checked else None
+        checker = None
+        if checked:
+            engine.tick = four_phase_tick(engine)
+            checker = InvariantChecker.attach(engine)
         #: Cycles on which ``tick()`` ran.
         self.ticked = []
         tick = engine.tick

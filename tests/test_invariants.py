@@ -9,6 +9,7 @@ from repro.core import (
     RUUEngine,
     SpeculativeRUUEngine,
 )
+from repro.isa import S
 from repro.machine import MachineConfig
 from repro.machine.invariants import (
     InvariantChecker,
@@ -307,6 +308,32 @@ class TestDetection:
         # The RSTU keeps a dispatched entry until it completes.
         self._run_with_stale_ready_entry(
             engine, lambda entry: entry.dispatched)
+
+    @pytest.mark.parametrize("bypass", list(BypassMode))
+    def test_detects_a_dropped_completion_broadcast(self, bypass):
+        """With full bypass a commit does not broadcast, so a lost
+        result-bus broadcast strands its waiters; the other modes'
+        commit bus still delivers the value."""
+        from repro.isa import assemble
+
+        class SilentResultBus(RUUEngine):
+            """Completes without a result-bus broadcast."""
+
+            def _phase_complete(self):
+                for entry in self._completions.pop(self.cycle, ()):
+                    if not entry.squashed:
+                        entry.executed_cycle = self.cycle
+
+        source = "S_IMM S1, 1.0\nF_MUL S2, S1, S1\nF_ADD S3, S2, S1\nHALT"
+        engine = SilentResultBus(assemble(source),
+                                 MachineConfig(window_size=8),
+                                 bypass=bypass)
+        if bypass is BypassMode.FULL:
+            with pytest.raises(InvariantViolation, match="still has a"):
+                run_checked(engine)
+        else:
+            result, _ = run_checked(engine)
+            assert engine.regs.values[S(3).flat_index] == 2.0
 
     def test_detach_restores_tick(self):
         from repro.isa import assemble
