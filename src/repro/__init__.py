@@ -72,7 +72,6 @@ from .isa import (
     Instruction,
     Opcode,
     Program,
-    ProgramBuilder,
     RegBank,
     Register,
     RegisterFile,
@@ -124,7 +123,6 @@ __all__ = [
     "Opcode",
     "ParallelRunner",
     "Program",
-    "ProgramBuilder",
     "RSPoolEngine",
     "RSTUEngine",
     "RUUEngine",

@@ -13,10 +13,10 @@ from .parallel import (
 )
 from .depgraph import (
     DataflowLimit,
-    build_dependence_graph,
     dataflow_limit,
     dependence_distances,
     distance_summary,
+    producers,
 )
 from .export import (
     ascii_chart,
@@ -67,10 +67,10 @@ __all__ = [
     "cache_key",
     "run_point",
     "ascii_chart",
-    "build_dependence_graph",
     "dataflow_limit",
     "dependence_distances",
     "distance_summary",
+    "producers",
     "format_comparison",
     "format_sweep_table",
     "format_table1",

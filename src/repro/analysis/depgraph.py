@@ -1,4 +1,4 @@
-"""Dynamic dependence analysis: graphs, distances, dataflow limits.
+"""Dynamic dependence analysis: producers, distances, dataflow limits.
 
 The paper's whole argument starts from a measurement: "the main reason
 for this sub-optimal performance is data dependencies" (§2.2), and its
@@ -6,8 +6,8 @@ for this sub-optimal performance is data dependencies" (§2.2), and its
 separate a producer from its consumer).  This module makes both notions
 first-class:
 
-* :func:`build_dependence_graph` -- the dynamic dataflow DAG of a trace
-  (register RAW edges plus memory RAW edges), as a ``networkx.DiGraph``;
+* :func:`producers` -- the dynamic dataflow DAG of a trace (register RAW
+  edges plus memory RAW edges), as each instruction's producer list;
 * :func:`dependence_distances` -- the distance histogram behind §6.2:
   short distances are resolved by result-bus snooping, long distances
   are exactly the cases where the no-bypass RUU must wait for the
@@ -22,57 +22,42 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.opcodes import FUClass
 from ..machine.config import CRAY1_LIKE, MachineConfig
 from ..trace.trace import Trace
 
-if TYPE_CHECKING:
-    import networkx as nx
 
+def producers(trace: Trace) -> List[Tuple[int, ...]]:
+    """The dynamic dataflow DAG of a trace, indexed by sequence number.
 
-def build_dependence_graph(trace: Trace) -> "nx.DiGraph":
-    """The dynamic dataflow DAG of a trace.
-
-    Nodes are dynamic sequence numbers with attributes ``pc``, ``fu``
-    and ``mnemonic``.  Edges carry ``kind`` ("reg" or "mem") and
-    ``register``/``address``.  Only true (RAW) dependencies appear --
-    anti and output dependencies are artifacts of register reuse that
-    every mechanism in the repository renames away.
+    Entry ``seq`` holds the sequence numbers of the instructions that
+    ``seq`` truly depends on: its register producers in source order,
+    then the store its load reads from.  A producer reached through two
+    sources appears once.  Only true (RAW) dependencies appear -- anti
+    and output dependencies are artifacts of register reuse that every
+    mechanism in the repository renames away.  A trace numbers its
+    entries 0, 1, 2, ... and every producer precedes its consumer, so
+    one forward pass builds the list.
     """
-    # Imported here, its only use, so that ``import repro`` does not
-    # pay for loading networkx.
-    import networkx as nx
-
-    graph = nx.DiGraph()
+    result: List[Tuple[int, ...]] = []
     last_writer: Dict[object, int] = {}
     last_store: Dict[int, int] = {}
     for entry in trace:
         inst = entry.inst
-        graph.add_node(
-            entry.seq,
-            pc=entry.pc,
-            fu=inst.fu,
-            mnemonic=inst.opcode.mnemonic,
-        )
-        for reg in inst.sources:
-            producer = last_writer.get(reg)
-            if producer is not None:
-                graph.add_edge(
-                    producer, entry.seq, kind="reg", register=reg.name
-                )
-        if inst.is_load and entry.address is not None:
-            producer = last_store.get(entry.address)
-            if producer is not None:
-                graph.add_edge(
-                    producer, entry.seq, kind="mem", address=entry.address
-                )
+        address = entry.address
+        found = [last_writer.get(reg) for reg in inst.sources]
+        if inst.is_load and address is not None:
+            found.append(last_store.get(address))
+        result.append(tuple(dict.fromkeys(
+            producer for producer in found if producer is not None
+        )))
         if inst.dest is not None:
             last_writer[inst.dest] = entry.seq
-        if inst.is_store and entry.address is not None:
-            last_store[entry.address] = entry.seq
-    return graph
+        if inst.is_store and address is not None:
+            last_store[address] = entry.seq
+    return result
 
 
 def dependence_distances(trace: Trace) -> Counter:
@@ -83,10 +68,10 @@ def dependence_distances(trace: Trace) -> Counter:
     (the producer has completed -- and can only be read from the commit
     bus -- by the time the consumer issues).
     """
-    graph = build_dependence_graph(trace)
     distances: Counter = Counter()
-    for producer, consumer in graph.edges():
-        distances[consumer - producer] += 1
+    for consumer, sources in enumerate(producers(trace)):
+        for producer in sources:
+            distances[consumer - producer] += 1
     return distances
 
 
@@ -126,22 +111,21 @@ def dataflow_limit(
     the denominator for "fraction of dataflow limit" scores.
     """
     config = config or CRAY1_LIKE
-    graph = build_dependence_graph(trace)
-    finish: Dict[int, int] = {}
-    best_pred: Dict[int, Optional[int]] = {}
-    for seq in sorted(graph.nodes):
-        latency = config.latency(graph.nodes[seq]["fu"])
+    latencies = [config.latency(entry.inst.fu) for entry in trace]
+    finish: List[int] = []
+    best_pred: List[Optional[int]] = []
+    for seq, sources in enumerate(producers(trace)):
         start = 0
         pred: Optional[int] = None
-        for producer in graph.predecessors(seq):
+        for producer in sources:
             if finish[producer] > start:
                 start = finish[producer]
                 pred = producer
-        finish[seq] = start + latency
-        best_pred[seq] = pred
+        finish.append(start + latencies[seq])
+        best_pred.append(pred)
     if not finish:
         return DataflowLimit(0, 0, 0.0, [], {})
-    tail = max(finish, key=lambda seq: finish[seq])
+    tail = max(range(len(finish)), key=finish.__getitem__)
     path: List[int] = []
     cursor: Optional[int] = tail
     while cursor is not None:
@@ -150,8 +134,8 @@ def dataflow_limit(
     path.reverse()
     fu_cycles: Dict[FUClass, int] = {}
     for seq in path:
-        fu = graph.nodes[seq]["fu"]
-        fu_cycles[fu] = fu_cycles.get(fu, 0) + config.latency(fu)
+        fu = trace[seq].inst.fu
+        fu_cycles[fu] = fu_cycles.get(fu, 0) + latencies[seq]
     critical = finish[tail]
     return DataflowLimit(
         trace_length=len(trace),

@@ -138,9 +138,6 @@ class Sweep:
     def speedups(self) -> Dict[int, float]:
         return {row.size: row.speedup for row in self.rows}
 
-    def issue_rates(self) -> Dict[int, float]:
-        return {row.size: row.issue_rate for row in self.rows}
-
 
 def sweep_sizes(
     engine_name: str,

@@ -7,13 +7,12 @@ Public surface:
 * :class:`Opcode`, :class:`FUClass`, :class:`OpKind` and the default
   CRAY-1 latency table;
 * :class:`Instruction`, :class:`Program` and :func:`build_program`;
-* :class:`ProgramBuilder` and the text :func:`assemble` entry point;
+* the text :func:`assemble` entry point;
 * the shared value semantics (:func:`evaluate`, :func:`branch_taken`,
   :func:`effective_address`, :class:`ArithmeticFault`).
 """
 
 from .assembler import AssemblyError, assemble
-from .builder import ProgramBuilder
 from .encoding import (
     EncodingError,
     decode_program,
@@ -59,7 +58,6 @@ __all__ = [
     "OpKind",
     "Opcode",
     "Program",
-    "ProgramBuilder",
     "ProgramError",
     "RegBank",
     "Register",

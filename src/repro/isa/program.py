@@ -27,8 +27,7 @@ class Program:
     ``pc``; each decodes its flat engine record (register ids, masks,
     flags, FU index) on first use, so a program decodes once per
     process and ships to workers undecoded.  Construct via
-    :func:`build_program`, :class:`repro.isa.builder.ProgramBuilder`,
-    or :func:`repro.isa.assembler.assemble`.
+    :func:`build_program` or :func:`repro.isa.assembler.assemble`.
     """
 
     instructions: tuple

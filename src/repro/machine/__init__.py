@@ -19,13 +19,12 @@ from .fetch import InstructionBuffers
 from .functional_units import FUPool
 from .interrupts import InterruptRecord
 from .memory import Memory
-from .result_bus import BroadcastBus, ResultBus
+from .result_bus import ResultBus
 from .stats import SimResult, StallReason, aggregate, speedup
 from .timeline import Timeline
 
 __all__ = [
     "ArithmeticFault",
-    "BroadcastBus",
     "CRAY1_LIKE",
     "Checkpoint",
     "CheckpointError",

@@ -9,7 +9,7 @@ bus slot does not happen.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
 
 class ResultBus:
@@ -78,34 +78,3 @@ class ResultBus:
         """All outstanding reservations, sorted (for debugging/tests)."""
         return sorted(self._reserved)
 
-
-class BroadcastBus:
-    """A value-carrying bus delivering tagged results once per cycle.
-
-    Used for the RUU's commit bus (RUU -> register file) which the
-    reservation stations also snoop, and by tests that want to observe
-    bus traffic.  At most one (tag, value) per cycle.
-    """
-
-    __slots__ = ("_traffic",)
-
-    def __init__(self) -> None:
-        self._traffic: Dict[int, Tuple[object, object]] = {}
-
-    def drive(self, cycle: int, tag, value) -> bool:
-        """Put ``(tag, value)`` on the bus at ``cycle``; False if busy."""
-        if cycle in self._traffic:
-            return False
-        self._traffic[cycle] = (tag, value)
-        return True
-
-    def observe(self, cycle: int) -> Optional[Tuple[object, object]]:
-        """What is on the bus at ``cycle``, if anything."""
-        return self._traffic.get(cycle)
-
-    def release_past(self, now: int) -> None:
-        self._traffic = {
-            cycle: payload
-            for cycle, payload in self._traffic.items()
-            if cycle >= now
-        }

@@ -72,17 +72,6 @@ class Trace:
     def memory_count(self) -> int:
         return sum(1 for entry in self.entries if entry.inst.is_memory)
 
-    def mix_report(self) -> str:
-        """Human-readable dynamic instruction mix."""
-        total = len(self.entries)
-        lines = [f"{self.name}: {total} dynamic instructions"]
-        for fu, count in sorted(
-            self.fu_mix().items(), key=lambda item: -item[1]
-        ):
-            lines.append(
-                f"  {fu.value:>16s}: {count:6d} ({count / total:5.1%})")
-        return "\n".join(lines)
-
     # -- serialization ----------------------------------------------------
 
     def dump(self) -> str:

@@ -11,7 +11,6 @@ from repro.machine import (
     PageFault,
     ResultBus,
 )
-from repro.machine.result_bus import BroadcastBus
 
 
 class TestMemory:
@@ -135,23 +134,6 @@ class TestResultBus:
         assert bus.reserved_cycles() == [15, 16]
         assert [bus.reservations(after) for after in (12, 15, 16, 99)] \
             == [2, 1, 0, 0]
-
-
-class TestBroadcastBus:
-    def test_single_payload_per_cycle(self):
-        bus = BroadcastBus()
-        assert bus.drive(1, "tag", 42)
-        assert not bus.drive(1, "tag2", 43)
-        assert bus.observe(1) == ("tag", 42)
-        assert bus.observe(2) is None
-
-    def test_release_past(self):
-        bus = BroadcastBus()
-        bus.drive(1, "t", 1)
-        bus.drive(5, "u", 2)
-        bus.release_past(3)
-        assert bus.observe(1) is None
-        assert bus.observe(5) == ("u", 2)
 
 
 class TestFunctionalUnits:

@@ -109,7 +109,3 @@ class TestInstructionMix:
     def test_total_size_reasonable(self, traces):
         total = sum(len(trace) for trace in traces.values())
         assert 15_000 < total < 60_000
-
-    def test_mix_report_renders(self, traces):
-        report = traces["LLL1"].mix_report()
-        assert "LLL1" in report and "memory" in report
