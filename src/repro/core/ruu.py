@@ -49,7 +49,7 @@ from ..isa.instruction import Instruction
 from ..isa.registers import REGISTERS, TOTAL_REGISTERS, RegBank
 from ..machine.engine import InOrderCommit
 from ..machine.stats import StallReason
-from ..issue.common import Operand, WindowedEngine, WindowEntry
+from ..issue.common import WindowedEngine, WindowEntry
 
 #: An RUU tag names one instance of one register, ``instance << 8 | id``
 #: (the paper's register number concatenated with LI).
@@ -132,7 +132,7 @@ class RUUEngine(InOrderCommit, WindowedEngine):
         if entry.dest_tag is not None:
             self._live[entry.dest_tag] = entry
 
-    def _source_operand(self, reg: int) -> Operand:
+    def _source_operand(self, reg: int) -> Tuple[object, object]:
         """Register-file read, RUU bypass read, or tag to snoop.
 
         With ``NI == 0`` the register file holds the latest instance
@@ -142,12 +142,12 @@ class RUUEngine(InOrderCommit, WindowedEngine):
         travel on the result bus or the commit bus.
         """
         if not self._ni[reg]:
-            return Operand(True, self.regs.values[reg])
+            return self.regs.values[reg], None
         tag = self._li[reg] << TAG_ID_BITS | reg
         producer = self._bypass_producer(reg, tag)
         if producer is not None:
-            return Operand(True, producer.result)
-        return Operand(False, tag=tag)
+            return producer.result, None
+        return None, tag
 
     def _bypass_producer(self, reg: int, tag: Tag) -> Optional[WindowEntry]:
         """The RUU entry whose result a read of ``tag`` may take now: the

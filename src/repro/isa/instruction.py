@@ -9,7 +9,7 @@ from typing import (
 
 from .opcodes import FU_INDEX, FUClass, OpKind, Opcode
 from .registers import RegBank, Register
-from .semantics import ALU_OPERATIONS
+from .semantics import ALU_OPERATIONS, bank_coercion
 
 _T = TypeVar("_T")
 
@@ -125,6 +125,9 @@ class Instruction:
     #: ``(operands, imm) -> raw result`` of an ALU or immediate opcode
     #: (``semantics.ALU_OPERATIONS``), else None.
     operation = _Decoded[Optional[Callable[[Sequence, object], object]]]()
+    #: ``raw -> value`` in ``dest``'s width discipline
+    #: (``semantics.bank_coercion``), or None without a destination.
+    coerce = _Decoded[Optional[Callable[[object], object]]]()
 
     def _decode(self) -> None:
         opcode = self.opcode
@@ -152,6 +155,8 @@ class Instruction:
             src_mask=src_mask,
             dest_mask=0 if dest_id is None else 1 << dest_id,
             operation=ALU_OPERATIONS.get(opcode),
+            coerce=None if self.dest is None
+            else bank_coercion(self.dest.bank),
         )
 
     def __getstate__(self) -> Dict[str, object]:

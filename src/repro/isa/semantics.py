@@ -67,16 +67,37 @@ def _as_float(value) -> float:
     return float(value)
 
 
-_A_WIDTH_BANKS = (RegBank.A, RegBank.B)
+_A_MASK = (1 << A_BITS) - 1
+_A_SIGN = 1 << (A_BITS - 1)
+
+
+def coerce_a(value) -> int:
+    """The A and B banks' width discipline: an integer wrapped to 24
+    bits.  An exact ``int`` skips the conversions."""
+    if type(value) is not int:
+        value = int(_as_int(value))
+    value &= _A_MASK
+    if value >= _A_SIGN:
+        value -= 1 << A_BITS
+    return value
+
+
+def coerce_s(value):
+    """The S and T banks' width discipline: a float passes through, an
+    integer wraps to 64 bits."""
+    if isinstance(value, float):
+        return value
+    return wrap_s_int(_as_int(value))
+
+
+def bank_coercion(bank: RegBank) -> Callable[[object], object]:
+    """The width discipline of register bank ``bank``."""
+    return coerce_a if bank in (RegBank.A, RegBank.B) else coerce_s
 
 
 def coerce_for_bank(reg: Register, value):
     """Apply the destination register file's width discipline."""
-    if reg.bank in _A_WIDTH_BANKS:
-        return wrap_a(_as_int(value))
-    if isinstance(value, float):
-        return value
-    return wrap_s_int(_as_int(value))
+    return bank_coercion(reg.bank)(value)
 
 
 def evaluate(opcode: Opcode, operands: Sequence, imm=None):
@@ -170,4 +191,4 @@ def branch_taken(opcode: Opcode, value) -> bool:
 
 def effective_address(base_value, imm) -> int:
     """Compute a memory address (word-addressed, wrapped to A width)."""
-    return wrap_a(_as_int(base_value) + int(imm))
+    return coerce_a(_as_int(base_value) + int(imm))

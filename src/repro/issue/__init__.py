@@ -6,7 +6,7 @@
 the RUU share one core, :class:`~repro.issue.common.WindowedEngine`.
 """
 
-from .common import Operand, WindowedEngine, WindowEntry
+from .common import WindowedEngine, WindowEntry
 from .dispatch_stack import DispatchStackEngine
 from .rspool import RSPoolEngine
 from .rstu import RSTUEngine
@@ -16,7 +16,6 @@ from .tomasulo import TomasuloEngine
 
 __all__ = [
     "DispatchStackEngine",
-    "Operand",
     "RSPoolEngine",
     "RSTUEngine",
     "SimpleEngine",

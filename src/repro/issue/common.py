@@ -1,8 +1,8 @@
 """The windowed-engine core shared by Tomasulo's family and the RUU.
 
 Tomasulo, the Tag Unit, the RS pool, the RSTU and the RUU all hold
-waiting instructions in entries of the same shape: per-source operand
-slots that either have a value or snoop a tag, a destination tag, and
+waiting instructions in entries of the same shape: per-source slots
+that either hold a value or snoop a tag, a destination tag, and
 execution bookkeeping.  The paper builds each machine from the one
 before by changing only how tags are *allocated*, how the stations are
 laid out, and when a station is *freed* (§3.2, §5).
@@ -19,42 +19,29 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.semantics import coerce_for_bank, effective_address
+from ..isa.semantics import effective_address
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
 from ..memdep import FROM_MEMORY, MemoryDependencyUnit
 
 
-class Operand:
-    """One source-operand slot of a reservation station."""
-
-    __slots__ = ("ready", "value", "tag")
-
-    def __init__(self, ready: bool, value=None, tag=None) -> None:
-        self.ready = ready
-        self.value = value
-        self.tag = tag
-
-    def __repr__(self) -> str:
-        if self.ready:
-            return f"Operand(ready, {self.value!r})"
-        return f"Operand(waiting on {self.tag!r})"
-
-
 class WindowEntry:
     """A reservation station (or RSTU/RUU slot) holding one instruction.
 
-    ``operands`` are in :attr:`Instruction.sources` order -- explicit
-    sources first, then the memory base register (if any).  For a store,
-    ``operands[0]`` is the datum.  ``missing`` counts the operands still
-    waiting on a tag; the :class:`WakeupIndex` keeps it current.
+    ``values`` and ``tags`` hold the source operands (the station's
+    Vj/Vk and Qj/Qk) in :attr:`Instruction.sources` order -- explicit
+    sources first, then the memory base register (if any).  A slot's
+    tag is None once its value is there.  For a store, slot 0 is the
+    datum.  ``missing`` counts the slots still waiting on a tag; the
+    :class:`WakeupIndex` keeps it current.
     """
 
     __slots__ = (
         "seq",
         "inst",
-        "operands",
+        "values",
+        "tags",
         "missing",
         "dest_tag",
         "dispatched",
@@ -65,12 +52,13 @@ class WindowEntry:
         "squashed",
     )
 
-    def __init__(self, seq: int, inst: Instruction,
-                 operands: List[Operand], dest_tag=None) -> None:
+    def __init__(self, seq: int, inst: Instruction, values: List,
+                 tags: List, missing: int, dest_tag=None) -> None:
         self.seq = seq
         self.inst = inst
-        self.operands = operands
-        self.missing = len([op for op in operands if not op.ready])
+        self.values = values
+        self.tags = tags
+        self.missing = missing
         self.dest_tag = dest_tag
         self.dispatched = False
         self.executed_cycle: Optional[int] = None
@@ -84,14 +72,12 @@ class WindowEntry:
     @property
     def datum(self):
         """The value a store writes (its datum operand must be ready)."""
-        return self.operands[0].value
+        return self.values[0]
 
     def compute_address(self) -> int:
         """Resolve and cache the effective address (base must be ready)."""
         if self.address is None:
-            self.address = effective_address(
-                self.operands[-1].value, self.inst.imm
-            )
+            self.address = effective_address(self.values[-1], self.inst.imm)
         return self.address
 
     @property
@@ -104,16 +90,17 @@ class WindowEntry:
     @property
     def waiting_tags(self) -> List[object]:
         """The tags of the operands still missing."""
-        return [operand.tag for operand in self.operands if not operand.ready]
+        return [tag for tag in self.tags if tag is not None]
 
     def __repr__(self) -> str:
         return f"<#{self.seq} {self.inst} [{self.state}]>"
 
 
-class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
-    """Tag -> the operands waiting on it (the result-bus tag match).
+class WakeupIndex(Dict[object, List[Tuple[WindowEntry, int]]]):
+    """Tag -> the ``(entry, slot)`` pairs waiting on it (the result-bus
+    tag match).
 
-    A broadcast visits exactly the operands waiting on its tag instead of
+    A broadcast visits exactly the slots waiting on its tag instead of
     snooping every entry of the window.  ``ready`` stands for the
     stations' ready bits: the undispatched entries with no operand
     missing, in seq order.  Dispatch selects from it, and removes what
@@ -133,16 +120,16 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
         self.mdu = mdu
 
     def add(self, entry: WindowEntry) -> None:
-        """Index every operand of a new ``entry`` that waits on a tag;
-        an entry with none is ready at issue."""
+        """Index every slot of a new ``entry`` that waits on a tag; an
+        entry with none is ready at issue."""
         if entry.missing:
-            for operand in entry.operands:
-                if not operand.ready:
-                    waiting = self.get(operand.tag)
+            for slot, tag in enumerate(entry.tags):
+                if tag is not None:
+                    waiting = self.get(tag)
                     if waiting is None:
-                        self[operand.tag] = [(entry, operand)]
+                        self[tag] = [(entry, slot)]
                     else:
-                        waiting.append((entry, operand))
+                        waiting.append((entry, slot))
         else:
             # Issue is in seq order: the newest entry is the youngest.
             self.ready.append(entry)
@@ -150,13 +137,12 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
                 self.mdu.publish(entry.seq, entry.datum)
 
     def wake(self, tag, value) -> None:
-        """Deliver ``(tag, value)``: every waiting operand captures it."""
+        """Deliver ``(tag, value)``: every waiting slot captures it."""
         waiting = self.pop(tag, None)
         if waiting is not None:
-            for entry, operand in waiting:
-                operand.ready = True
-                operand.value = value
-                operand.tag = None
+            for entry, slot in waiting:
+                entry.values[slot] = value
+                entry.tags[slot] = None
                 entry.missing -= 1
                 if not entry.missing:
                     self._make_ready(entry)
@@ -178,7 +164,7 @@ class WakeupIndex(Dict[object, List[Tuple[WindowEntry, Operand]]]):
         self.ready.clear()
 
     def drop_squashed(self) -> None:
-        """Forget the operands and ready bits of squashed entries
+        """Forget the slots and ready bits of squashed entries
         (recovery)."""
         for tag, waiting in list(self.items()):
             live = [pair for pair in waiting if not pair[0].squashed]
@@ -230,8 +216,9 @@ class WindowedEngine(Engine):
         """The reason ``inst`` cannot take a station now, or None."""
 
     @abc.abstractmethod
-    def _source_operand(self, reg_id: int) -> Operand:
-        """Read source register ``reg_id``: a value or a tag to snoop."""
+    def _source_operand(self, reg_id: int) -> Tuple[object, object]:
+        """Read source register ``reg_id``: ``(value, None)``, or
+        ``(None, tag)`` for a tag to snoop."""
 
     @abc.abstractmethod
     def _allocate_dest_tag(self, dest_id: int, seq: int):
@@ -253,14 +240,22 @@ class WindowedEngine(Engine):
         # Read sources *before* tagging the destination: an instruction
         # like ``A_ADDI A1, A1, 1`` must take A1's previous tag, not its
         # own freshly allocated one.
-        operands = [self._source_operand(reg) for reg in inst.source_ids]
+        values = []
+        tags = []
+        missing = 0
+        for reg in inst.source_ids:
+            value, tag = self._source_operand(reg)
+            values.append(value)
+            tags.append(tag)
+            if tag is not None:
+                missing += 1
         dest_tag = None
         if inst.dest_id is not None:
             dest_tag = self._allocate_dest_tag(inst.dest_id, seq)
             if dest_tag is None:
                 self.stall(StallReason.NO_TAG)
                 return False
-        entry = WindowEntry(seq, inst, operands, dest_tag=dest_tag)
+        entry = WindowEntry(seq, inst, values, tags, missing, dest_tag)
         self._waiting.add(entry)
         self._insert_entry(entry)
         if inst.is_memory:
@@ -288,7 +283,7 @@ class WindowedEngine(Engine):
         unknown address blocks all younger memory ops (paper §3.2.1.2)."""
         while self._unresolved:
             entry = self._unresolved[0]
-            if not entry.operands[-1].ready:
+            if entry.tags[-1] is not None:
                 break
             self.mdu.resolve(entry.seq, entry.compute_address())
             self._unresolved.popleft()
@@ -396,16 +391,14 @@ class WindowedEngine(Engine):
         try:
             if not inst.is_memory:
                 # No base register: the operands are the explicit sources.
-                raw = inst.operation(
-                    [operand.value for operand in entry.operands], inst.imm
-                )
-                entry.result = coerce_for_bank(inst.dest, raw)
+                entry.result = inst.coerce(
+                    inst.operation(entry.values, inst.imm))
             elif inst.is_load:
                 if self.mdu.binding_of(entry.seq) is FROM_MEMORY:
                     raw = self.memory.read(entry.address)
                 else:
                     raw = self.mdu.forwarded_value(entry.seq)
-                entry.result = coerce_for_bank(inst.dest, raw)
+                entry.result = inst.coerce(raw)
             elif not self.stores_at_commit:
                 self.memory.write(entry.address, entry.datum)
         except FAULT_TYPES as fault:

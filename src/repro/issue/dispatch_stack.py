@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.registers import TOTAL_REGISTERS
-from ..isa.semantics import coerce_for_bank, effective_address
+from ..isa.semantics import effective_address
 from ..machine.engine import NEVER, Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
@@ -190,15 +190,14 @@ class DispatchStackEngine(Engine):
                     raw = self.memory.read(entry.address)
                 else:
                     raw = self.mdu.forwarded_value(entry.seq)
-                entry.result = coerce_for_bank(inst.dest, raw)
+                entry.result = inst.coerce(raw)
             elif inst.is_store:
                 datum = values[inst.src_ids[0]]
                 self.mdu.publish(entry.seq, datum)
                 self.memory.write(entry.address, datum)
             else:
                 operands = [values[reg] for reg in inst.src_ids]
-                raw = inst.operation(operands, inst.imm)
-                entry.result = coerce_for_bank(inst.dest, raw)
+                entry.result = inst.coerce(inst.operation(operands, inst.imm))
         except FAULT_TYPES as fault:
             entry.fault = fault
         self.fus.accept(inst.fu_index, self.cycle)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.semantics import coerce_for_bank, effective_address
+from ..isa.semantics import effective_address
 from ..machine.engine import NEVER, Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
@@ -162,16 +162,13 @@ class SimpleEngine(Engine):
             if inst.is_memory:
                 entry.address = effective_address(operands[-1], inst.imm)
                 if inst.is_load:
-                    entry.result = coerce_for_bank(
-                        inst.dest, self._load_value(entry.address)
-                    )
+                    entry.result = inst.coerce(self._load_value(entry.address))
                 elif self.stores_at_commit:
                     entry.datum = operands[0]
                 else:
                     self.memory.write(entry.address, operands[0])
             else:
-                raw = inst.operation(operands, inst.imm)
-                entry.result = coerce_for_bank(inst.dest, raw)
+                entry.result = inst.coerce(inst.operation(operands, inst.imm))
         except FAULT_TYPES as fault:
             entry.fault = fault
 

@@ -28,13 +28,13 @@ organization, mirroring how the paper evolves the design (§3.2).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import FUClass
 from ..isa.registers import TOTAL_REGISTERS
 from ..machine.stats import StallReason
-from .common import Operand, WindowedEngine, WindowEntry
+from .common import WindowedEngine, WindowEntry
 
 
 class TomasuloEngine(WindowedEngine):
@@ -70,12 +70,12 @@ class TomasuloEngine(WindowedEngine):
                 return StallReason.WINDOW_FULL
         return None
 
-    def _source_operand(self, reg_id: int) -> Operand:
+    def _source_operand(self, reg_id: int) -> Tuple[object, object]:
         """Register-file read or tag capture, per the busy bit."""
         tag = self._reg_tag[reg_id]
         if tag is None:
-            return Operand(True, self.regs.values[reg_id])
-        return Operand(False, tag=tag)
+            return self.regs.values[reg_id], None
+        return None, tag
 
     def _allocate_dest_tag(self, dest_id: int, seq: int):
         """Tomasulo proper: an unbounded tag space (tag = dynamic seq)."""

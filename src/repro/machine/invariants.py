@@ -149,15 +149,16 @@ class InvariantChecker:
         waiting_operands = 0
         for entry in window:
             missing = 0
-            for operand in entry.operands:
-                if operand.ready:
+            for slot, tag in enumerate(entry.tags):
+                if tag is None:
                     continue
                 missing += 1
-                if not any(waiter is operand for _, waiter in
-                           engine._waiting.get(operand.tag, ())):
+                if not any(waiter is entry and waiting_slot == slot
+                           for waiter, waiting_slot in
+                           engine._waiting.get(tag, ())):
                     self._fail(
                         f"#{entry.seq} waits on "
-                        f"{engine.tag_name(operand.tag)} but is not in "
+                        f"{engine.tag_name(tag)} but is not in "
                         f"the wake-up index"
                     )
             if entry.missing != missing:
@@ -233,13 +234,11 @@ class InvariantChecker:
             if entry.dest_tag is not None
         }
         for entry in window:
-            for operand in entry.operands:
-                if operand.ready:
-                    continue
-                if operand.tag not in live_tags:
+            for tag in entry.tags:
+                if tag is not None and tag not in live_tags:
                     self._fail(
                         f"#{entry.seq} waits on "
-                        f"{engine.tag_name(operand.tag)} with no live "
+                        f"{engine.tag_name(tag)} with no live "
                         f"producer"
                     )
 

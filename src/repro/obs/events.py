@@ -7,10 +7,12 @@ Attach a :class:`TraceRecorder` to an engine before running::
     result = engine.run()
 
 With no recorder attached (the default) the engine pays one attribute
-test per event -- perfbench's ``trace`` workload times that path.
+test per event -- perfbench's ``zoo`` workload times that path; its
+``trace`` workload attaches a detail recorder.
 
 The recorder listens to the four hook streams every engine already
-emits -- stage transitions (``Engine.note``), stall causes
+emits -- stage transitions (``on_stage``, called where each stage
+happens, behind an ``if self.recorder is not None`` test), stall causes
 (``Engine.stall``), architectural retirement (``_note_retired``) and
 decode metadata -- plus one end-of-tick callback per cycle
 (``on_cycle``), or one per idle span an engine jumps over

@@ -153,3 +153,13 @@ class TestDecodedRecord:
         assert "is_memory" not in vars(clone)
         assert clone == inst
         assert clone.is_memory and clone.base_id == A(4).flat_index
+
+    def test_coercion_is_decoded_again_after_pickling(self):
+        inst = Instruction(Opcode.A_ADD, dest=A(1), srcs=(A(2), A(3)))
+        assert inst.coerce(1 << 23) == -(1 << 23)  # decoded here
+        clone = pickle.loads(pickle.dumps(inst))
+        assert "coerce" not in vars(clone)
+        assert clone.coerce is inst.coerce
+        assert clone.coerce(1 << 23) == -(1 << 23)
+        assert example(Opcode.S_ADD).coerce(2.5) == 2.5
+        assert example(Opcode.STORE_S).coerce is None

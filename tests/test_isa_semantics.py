@@ -6,7 +6,9 @@ from repro.isa import (
     A,
     ArithmeticFault,
     B,
+    Instruction,
     Opcode,
+    RegBank,
     S,
     T,
     branch_taken,
@@ -17,7 +19,7 @@ from repro.isa import (
     wrap_s_int,
 )
 from repro.isa.opcodes import OpKind
-from repro.isa.semantics import ALU_OPERATIONS, wrap_signed
+from repro.isa.semantics import ALU_OPERATIONS, _as_int, wrap_signed
 
 _VALUE_KINDS = (OpKind.ALU, OpKind.IMMEDIATE)
 
@@ -157,3 +159,49 @@ class TestEffectiveAddress:
 
     def test_wraps_to_a_width(self):
         assert effective_address((1 << 23) - 1, 1) == -(1 << 23)
+
+
+def _outcome(function, *args):
+    """``(type name, repr)`` of a result, or the fault's message."""
+    try:
+        result = function(*args)
+    except ArithmeticFault as fault:
+        return ("fault", str(fault))
+    return (type(result).__name__, repr(result))
+
+
+def _old_coerce(bank, value):
+    """The four-call composition the decoded coercion replaces."""
+    if bank in (RegBank.A, RegBank.B):
+        return wrap_a(_as_int(value))
+    if isinstance(value, float):
+        return value
+    return wrap_s_int(_as_int(value))
+
+
+_COERCION_VALUES = [
+    0, 1, -1,
+    1 << 23, (1 << 23) - 1, (1 << 23) + 1,
+    -(1 << 23), -(1 << 23) - 1, -(1 << 23) + 1,
+    1 << 24, -(1 << 24), 1 << 63, -(1 << 63), 1 << 64, -(1 << 64),
+    True, False,
+    0.0, 3.0, -7.0, float(1 << 23), float(1 << 63), 2.5, -0.0, 1e300,
+]
+
+
+class TestDecodedCoercion:
+    """``Instruction.coerce`` equals the composition it replaced."""
+
+    @pytest.mark.parametrize("reg", [A(1), B(1), S(1), T(1)])
+    @pytest.mark.parametrize("value", _COERCION_VALUES, ids=repr)
+    def test_matches_the_old_composition(self, reg, value):
+        inst = Instruction(Opcode.MOV, dest=reg, srcs=(S(2),))
+        want = _outcome(_old_coerce, reg.bank, value)
+        assert _outcome(inst.coerce, value) == want
+        assert _outcome(coerce_for_bank, reg, value) == want
+
+    @pytest.mark.parametrize("imm", [0, 5, -7, 1 << 23, 2.0])
+    @pytest.mark.parametrize("base", _COERCION_VALUES, ids=repr)
+    def test_effective_address_matches(self, base, imm):
+        assert _outcome(effective_address, base, imm) == _outcome(
+            lambda b, i: wrap_a(_as_int(b) + int(i)), base, imm)
