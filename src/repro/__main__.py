@@ -44,6 +44,7 @@ from .analysis import (
 )
 from .isa import assemble
 from .machine import MachineConfig, Memory, aggregate
+from .machine.config import ConfigError
 from .trace import FunctionalExecutor
 from .workloads import LIVERMORE_FACTORIES, all_loops
 
@@ -53,9 +54,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     with open(args.file) as handle:
         program = assemble(handle.read(), name=args.file)
-    config = MachineConfig(window_size=args.window)
     builder = ENGINE_FACTORIES[args.engine]
-    engine = builder(program, config, Memory())
+    engine = builder(program, args.config, Memory())
     recorder = None
     if args.timeline or args.timeline_json:
         from .obs import TraceRecorder
@@ -123,9 +123,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace
 
     program, memory = _resolve_program(args.prog)
-    config = MachineConfig(window_size=args.window)
     recorder, result = _traced_run(
-        program, memory, args.engine, config,
+        program, memory, args.engine, args.config,
         sample_every=args.sample_every,
     )
     attribution = attribute_cycles(result, recorder)
@@ -161,11 +160,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print(f"unknown engine(s): {', '.join(unknown)}; "
               f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
         return 2
-    config = MachineConfig(window_size=args.window)
     recorders = []
     for name in engines:
         program, memory = _resolve_program(args.prog)
-        recorders.append(_traced_run(program, memory, name, config))
+        recorders.append(_traced_run(program, memory, name, args.config))
     (rec_a, res_a), (rec_b, res_b) = recorders
     diff = diff_recorders(rec_a, rec_b, res_a, res_b, top=args.top)
     print(diff.describe())
@@ -203,8 +201,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except (AssemblyError, ProgramError) as exc:
         print(f"{args.file}: error: {exc}")
         return 1
-    config = MachineConfig(window_size=args.window)
-    report = lint_program(program, config)
+    report = lint_program(program, args.config)
     if args.json:
         print(report.to_json())
     else:
@@ -219,9 +216,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     numbers = args.loops or list(range(1, 15))
     workloads = [LIVERMORE_FACTORIES[n]() for n in numbers]
-    config = MachineConfig(window_size=args.window)
     results = {
-        name: run_suite(name, workloads, config)
+        name: run_suite(name, workloads, args.config)
         for name in ENGINE_FACTORIES
     }
     baseline = results["simple"]
@@ -300,9 +296,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
         return 2
     workloads = SUITES[args.suite]()
-    config = MachineConfig(window_size=args.window)
     reports = verify_all(
-        workloads, config,
+        workloads, args.config,
         engines=args.engines or None,
     )
     failed = 0
@@ -326,11 +321,10 @@ def _cmd_drill(args: argparse.Namespace) -> int:
               f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
         return 2
     workloads = SUITES[args.suite]()
-    config = MachineConfig(window_size=args.window)
     report = restart_drill(
         engines=engines,
         workloads=workloads,
-        config=config,
+        config=args.config,
         checkpoint_dir=args.checkpoint_dir,
         cross_engine=not args.no_cross,
     )
@@ -557,6 +551,12 @@ def main(argv=None) -> int:
     p_serve.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)
+    try:
+        if "window" in args:
+            args.config = MachineConfig.from_json({"window_size": args.window})
+    except ConfigError as exc:
+        print(f"repro: --window: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

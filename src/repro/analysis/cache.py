@@ -10,10 +10,10 @@ stale results after a workload or config edit.
 Correctness guarantees (relied on by the parallel runner, which shares
 one cache directory across worker processes):
 
-* **Key completeness** -- the config part of the key is derived from
-  ``dataclasses.fields(MachineConfig)``, so a field added to the config
-  later automatically perturbs the key; it can never be silently left
-  out and serve stale results.
+* **Key completeness** -- the config part of the key is
+  :meth:`MachineConfig.fingerprint`, the bytes of every field, so a
+  field added to the config later perturbs the key; it can never be
+  silently left out and serve stale results.
 * **Atomic writes** -- :meth:`ResultCache.put` writes to a temp file in
   the cache directory and publishes it with ``os.replace``.  Readers
   never observe a half-written entry, and concurrent writers of the

@@ -7,9 +7,10 @@ confusing mid-run fault or a silently meaningless number:
 * ``config-missing-latency`` (error) -- a functional-unit class the
   program uses has no latency entry.
 * ``config-bad-latency`` (error) -- a latency below one cycle.
-* ``config-bad-sizing`` (error) -- non-positive issue width, window
-  size, dispatch/commit paths, tag-pool size, counter width, or cycle
-  budget; negative branch penalties.
+* ``config-bad-sizing`` (error) -- an integer field below its
+  :data:`~repro.machine.config.SIZING_MINIMUMS` entry (the rules
+  ``MachineConfig.from_json`` applies to every decoded config), e.g. a
+  non-positive window size or a negative branch penalty.
 * ``config-no-load-registers`` (error) -- the program performs memory
   operations but the machine has no load registers to disambiguate
   them.
@@ -23,30 +24,13 @@ confusing mid-run fault or a silently meaningless number:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from ..isa.opcodes import FUClass
 from ..isa.program import Program
 from ..isa.registers import Register
-from ..machine.config import MachineConfig
+from ..machine.config import SIZING_MINIMUMS, MachineConfig
 from .diagnostics import Diagnostic, Severity
-
-#: Sizing rules: the least value of each integer ``MachineConfig``
-#: field below which a machine cannot run (``config-bad-sizing``).
-SIZING_MINIMUMS: Dict[str, int] = {
-    "issue_width": 1,
-    "window_size": 1,
-    "dispatch_paths": 1,
-    "commit_paths": 1,
-    "n_tags": 1,
-    "counter_bits": 1,
-    "max_cycles": 1,
-    "watchdog_cycles": 0,
-    "branch_taken_penalty": 0,
-    "branch_not_taken_penalty": 0,
-    "forward_latency": 1,
-    "store_execute_latency": 1,
-}
 
 
 def check_config(program: Program, config: MachineConfig) -> List[Diagnostic]:

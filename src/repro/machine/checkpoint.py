@@ -40,7 +40,6 @@ subtly corrupt machine.
 from __future__ import annotations
 
 import base64
-import dataclasses
 import hashlib
 import json
 import os
@@ -48,10 +47,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..isa.encoding import decode_program, encode_program
-from ..isa.opcodes import FUClass
 from ..isa.program import Program
 from ..isa.registers import Register
-from .config import MachineConfig
+from .config import ConfigError, MachineConfig
 from .interrupts import InterruptRecord
 from .memory import Memory
 
@@ -70,32 +68,6 @@ _COUNTER_FIELDS = (
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be captured, validated, or restored."""
-
-
-def _config_to_json(config: MachineConfig) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {}
-    for field in dataclasses.fields(MachineConfig):
-        value = getattr(config, field.name)
-        if field.name == "latencies":
-            value = {fu.value: cycles for fu, cycles in value.items()}
-        payload[field.name] = value
-    return payload
-
-
-def _config_from_json(payload: Dict[str, Any]) -> MachineConfig:
-    known = {field.name for field in dataclasses.fields(MachineConfig)}
-    unknown = set(payload) - known
-    if unknown:
-        raise CheckpointError(
-            f"checkpoint config has unknown fields: {sorted(unknown)} "
-            f"(saved by a newer version?)"
-        )
-    kwargs = dict(payload)
-    kwargs["latencies"] = {
-        FUClass(name): int(cycles)
-        for name, cycles in payload["latencies"].items()
-    }
-    return MachineConfig(**kwargs)
 
 
 def _factory_key(engine_name: str) -> Optional[str]:
@@ -260,7 +232,7 @@ class Checkpoint:
                     encode_program(self.program)
                 ).decode("ascii"),
             },
-            "config": _config_to_json(self.config),
+            "config": self.config.to_json(),
             "registers": dict(self.registers),
             "memory": {
                 "words": {
@@ -312,11 +284,15 @@ class Checkpoint:
         )
         memory_json = payload["memory"]
         interrupt_json = payload["interrupt"]
+        try:
+            config = MachineConfig.from_json(payload["config"])
+        except ConfigError as exc:
+            raise CheckpointError(f"checkpoint config: {exc}") from None
         return cls(
             engine=payload["engine"],
             factory=payload["factory"],
             program=program,
-            config=_config_from_json(payload["config"]),
+            config=config,
             registers=dict(payload["registers"]),
             memory_words={
                 int(address): value

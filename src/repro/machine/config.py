@@ -8,10 +8,9 @@ counters for the RUU.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..isa.opcodes import DEFAULT_LATENCY, FUClass
 
@@ -94,28 +93,54 @@ class MachineConfig:
         """Maximum live instances of one destination register (2^n - 1)."""
         return (1 << self.counter_bits) - 1
 
-    def fingerprint(self) -> bytes:
-        """Canonical bytes of every field, the config's part of a
-        result-cache key.
+    def to_json(self) -> Dict[str, Any]:
+        """The wire form: every field by name, ``latencies`` keyed by
+        ``FUClass.value`` (a checkpoint's ``config``)."""
+        payload = {name: getattr(self, name) for name in _FIELD_NAMES}
+        payload["latencies"] = {f.value: n for f, n in self.latencies.items()}
+        return payload
 
-        The fields are enumerated by ``dataclasses.fields`` (not by
-        hand), so a knob added later perturbs keys from day one.  The
-        config is frozen but ``latencies`` is a mutable mapping, so the
-        bytes are kept beside a snapshot of it and computed afresh when
-        it has been edited in place.  Neither is ever pickled (see
+    @classmethod
+    def from_json(cls, payload: Mapping[str, Any],
+                  base: Optional["MachineConfig"] = None) -> "MachineConfig":
+        """``base`` (default :data:`CRAY1_LIKE`) with the fields of
+        ``payload``, all or part of a :meth:`to_json` document.
+
+        The first bad field in payload order raises :class:`ConfigError`:
+        an unknown name, a non-``int`` (``bool`` included), or a value
+        below its :data:`SIZING_MINIMUMS` entry (1 for each latency).
+        """
+        overrides: Dict[str, Any] = {}
+        for name, value in payload.items():
+            if name == "latencies":
+                value = _latencies_from_json(value)
+            elif name not in SIZING_MINIMUMS:
+                raise ConfigError(
+                    "unknown_config_field",
+                    f"unknown or unsupported config field {name!r}",
+                    field=str(name),
+                )
+            else:
+                _check_int(name, value, SIZING_MINIMUMS[name])
+            overrides[name] = value
+        return replace(base or CRAY1_LIKE, **overrides)
+
+    def fingerprint(self) -> bytes:
+        """The config's part of a result-cache key: :meth:`to_json`
+        with ``latencies`` as sorted pairs.
+
+        The config is frozen but ``latencies`` is a mutable mapping, so
+        the bytes are kept beside a snapshot of it and computed afresh
+        when it has been edited in place.  Neither is ever pickled (see
         ``__getstate__``).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None and cached[0] == self.latencies:
             return cached[1]
         snapshot = dict(self.latencies)
-        fingerprint = json.dumps(
-            {
-                name: _fingerprint_value(getattr(self, name))
-                for name in _FIELD_NAMES
-            },
-            sort_keys=True,
-        ).encode()
+        payload = self.to_json()
+        payload["latencies"] = sorted(payload["latencies"].items())
+        fingerprint = json.dumps(payload, sort_keys=True).encode()
         self.__dict__["_fingerprint"] = (snapshot, fingerprint)
         return fingerprint
 
@@ -127,32 +152,69 @@ class MachineConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)
 
-    def with_latency(self, fu: FUClass, cycles: int) -> "MachineConfig":
-        """Return a copy with one functional-unit latency overridden."""
-        latencies: Dict[FUClass, int] = dict(self.latencies)
-        latencies[fu] = cycles
-        return replace(self, latencies=latencies)
-
 
 _FIELD_NAMES = tuple(f.name for f in fields(MachineConfig))
 
+#: Sizing rules: the least value of each integer field (every one has
+#: an entry) at which a machine still runs.  ``from_json`` refuses less;
+#: lint reports it (``config-bad-sizing``).
+SIZING_MINIMUMS: Dict[str, int] = {
+    "issue_width": 1,
+    "branch_taken_penalty": 0,
+    "branch_not_taken_penalty": 0,
+    "window_size": 1,
+    "n_load_registers": 1,
+    "counter_bits": 1,
+    "dispatch_paths": 1,
+    "commit_paths": 1,
+    "n_tags": 1,
+    "forward_latency": 1,
+    "store_execute_latency": 1,
+    "spec_predict_taken_penalty": 0,
+    "spec_mispredict_penalty": 0,
+    "spec_max_branches": 0,
+    "max_cycles": 1,
+    "watchdog_cycles": 0,
+}
 
-def _fingerprint_value(value):
-    """A stable, JSON-able encoding of one config field value."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, Mapping):
-        return sorted(
-            (_fingerprint_value(k), _fingerprint_value(v))
-            for k, v in value.items()
-        )
-    if isinstance(value, (list, tuple)):
-        return [_fingerprint_value(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_fingerprint_value(v) for v in value)
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return repr(value)
+
+class ConfigError(ValueError):
+    """A refused config document: ``reason`` is ``unknown_config_field``
+    or ``bad_config_value``; ``detail`` holds the ``field`` (and the
+    ``minimum`` it is below)."""
+
+    def __init__(self, reason: str, message: str, **detail: Any) -> None:
+        super().__init__(message)
+        self.reason = reason
+        self.detail = detail
+
+
+def _check_int(name: str, value: Any, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        problem, detail = f"be an integer, got {type(value).__name__}", {}
+    elif value < minimum:
+        problem, detail = f"be at least {minimum}, got {value}", {
+            "minimum": minimum}
+    else:
+        return
+    raise ConfigError("bad_config_value",
+                      f"config field {name!r} must {problem}",
+                      field=name, **detail)
+
+
+def _latencies_from_json(payload: Any) -> Dict[FUClass, int]:
+    try:
+        latencies = {FUClass(unit): n for unit, n in payload.items()}
+    except (AttributeError, ValueError):
+        raise ConfigError(
+            "bad_config_value",
+            "config field 'latencies' must map functional-unit names "
+            "to cycles",
+            field="latencies",
+        ) from None
+    for cycles in latencies.values():
+        _check_int("latencies", cycles, 1)
+    return latencies
 
 
 #: The paper's machine with default sizing.

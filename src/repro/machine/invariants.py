@@ -51,7 +51,7 @@ on every cycle of real workloads, not just its architectural outputs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.ruu import BypassMode, tag_parts
 from ..isa.registers import REGISTERS, TOTAL_REGISTERS
@@ -282,12 +282,3 @@ def _by_name(counts: List[int]) -> Dict[str, int]:
         REGISTERS[reg].name: count
         for reg, count in enumerate(counts) if count
     }
-
-
-def run_checked(engine, max_cycles: Optional[int] = None):
-    """Convenience: attach, run, detach; returns the SimResult."""
-    checker = InvariantChecker.attach(engine)
-    try:
-        return engine.run(max_cycles), checker
-    finally:
-        checker.detach()

@@ -15,15 +15,14 @@ A **simulation request** is a JSON object:
 Exactly one of ``program`` (assembly source) or ``workload`` (the name
 of a bundled benchmark -- see :func:`build_workload_registry`) must be
 present.  ``engine`` defaults to ``ruu-bypass``; ``config`` holds
-integer :class:`~repro.machine.config.MachineConfig` field overrides
-(the ``latencies`` mapping is not expressible over the wire and is
-rejected).  An optional ``"trace": true`` attaches a streaming
-observability recorder and returns the full-cycle attribution summary
-in ``result.extra.attribution``; traced runs are capped at
-``LIMITS["max_trace_cycles"]`` simulated cycles (an explicit larger
-``max_cycles`` is refused with the ``trace_too_large`` slug) and never
-coalesce with, or read from, the untraced result cache.  A **batch**
-is ``{"requests": [<request>, ...]}``.
+integer field overrides checked by ``MachineConfig.from_json`` against
+the sizing rules (``latencies`` is refused).  An optional ``"trace":
+true`` attaches a streaming observability recorder and returns the
+full-cycle attribution summary in ``result.extra.attribution``; traced
+runs are capped at ``LIMITS["max_trace_cycles"]`` simulated cycles (an
+explicit larger ``max_cycles`` is refused with the ``trace_too_large``
+slug) and never coalesce with, or read from, the untraced result cache.
+A **batch** is ``{"requests": [<request>, ...]}``.
 
 Validation failures raise :class:`ProtocolError`, which carries a
 machine-readable ``reason`` slug plus detail fields; the server maps it
@@ -41,7 +40,6 @@ and ``tests/test_serve_server.py`` pins exactly that.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
@@ -51,8 +49,8 @@ from ..analysis.cache import SCHEMA_VERSION, cache_key, deserialize_result, \
 from ..analysis.parallel import SimPoint
 from ..analysis.sweeps import ENGINE_FACTORIES
 from ..isa import AssemblyError, ProgramError, assemble
-from ..lint.configcheck import SIZING_MINIMUMS
-from ..machine.config import CRAY1_LIKE, MachineConfig
+from ..machine.config import CRAY1_LIKE, SIZING_MINIMUMS, ConfigError, \
+    MachineConfig
 from ..machine.memory import Memory
 from ..machine.stats import SimResult
 from ..workloads import Workload, all_loops, synthetic_suite
@@ -70,6 +68,10 @@ LIMITS: Dict[str, int] = {
     "max_trace_cycles": 2_000_000,
 }
 
+#: What a traced request's config overrides: the trace ceiling is its
+#: default budget, so a request sized for an untraced run stays valid.
+_TRACE_BASE = CRAY1_LIKE.with_(max_cycles=LIMITS["max_trace_cycles"])
+
 #: Default engine for requests that do not name one.
 DEFAULT_ENGINE = "ruu-bypass"
 
@@ -81,14 +83,9 @@ VOLATILE_EXTRA_KEYS = frozenset({
     "from_cache",
 })
 
-#: Config fields a request may override: every integer field of
-#: MachineConfig, derived from the dataclass so new knobs are
-#: serveable from day one.  ``latencies`` (an FUClass mapping) is the
-#: one field with no JSON spelling.
-OVERRIDABLE_CONFIG_FIELDS = frozenset(
-    field.name for field in dataclasses.fields(MachineConfig)
-    if field.name != "latencies"
-)
+#: Config fields a request may override: every field with a sizing
+#: rule, i.e. all but the ``latencies`` mapping, which is refused.
+OVERRIDABLE_CONFIG_FIELDS = frozenset(SIZING_MINIMUMS)
 
 
 class ProtocolError(Exception):
@@ -138,48 +135,34 @@ def build_workload_registry() -> Dict[str, Workload]:
     return registry
 
 
-def _parse_config(payload: Any) -> MachineConfig:
+def _parse_config(payload: Any, trace: bool) -> MachineConfig:
+    base = _TRACE_BASE if trace else CRAY1_LIKE
     if payload is None:
-        return CRAY1_LIKE
+        return base
     if not isinstance(payload, dict):
         raise ProtocolError(
             "bad_request", "'config' must be an object of field overrides",
         )
-    overrides: Dict[str, int] = {}
-    for name, value in payload.items():
-        if name not in OVERRIDABLE_CONFIG_FIELDS:
-            raise ProtocolError(
-                "unknown_config_field",
-                f"unknown or unsupported config field {name!r}",
-                field=str(name),
-                allowed=sorted(OVERRIDABLE_CONFIG_FIELDS),
-            )
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ProtocolError(
-                "bad_config_value",
-                f"config field {name!r} must be an integer, "
-                f"got {type(value).__name__}",
-                field=name,
-            )
-        minimum = SIZING_MINIMUMS.get(name, 0)
-        if value < minimum:
-            raise ProtocolError(
-                "bad_config_value",
-                f"config field {name!r} must be at least {minimum}, "
-                f"got {value}",
-                field=name,
-                minimum=minimum,
-            )
-        overrides[name] = value
-    max_cycles = overrides.get("max_cycles")
-    if max_cycles is not None and max_cycles > LIMITS["max_max_cycles"]:
+    if "latencies" in payload:
+        raise ProtocolError(
+            "unknown_config_field",
+            "config field 'latencies' cannot be overridden",
+            field="latencies", allowed=sorted(OVERRIDABLE_CONFIG_FIELDS),
+        )
+    try:
+        config = MachineConfig.from_json(payload, base=base)
+    except ConfigError as exc:
+        if exc.reason == "unknown_config_field":
+            exc.detail["allowed"] = sorted(OVERRIDABLE_CONFIG_FIELDS)
+        raise ProtocolError(exc.reason, str(exc), **exc.detail) from None
+    if config.max_cycles > LIMITS["max_max_cycles"]:
         raise ProtocolError(
             "max_cycles_too_large",
-            f"max_cycles {max_cycles} exceeds the service limit",
+            f"max_cycles {config.max_cycles} exceeds the service limit",
             limit=LIMITS["max_max_cycles"],
-            got=max_cycles,
+            got=config.max_cycles,
         )
-    return CRAY1_LIKE.with_(**overrides)
+    return config
 
 
 def _parse_source(payload: Dict[str, Any],
@@ -255,24 +238,16 @@ def parse_sim_request(payload: Any,
         raise ProtocolError(
             "bad_request", "'trace' must be a boolean",
         )
-    config = _parse_config(payload.get("config"))
-    if trace:
-        limit = LIMITS["max_trace_cycles"]
-        config_payload = payload.get("config")
-        explicit_budget = isinstance(config_payload, dict) \
-            and "max_cycles" in config_payload
-        if explicit_budget and config.max_cycles > limit:
-            raise ProtocolError(
-                "trace_too_large",
-                f"traced runs accept a max_cycles budget of at most "
-                f"{limit}; drop 'trace' or lower 'max_cycles'",
-                limit=limit,
-                got=config.max_cycles,
-            )
-        if not explicit_budget and config.max_cycles > limit:
-            # The engine default budget exceeds the trace ceiling;
-            # clamp so an untraced-sized request stays serveable.
-            config = config.with_(max_cycles=limit)
+    config = _parse_config(payload.get("config"), trace)
+    limit = LIMITS["max_trace_cycles"]
+    if trace and config.max_cycles > limit:
+        raise ProtocolError(
+            "trace_too_large",
+            f"traced runs accept a max_cycles budget of at most "
+            f"{limit}; drop 'trace' or lower 'max_cycles'",
+            limit=limit,
+            got=config.max_cycles,
+        )
     workload = _parse_source(payload, workloads)
     point = SimPoint(engine, workload, config, trace=trace)
     key = cache_key(engine, workload, config)

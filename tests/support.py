@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.analysis import ENGINE_FACTORIES
 from repro.machine import CRAY1_LIKE
+from repro.machine.invariants import InvariantChecker
 from repro.workloads.generator import GeneratorSpec, generate_workload
 
 
@@ -32,6 +33,16 @@ def run_and_check(builder, workload, golden_state, config=None):
         f"{workload.name}, golden executed {golden_state.executed}"
     )
     return result
+
+
+def run_checked(engine, max_cycles=None):
+    """Attach an :class:`InvariantChecker`, run, detach; returns
+    ``(result, checker)``."""
+    checker = InvariantChecker.attach(engine)
+    try:
+        return engine.run(max_cycles), checker
+    finally:
+        checker.detach()
 
 
 def builder_for(name):

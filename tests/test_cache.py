@@ -62,7 +62,7 @@ class TestKeying:
         assert cache_key("rstu", a, CONFIG) != cache_key("rstu", b, CONFIG)
 
     def test_every_config_field_perturbs_key(self):
-        """The fingerprint is derived from ``dataclasses.fields``, so a
+        """The fingerprint covers every field of ``to_json``, so a
         field added to MachineConfig later can never be silently left
         out of the cache key and serve stale results."""
         workload = dependency_chain(30)
@@ -74,9 +74,9 @@ class TestKeying:
             value = getattr(CONFIG, field.name)
             if field.name == "latencies":
                 first = next(iter(FUClass))
-                perturbed = CONFIG.with_latency(
-                    first, CONFIG.latency(first) + 1
-                )
+                perturbed = CONFIG.with_(latencies={
+                    **CONFIG.latencies, first: CONFIG.latency(first) + 1
+                })
             elif isinstance(value, int):
                 perturbed = CONFIG.with_(**{field.name: value + 1})
             else:  # pragma: no cover - future non-int fields
@@ -197,7 +197,9 @@ class TestKeyMemo:
         assert new_key != old_key
         assert new_key == cache_key(
             "rstu", workload,
-            CONFIG.with_latency(first, CONFIG.latency(first) + 1),
+            CONFIG.with_(latencies={
+                **CONFIG.latencies, first: CONFIG.latency(first) + 1
+            }),
         )
 
     def test_kept_fingerprints_are_not_pickled(self):

@@ -1,16 +1,22 @@
 """Checkpoint/restore: capture, validation, cross-engine resume."""
 
 import json
+import os
 
 import pytest
 
 from repro.analysis import ENGINE_FACTORIES
 from repro.machine import Checkpoint, CheckpointError, MachineConfig
-from repro.machine.checkpoint import VERSION
+from repro.machine.checkpoint import VERSION, _digest
 from repro.trace.iss import prefix_state, reference_state
 from repro.workloads import fault_probe, lll3
 
 CONFIG = MachineConfig(window_size=10)
+
+#: Saved by an earlier release: ruu-bypass stopped at the page fault on
+#: the load from 1012 in ``lll3(n=30)``.
+PINNED = os.path.join(os.path.dirname(__file__), "data",
+                      "ruu-bypass-lll3-fault.checkpoint.json")
 
 
 def trapped_engine(name="ruu-bypass", workload=None):
@@ -166,3 +172,31 @@ class TestFileFormat:
         assert restored.interrupt.same_event(checkpoint.interrupt)
         assert restored.config == checkpoint.config
         assert list(restored.program) == list(checkpoint.program)
+
+    @pytest.mark.parametrize("field, value", [
+        ("window_size", -3), ("issue_width", "7"),
+    ])
+    def test_invalid_config_refused(self, field, value):
+        """The checksum only proves the file is intact; anyone can
+        recompute it, so the config is validated as well."""
+        engine, _ = trapped_engine()
+        document = Checkpoint.capture(engine).to_json()
+        document["payload"]["config"][field] = value
+        document["sha256"] = _digest(document["payload"])
+        with pytest.raises(CheckpointError, match=field):
+            Checkpoint.from_json(document)
+
+
+class TestPinnedFile:
+    @pytest.mark.parametrize("engine", ["ruu-bypass", "history-buffer"])
+    def test_checkpoint_on_disk_still_resumes(self, engine):
+        workload = lll3(n=30)
+        machine = Checkpoint.load(PINNED).restore(engine=engine)
+        assert machine.name == engine
+        assert machine.interrupt_record.cause.address == 1012
+        machine.memory.service_fault(1012)
+        machine.continue_run()
+        golden = reference_state(workload.program, workload.initial_memory)
+        assert machine.regs.snapshot() == golden.regs.snapshot()
+        assert machine.memory == golden.memory
+        assert machine.retired == golden.executed

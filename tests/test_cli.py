@@ -40,6 +40,15 @@ class TestRunCommand:
     def test_window_flag(self, asm_file):
         assert main(["run", asm_file, "--window", "4"]) == 0
 
+    @pytest.mark.parametrize("command, window", [
+        ("run", "0"), ("run", "-2"), ("lint", "0"),
+    ])
+    def test_window_below_minimum_refused(self, asm_file, capsys,
+                                          command, window):
+        assert main([command, asm_file, "--window", window]) == 2
+        err = capsys.readouterr().err
+        assert "'window_size' must be at least 1" in err
+
     def test_timeline_flag_prints_gantt(self, asm_file, capsys):
         assert main(["run", asm_file, "--timeline"]) == 0
         out = capsys.readouterr().out

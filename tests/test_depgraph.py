@@ -154,9 +154,10 @@ class TestDataflowLimit:
     def test_respects_config_latencies(self):
         from repro.isa import FUClass
         trace = trace_of(dependency_chain(20))
-        slow = dataflow_limit(
-            trace, MachineConfig().with_latency(FUClass.FLOAT_ADD, 60)
-        )
+        base = MachineConfig()
+        slow = dataflow_limit(trace, base.with_(
+            latencies={**base.latencies, FUClass.FLOAT_ADD: 60}
+        ))
         fast = dataflow_limit(trace)
         assert slow.critical_path_cycles > fast.critical_path_cycles
 

@@ -8,11 +8,12 @@ from repro.issue import (
 )
 from repro.isa import S, assemble
 from repro.machine import MachineConfig, Memory
-from repro.machine.invariants import run_checked
 from repro.machine.timeline import STAGES
 from repro.obs import TraceRecorder
 from repro.trace import reference_state
 from repro.workloads import all_loops
+
+from tests.support import run_checked
 
 CONFIG = MachineConfig(window_size=10)
 

@@ -11,8 +11,9 @@ from repro.core import (
     StaticBTFNPredictor,
 )
 from repro.machine import MachineConfig
-from repro.machine.invariants import run_checked
 from repro.trace import reference_state
+
+from tests.support import run_checked
 
 
 @pytest.mark.parametrize("bypass", list(BypassMode))

@@ -11,12 +11,10 @@ from repro.core import (
 )
 from repro.isa import S
 from repro.machine import MachineConfig
-from repro.machine.invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    run_checked,
-)
+from repro.machine.invariants import InvariantChecker, InvariantViolation
 from repro.workloads import all_loops, branch_heavy, fault_probe
+
+from tests.support import run_checked
 
 
 class TestCheckedRuns:

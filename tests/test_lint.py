@@ -274,7 +274,9 @@ class TestConfigChecks:
 
     def test_nonpositive_latency(self):
         program = assemble("S_IMM S1, 1.0\nHALT")
-        config = CRAY1_LIKE.with_latency(FUClass.TRANSMIT, 0)
+        config = CRAY1_LIKE.with_(
+            latencies={**CRAY1_LIKE.latencies, FUClass.TRANSMIT: 0}
+        )
         assert lint_program(program, config).by_rule("config-bad-latency")
 
     def test_counter_width_cannot_cover_window(self):

@@ -135,7 +135,7 @@ class TestArchitecturalEquivalence:
         """Attach the per-cycle invariant checker to the RUU on random
         programs: the NI/LI counters, queue order, and waiter liveness
         must hold on every cycle, not just at the end."""
-        from repro.machine.invariants import run_checked
+        from tests.support import run_checked
         program = assemble(source)
         memory = _build_memory(data)
         golden = _golden(program, memory)

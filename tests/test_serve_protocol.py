@@ -302,3 +302,15 @@ class TestTraceRequests:
         # The attribution summary must survive the wire form.
         assert wire_to_result(result_to_wire(result)) \
             .extra["attribution"] == attribution
+
+
+class TestSizingRules:
+    def test_zero_load_registers_is_a_400(self):
+        """Nine engines cannot be built without a load register; the
+        request is refused before it reaches a worker."""
+        with pytest.raises(ProtocolError) as excinfo:
+            parse({"workload": "LLL3", "config": {"n_load_registers": 0}})
+        assert excinfo.value.reason == "bad_config_value"
+        assert excinfo.value.detail == {
+            "field": "n_load_registers", "minimum": 1,
+        }

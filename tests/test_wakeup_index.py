@@ -7,8 +7,9 @@ from repro.analysis import ENGINE_FACTORIES
 from repro.isa import A, Instruction, Opcode, S, assemble
 from repro.issue.common import WakeupIndex, WindowEntry
 from repro.machine import MachineConfig, Memory
-from repro.machine.invariants import run_checked
 from repro.trace import reference_state
+
+from tests.support import run_checked
 
 WINDOWED_ENGINES = [
     "tomasulo", "tagunit", "rspool", "rstu",
