@@ -18,14 +18,9 @@ from .depgraph import (
     distance_summary,
     producers,
 )
-from .export import (
-    ascii_chart,
-    sweep_to_csv,
-    sweep_to_rows,
-)
+from .export import ascii_chart
 from .shape import (
     monotonic_fraction,
-    normalized_curve,
     ordering_holds,
     saturation_size,
     shape_report,
@@ -40,7 +35,7 @@ from .sweeps import (
     sweep_sizes,
 )
 from .report import ReportSpec, build_report
-from .tables import format_comparison, format_sweep_table, format_table1
+from .tables import format_sweep_table, format_table1
 from .verify import (
     VerificationFailure,
     VerificationReport,
@@ -71,11 +66,9 @@ __all__ = [
     "dependence_distances",
     "distance_summary",
     "producers",
-    "format_comparison",
     "format_sweep_table",
     "format_table1",
     "monotonic_fraction",
-    "normalized_curve",
     "ordering_holds",
     "paper_data",
     "per_loop_baseline",
@@ -84,8 +77,6 @@ __all__ = [
     "shape_report",
     "spearman",
     "sweep_sizes",
-    "sweep_to_csv",
-    "sweep_to_rows",
     "VerificationFailure",
     "VerificationReport",
     "verify_all",

@@ -1,42 +1,12 @@
-"""Sweep export (CSV) and dependency-free ASCII charts.
+"""Dependency-free ASCII charts.
 
-Sweeps can be persisted for external tooling and rendered as terminal
-line charts -- the repository is offline-first, so no plotting library
-is assumed.
+Sweeps are rendered as terminal line charts -- the repository is
+offline-first, so no plotting library is assumed.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Dict, List
-
-from .sweeps import Sweep
-
-
-def sweep_to_rows(sweep: Sweep) -> List[Dict[str, object]]:
-    """Flatten a sweep into dict rows (size, speedup, issue_rate, ...)."""
-    return [
-        {
-            "engine": sweep.engine,
-            "size": row.size,
-            "speedup": row.speedup,
-            "issue_rate": row.issue_rate,
-            "cycles": row.cycles,
-            "baseline_cycles": sweep.baseline.cycles,
-        }
-        for row in sweep.rows
-    ]
-
-
-def sweep_to_csv(sweep: Sweep) -> str:
-    """Render a sweep as CSV text."""
-    rows = sweep_to_rows(sweep)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def ascii_chart(

@@ -71,12 +71,6 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / math.sqrt(var_x * var_y)
 
 
-def normalized_curve(curve: Dict[int, float]) -> Dict[int, float]:
-    """Scale a curve so its maximum is 1 (compares shapes, not levels)."""
-    peak = max(curve.values())
-    return {size: value / peak for size, value in curve.items()}
-
-
 def shape_report(
     measured: Dict[int, float],
     paper: Dict[int, float],

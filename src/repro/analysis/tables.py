@@ -74,21 +74,3 @@ def format_sweep_table(
             line += f" {spd:10.3f} {rate:11.3f}"
         lines.append(line)
     return "\n".join(lines)
-
-
-def format_comparison(
-    label_to_curve: Dict[str, Dict[int, float]],
-    sizes: Sequence[int],
-    value_name: str = "speedup",
-) -> str:
-    """Several mechanisms side by side across sizes."""
-    labels = list(label_to_curve)
-    header = f"{'Entries':>8s}" + "".join(f" {label:>14s}" for label in labels)
-    lines = [f"({value_name})", header, "-" * len(header)]
-    for size in sizes:
-        cells = "".join(
-            f" {label_to_curve[label].get(size, float('nan')):14.3f}"
-            for label in labels
-        )
-        lines.append(f"{size:8d}{cells}")
-    return "\n".join(lines)

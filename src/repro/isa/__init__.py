@@ -18,7 +18,6 @@ from .encoding import (
     decode_program,
     encode_program,
     parcel_count,
-    program_parcel_size,
 )
 from .instruction import Instruction
 from .opcodes import DEFAULT_LATENCY, FUClass, OpKind, Opcode
@@ -73,7 +72,6 @@ __all__ = [
     "encode_program",
     "evaluate",
     "parcel_count",
-    "program_parcel_size",
     "wrap_a",
     "wrap_s_int",
 ]

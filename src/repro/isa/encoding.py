@@ -308,8 +308,3 @@ def decode_program(blob: bytes, name: str = "decoded") -> Program:
         instructions.append(inst)
         cursor += used
     return build_program(instructions, name=name)
-
-
-def program_parcel_size(program: Program) -> int:
-    """Total static code size in parcels."""
-    return sum(parcel_count(inst) for inst in program)

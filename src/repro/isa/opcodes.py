@@ -143,10 +143,6 @@ class Opcode(enum.Enum):
     def uses_immediate(self) -> bool:
         return self in _IMMEDIATE_OPS or self.is_memory
 
-    @property
-    def default_latency(self) -> int:
-        return DEFAULT_LATENCY[self.fu]
-
     @classmethod
     def parse(cls, mnemonic: str) -> "Opcode":
         """Look up an opcode by its assembly mnemonic."""

@@ -341,13 +341,11 @@ class WindowedEngine(Engine):
         else:
             done_cycle = cycle + self.fus.latency[inst.fu_index]
         if inst.dest_id is not None \
-                and not self.result_bus.is_free(done_cycle):
+                and not self.result_bus.reserve(done_cycle):
             self.result_bus.conflicts += 1
             return False
         self._execute(entry)
         self.fus.accept(inst.fu_index, cycle)
-        if inst.dest_id is not None:
-            self.result_bus.reserve(done_cycle)
         entry.dispatched = True
         self._waiting.ready.remove(entry)
         if inst.is_memory:

@@ -179,7 +179,7 @@ class DispatchStackEngine(Engine):
             latency = self.config.forward_latency
         done_cycle = self.cycle + latency
         if inst.dest_id is not None \
-                and not self.result_bus.is_free(done_cycle):
+                and not self.result_bus.reserve(done_cycle):
             self.result_bus.conflicts += 1
             return False
         # operands are read from the register file *now*
@@ -201,8 +201,6 @@ class DispatchStackEngine(Engine):
         except FAULT_TYPES as fault:
             entry.fault = fault
         self.fus.accept(inst.fu_index, self.cycle)
-        if inst.dest_id is not None:
-            self.result_bus.reserve(done_cycle)
         entry.dispatched = True
         if inst.is_memory:
             self.mdu.mark_dispatched(entry.seq)

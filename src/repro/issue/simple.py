@@ -124,7 +124,7 @@ class SimpleEngine(Engine):
             self.stall(StallReason.FU_BUSY)
             return False
         done_cycle = self.cycle + self.fus.latency[fu]
-        if inst.dest_mask and not self.result_bus.is_free(done_cycle):
+        if inst.dest_mask and not self.result_bus.reserve(done_cycle):
             self.stall(StallReason.RESULT_BUS)
             return False
 
@@ -134,9 +134,7 @@ class SimpleEngine(Engine):
         entry = InOrderEntry(seq, inst)
         self._execute(entry, operands)
         self.fus.accept(fu, self.cycle)
-        if inst.dest_mask:
-            self.result_bus.reserve(done_cycle)
-            self._busy |= inst.dest_mask
+        self._busy |= inst.dest_mask
         self._issued(entry)
         self._schedule_completion(done_cycle, entry)
         if self.recorder is not None:

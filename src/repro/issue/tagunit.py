@@ -96,8 +96,3 @@ class TagUnitEngine(TomasuloEngine):
         tu_entry.free = True
         tu_entry.latest = False
         self._free_tags.append(slot)
-
-    # ------------------------------------------------------------------
-
-    def tags_in_use(self) -> int:
-        return self.config.n_tags - len(self._free_tags)

@@ -31,7 +31,6 @@ rule id                     severity  meaning
                                       latency
 ``config-bad-latency``      error     FU latency below one cycle
 ``config-bad-sizing``       error     non-positive structural parameter
-``config-no-load-registers`` error    memory ops with no load registers
 ``config-counter-window``   warning   NI counters cannot fill the window
 ==========================  ========  =====================================
 

@@ -11,9 +11,6 @@ confusing mid-run fault or a silently meaningless number:
   :data:`~repro.machine.config.SIZING_MINIMUMS` entry (the rules
   ``MachineConfig.from_json`` applies to every decoded config), e.g. a
   non-positive window size or a negative branch penalty.
-* ``config-no-load-registers`` (error) -- the program performs memory
-  operations but the machine has no load registers to disambiguate
-  them.
 * ``config-counter-window`` (warning) -- the NI/LI instance counters
   (``counter_bits`` wide, at most ``2^n - 1`` live instances per
   destination register) cannot cover the configured window: with ``d``
@@ -75,21 +72,6 @@ def check_config(program: Program, config: MachineConfig) -> List[Diagnostic]:
                     ),
                 )
             )
-
-    if any(inst.is_memory for inst in program) \
-            and config.n_load_registers < 1:
-        diagnostics.append(
-            Diagnostic(
-                rule="config-no-load-registers",
-                severity=Severity.ERROR,
-                message=(
-                    "program performs memory operations but "
-                    "n_load_registers is "
-                    f"{config.n_load_registers}; memory disambiguation "
-                    "needs at least one load register"
-                ),
-            )
-        )
 
     dests: Set[Register] = {
         inst.dest for inst in program if inst.dest is not None

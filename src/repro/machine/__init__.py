@@ -1,7 +1,7 @@
 """Machine substrate: configuration, memory, buses, FUs, engine base."""
 
 from .checkpoint import Checkpoint, CheckpointError
-from .config import CRAY1_LIKE, MachineConfig, config_for_window
+from .config import CRAY1_LIKE, MachineConfig
 from .diagnostics import (
     EngineDiagnostic,
     WaitingInstruction,
@@ -46,6 +46,5 @@ __all__ = [
     "WaitingInstruction",
     "aggregate",
     "capture_diagnostic",
-    "config_for_window",
     "speedup",
 ]

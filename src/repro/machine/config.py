@@ -219,9 +219,3 @@ def _latencies_from_json(payload: Any) -> Dict[FUClass, int]:
 
 #: The paper's machine with default sizing.
 CRAY1_LIKE = MachineConfig()
-
-
-def config_for_window(size: int, base: Optional[MachineConfig] = None,
-                      **overrides) -> MachineConfig:
-    """Convenience: the base config with ``window_size`` (and overrides)."""
-    return (base or CRAY1_LIKE).with_(window_size=size, **overrides)

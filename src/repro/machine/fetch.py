@@ -87,8 +87,3 @@ class InstructionBuffers:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 1.0
-
-    def fits_entirely(self) -> bool:
-        """Does the whole program fit in the buffers at once?"""
-        blocks = -(-self.total_parcels // self.parcels_per_buffer)
-        return blocks <= self.n_buffers

@@ -84,14 +84,3 @@ class InterruptRecord:
             cycle=int(payload["cycle"]),
             claims_precise=bool(payload["claims_precise"]),
         )
-
-    def same_event(self, other: "InterruptRecord") -> bool:
-        """Field-wise equality (exceptions only compare by identity)."""
-        return (
-            type(self.cause) is type(other.cause)
-            and self.cause.args == other.cause.args
-            and self.seq == other.seq
-            and self.pc == other.pc
-            and self.cycle == other.cycle
-            and self.claims_precise == other.claims_precise
-        )

@@ -40,8 +40,10 @@ RUU family) also gets the wake-up checks (counted in
 Every engine, the in-order ones too, gets generic post-cycle checks:
 the retired count never shrinks except across an interrupt or
 misprediction recovery, the retire log mirrors the counter, no
-instruction retires before it was fetched, and the cycle counter stays
-within the configured budget.  Attaching to *any* engine is therefore
+instruction retires before it was fetched, the cycle counter stays
+within the configured budget, and no future cycle holds two pending
+completions that write a register (the one result bus is never
+double-booked).  Attaching to *any* engine is therefore
 always meaningful -- ``cycles_checked`` counts real assertions, never
 silent no-ops.
 
@@ -132,6 +134,14 @@ class InvariantChecker:
                 f"cycle counter {engine.cycle} exceeds the configured "
                 f"budget of {engine.config.max_cycles}"
             )
+        for cycle, payloads in engine._completions.items():
+            writers = [payload.seq for payload in payloads
+                       if payload.inst.dest_id is not None]
+            if len(writers) > 1:
+                self._fail(
+                    f"result bus double-booked at cycle {cycle}: "
+                    f"{', '.join(f'#{seq}' for seq in writers)}"
+                )
 
     def _fail(self, message: str) -> None:
         raise InvariantViolation(

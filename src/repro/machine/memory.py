@@ -61,12 +61,6 @@ class Memory:
             raise PageFault(address, is_store=True)
         self.poke(address, value)
 
-    def probe(self, address: int, is_store: bool) -> None:
-        """Fault-check an address without touching its contents."""
-        if address in self._faulting:
-            self.fault_count += 1
-            raise PageFault(address, is_store=is_store)
-
     # -- fault injection -------------------------------------------------
 
     def inject_fault(self, address: int) -> None:

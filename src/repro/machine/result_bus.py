@@ -9,7 +9,7 @@ bus slot does not happen.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 
 class ResultBus:
@@ -25,14 +25,14 @@ class ResultBus:
         self._counted = -1
         self._past = 0
 
-    def is_free(self, cycle: int) -> bool:
-        """Can a result appear on the bus at ``cycle``?"""
-        return cycle not in self._reserved
-
     def reserve(self, cycle: int) -> bool:
-        """Reserve the bus at ``cycle``; False if already taken."""
+        """Reserve the bus at ``cycle`` and return True, or return False
+        and change nothing if ``cycle`` is already taken.
+
+        A refusal is not counted here: the caller decides whether it is
+        a conflict (``conflicts``) or a stall.
+        """
         if cycle in self._reserved:
-            self.conflicts += 1
             return False
         self._reserved.add(cycle)
         return True
@@ -73,8 +73,3 @@ class ResultBus:
         self._counted = after
         self._past = past
         return len(reserved) - past
-
-    def reserved_cycles(self) -> List[int]:
-        """All outstanding reservations, sorted (for debugging/tests)."""
-        return sorted(self._reserved)
-

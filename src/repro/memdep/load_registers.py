@@ -227,7 +227,3 @@ class MemoryDependencyUnit:
 
     def in_flight(self) -> int:
         return len(self._order)
-
-    def active_addresses(self) -> int:
-        """Distinct addresses currently held in load registers."""
-        return len(self._by_address)

@@ -133,9 +133,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: str) -> float:
         key = _label_key(self.label_names, labels)
         with self._lock:

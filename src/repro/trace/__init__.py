@@ -6,13 +6,6 @@ from .iss import (
     prefix_state,
     reference_state,
 )
-from .serialize import (
-    TraceFormatError,
-    dump_trace,
-    load_trace,
-    read_trace,
-    save_trace,
-)
 from .trace import Trace, TraceEntry
 
 __all__ = [
@@ -20,11 +13,6 @@ __all__ = [
     "FunctionalExecutor",
     "Trace",
     "TraceEntry",
-    "TraceFormatError",
-    "dump_trace",
-    "load_trace",
     "prefix_state",
-    "read_trace",
     "reference_state",
-    "save_trace",
 ]

@@ -4,12 +4,11 @@ The paper's methodology (section 2.1) feeds CRAY-1 instruction traces to
 each timing simulator.  Our timing engines are execution-driven instead
 (so architectural equivalence can be tested), but the functional executor
 still emits a :class:`Trace` per run; the analysis layer uses it for
-instruction-mix tables, and tests use it to validate retirement order.
+dependence analysis, and tests use it to validate retirement order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
@@ -53,24 +52,6 @@ class Trace:
 
     def __getitem__(self, index: int) -> TraceEntry:
         return self.entries[index]
-
-    # -- summaries -----------------------------------------------------
-
-    def fu_mix(self) -> Counter:
-        """Dynamic instruction count per functional-unit class."""
-        mix: Counter = Counter()
-        for entry in self.entries:
-            mix[entry.inst.fu] += 1
-        return mix
-
-    def branch_count(self) -> int:
-        return sum(1 for entry in self.entries if entry.taken is not None)
-
-    def taken_count(self) -> int:
-        return sum(1 for entry in self.entries if entry.taken)
-
-    def memory_count(self) -> int:
-        return sum(1 for entry in self.entries if entry.inst.is_memory)
 
     # -- serialization ----------------------------------------------------
 

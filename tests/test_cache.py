@@ -248,7 +248,7 @@ class TestCaching:
         assert cache.misses == 1 and cache.hits == 1
         assert second.extra.get("from_cache")
         restored = second.extra["interrupt"]
-        assert restored.same_event(first.extra["interrupt"])
+        assert restored.to_json() == first.extra["interrupt"].to_json()
         assert restored.claims_precise
         # A fault-free copy of the same workload must not hit the
         # interrupted entry.

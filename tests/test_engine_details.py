@@ -7,26 +7,21 @@ from repro.core import BypassMode, RUUEngine
 from repro.isa import A, S, assemble
 from repro.issue import RSTUEngine, TagUnitEngine, TomasuloEngine
 from repro.machine import MachineConfig, Memory
-from repro.machine.result_bus import ResultBus
 from repro.trace import reference_state
 
-
-class _StrictBus(ResultBus):
-    """A result bus that fails the test on any double booking."""
-
-    def reserve(self, cycle):
-        assert self.is_free(cycle), f"result bus double-booked at {cycle}"
-        return super().reserve(cycle)
+from tests.support import run_checked
 
 
 @pytest.mark.parametrize("cls", [TomasuloEngine, RSTUEngine, RUUEngine])
 def test_result_bus_never_double_booked(cls):
+    """The invariant checker fails a run whose result bus carries two
+    results on one cycle."""
     from repro.workloads import lll1
     workload = lll1(n=30)
     engine = cls(workload.program, MachineConfig(window_size=10),
                  memory=workload.make_memory())
-    engine.result_bus = _StrictBus()
-    engine.run()
+    result, checker = run_checked(engine)
+    assert checker.cycles_checked == result.cycles
 
 
 class TestBackupFileMemoryTraffic:
@@ -136,7 +131,7 @@ class TestTagUnitHygiene:
                                MachineConfig(window_size=4, n_tags=8),
                                memory=workload.make_memory())
         engine.run()
-        assert engine.tags_in_use() == 0
+        assert len(engine._free_tags) == engine.config.n_tags
         for entry in engine._tag_unit:
             assert entry.free and entry.register is None
 

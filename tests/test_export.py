@@ -1,40 +1,6 @@
-"""Tests for CSV export and ASCII charts."""
+"""Tests for ASCII charts."""
 
-import csv
-import io
-
-import pytest
-
-from repro.analysis import (
-    ascii_chart,
-    sweep_to_csv,
-    sweep_to_rows,
-    sweep_sizes,
-)
-from repro.workloads import dependency_chain
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    return sweep_sizes(
-        "ruu-bypass", [3, 8], workloads=[dependency_chain(60)]
-    )
-
-
-class TestSweepExport:
-    def test_rows(self, sweep):
-        rows = sweep_to_rows(sweep)
-        assert [row["size"] for row in rows] == [3, 8]
-        assert all(row["engine"] == "ruu-bypass" for row in rows)
-        assert all(row["baseline_cycles"] > 0 for row in rows)
-
-    def test_csv_parses_back(self, sweep):
-        text = sweep_to_csv(sweep)
-        parsed = list(csv.DictReader(io.StringIO(text)))
-        assert len(parsed) == 2
-        assert float(parsed[0]["speedup"]) == pytest.approx(
-            sweep.rows[0].speedup
-        )
+from repro.analysis import ascii_chart
 
 
 class TestAsciiChart:

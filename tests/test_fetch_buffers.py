@@ -52,14 +52,6 @@ class TestBufferModel:
         with pytest.raises(ValueError):
             InstructionBuffers(program, n_buffers=0)
 
-    def test_fits_entirely(self):
-        small = assemble(LOOP)
-        assert InstructionBuffers(small).fits_entirely()
-        big = assemble("\n".join(["A_IMM A1, 1"] * 300) + "\nHALT")
-        assert not InstructionBuffers(
-            big, n_buffers=2, parcels_per_buffer=64
-        ).fits_entirely()
-
     def test_hit_rate(self):
         program = assemble(LOOP)
         buffers = InstructionBuffers(program)

@@ -10,9 +10,9 @@ from repro.core import (
     SpeculativeRUUEngine,
 )
 from repro.isa import S
-from repro.machine import MachineConfig
+from repro.machine import MachineConfig, ResultBus
 from repro.machine.invariants import InvariantChecker, InvariantViolation
-from repro.workloads import all_loops, branch_heavy, fault_probe
+from repro.workloads import all_loops, branch_heavy, fault_probe, lll1
 
 from tests.support import run_checked
 
@@ -332,6 +332,26 @@ class TestDetection:
         else:
             result, _ = run_checked(engine)
             assert engine.regs.values[S(3).flat_index] == 2.0
+
+    @pytest.mark.parametrize("engine_name",
+                             ["tomasulo", "rstu", "ruu-bypass"])
+    def test_detects_a_double_booked_result_bus(self, engine_name):
+        """A bus that never refuses a slot lets two results complete
+        on one cycle."""
+
+        class AlwaysFreeBus(ResultBus):
+            def reserve(self, cycle):
+                super().reserve(cycle)
+                return True
+
+        workload = lll1(n=30)
+        engine = ENGINE_FACTORIES[engine_name](
+            workload.program, MachineConfig(window_size=10),
+            workload.make_memory(),
+        )
+        engine.result_bus = AlwaysFreeBus()
+        with pytest.raises(InvariantViolation, match="double-booked"):
+            run_checked(engine)
 
     def test_detach_restores_tick(self):
         from repro.isa import assemble

@@ -9,7 +9,6 @@ from repro.isa.encoding import (
     decode_program,
     encode_program,
     parcel_count,
-    program_parcel_size,
 )
 from repro.workloads import all_loops
 
@@ -57,7 +56,7 @@ class TestParcelCounts:
 
     def test_program_parcel_size(self):
         program = assemble("NOP\nA_IMM A1, 1\nHALT")
-        assert program_parcel_size(program) == 1 + 2 + 1
+        assert [parcel_count(inst) for inst in program] == [1, 2, 1]
 
     def test_counts_match_actual_encoding(self):
         for workload in all_loops()[:4]:
@@ -65,7 +64,7 @@ class TestParcelCounts:
             blob = encode_program(program)
             import struct
             n_parcels = struct.unpack_from("<I", blob, 4)[0]
-            assert n_parcels == program_parcel_size(program)
+            assert n_parcels == sum(parcel_count(inst) for inst in program)
 
 
 class TestRoundtrip:

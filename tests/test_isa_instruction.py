@@ -66,19 +66,19 @@ class TestInstructionValidation:
 class TestOpcodeMetadata:
     def test_every_opcode_has_latency(self):
         for op in Opcode:
-            assert op.default_latency >= 1
+            assert DEFAULT_LATENCY[op.fu] >= 1
 
     def test_latency_table_covers_all_fu_classes(self):
         assert set(DEFAULT_LATENCY) == set(FUClass)
 
     def test_cray_latency_spot_checks(self):
-        assert Opcode.A_ADD.default_latency == 2
-        assert Opcode.A_MUL.default_latency == 6
-        assert Opcode.F_ADD.default_latency == 6
-        assert Opcode.F_MUL.default_latency == 7
-        assert Opcode.F_RECIP.default_latency == 14
-        assert Opcode.LOAD_S.default_latency == 11
-        assert Opcode.S_AND.default_latency == 1
+        assert DEFAULT_LATENCY[Opcode.A_ADD.fu] == 2
+        assert DEFAULT_LATENCY[Opcode.A_MUL.fu] == 6
+        assert DEFAULT_LATENCY[Opcode.F_ADD.fu] == 6
+        assert DEFAULT_LATENCY[Opcode.F_MUL.fu] == 7
+        assert DEFAULT_LATENCY[Opcode.F_RECIP.fu] == 14
+        assert DEFAULT_LATENCY[Opcode.LOAD_S.fu] == 11
+        assert DEFAULT_LATENCY[Opcode.S_AND.fu] == 1
 
     def test_predicates(self):
         assert Opcode.LOAD_A.is_load and Opcode.LOAD_A.is_memory

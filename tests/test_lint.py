@@ -305,9 +305,9 @@ class TestConfigChecks:
             HALT
         """)
         config = MachineConfig(n_load_registers=0)
-        assert lint_program(program, config).by_rule(
-            "config-no-load-registers"
-        )
+        [error] = lint_program(program, config).errors
+        assert error.rule == "config-bad-sizing"
+        assert "n_load_registers" in error.message
 
     def test_default_config_is_clean_on_real_kernels(self, livermore_loops):
         for workload in livermore_loops[:3]:

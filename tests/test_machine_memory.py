@@ -48,13 +48,6 @@ class TestMemory:
             mem.write(50, 1)
         assert excinfo.value.is_store
 
-    def test_probe(self):
-        mem = Memory()
-        mem.inject_fault(7)
-        with pytest.raises(PageFault):
-            mem.probe(7, is_store=False)
-        mem.probe(8, is_store=False)  # no fault
-
     def test_service_fault(self):
         mem = Memory()
         mem.inject_fault(50)
@@ -107,21 +100,24 @@ class TestResultBus:
     def test_reserve_and_conflict(self):
         bus = ResultBus()
         assert bus.reserve(10)
-        assert not bus.is_free(10)
         assert not bus.reserve(10)
-        assert bus.conflicts == 1
+        # A refusal changes nothing; the caller counts conflicts.
+        assert bus.conflicts == 0
+        assert bus.reservations(9) == 1
 
     def test_release_past(self):
         bus = ResultBus()
         bus.reserve(5)
         bus.reserve(15)
         bus.release_past(10)
-        assert bus.reserved_cycles() == [15]
+        assert bus.reservations(0) == 1
+        assert bus.reserve(5)  # released, so free again
+        assert not bus.reserve(15)
 
     def test_independent_cycles(self):
         bus = ResultBus()
         bus.reserve(3)
-        assert bus.is_free(4)
+        assert bus.reserve(4)
 
     def test_reservations_after_a_cycle(self):
         bus = ResultBus()
@@ -131,7 +127,6 @@ class TestResultBus:
             == [3, 2, 2, 1]
         assert bus.reservations(4) == 3  # going back recounts
         bus.release_past(10)
-        assert bus.reserved_cycles() == [15, 16]
         assert [bus.reservations(after) for after in (12, 15, 16, 99)] \
             == [2, 1, 0, 0]
 

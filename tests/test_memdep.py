@@ -143,7 +143,7 @@ class TestLifecycle:
         mdu.mark_dispatched(1)
         mdu.finish(1)
         assert mdu.in_flight() == 0
-        assert mdu.active_addresses() == 0
+        assert not mdu._by_address
 
     def test_double_finish_rejected(self, mdu):
         mdu.add(0, is_store=False)
@@ -173,4 +173,4 @@ class TestLifecycle:
         mdu.resolve(0, 5)
         mdu.squash_from(0)
         assert mdu.in_flight() == 0
-        assert mdu.active_addresses() == 0
+        assert not mdu._by_address

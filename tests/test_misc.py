@@ -9,20 +9,19 @@ from repro.machine import (
     MachineConfig,
     PageFault,
     SimResult,
-    config_for_window,
 )
 from repro.workloads import Workload, memory_from_arrays
 
 
 class TestConfigHelpers:
     def test_config_for_window(self):
-        config = config_for_window(25)
+        config = CRAY1_LIKE.with_(window_size=25)
         assert config.window_size == 25
         assert config.latencies == CRAY1_LIKE.latencies
 
     def test_config_for_window_with_base_and_overrides(self):
         base = MachineConfig(n_load_registers=2)
-        config = config_for_window(7, base, dispatch_paths=2)
+        config = base.with_(window_size=7, dispatch_paths=2)
         assert config.window_size == 7
         assert config.n_load_registers == 2
         assert config.dispatch_paths == 2

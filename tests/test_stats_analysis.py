@@ -4,11 +4,9 @@ import pytest
 
 from repro.analysis import (
     ENGINE_FACTORIES,
-    format_comparison,
     format_sweep_table,
     format_table1,
     monotonic_fraction,
-    normalized_curve,
     ordering_holds,
     paper_data,
     per_loop_baseline,
@@ -83,10 +81,6 @@ class TestShapeMetrics:
     def test_spearman_needs_overlap(self):
         with pytest.raises(ValueError):
             spearman({1: 1.0}, {2: 2.0})
-
-    def test_normalized_curve(self):
-        curve = normalized_curve({1: 2.0, 2: 4.0})
-        assert curve == {1: 0.5, 2: 1.0}
 
     def test_ordering_holds(self):
         curves = {
@@ -197,13 +191,6 @@ class TestTables:
         assert "Table 2" in text
         assert "0.965" in text  # paper column for size 3
 
-    def test_format_comparison(self):
-        text = format_comparison(
-            {"a": {3: 1.0, 10: 2.0}, "b": {3: 0.9, 10: 1.8}},
-            sizes=[3, 10],
-        )
-        assert "a" in text and "10" in text
-
     def test_format_table1_without_paper_columns(self):
         results = [SimResult("simple", "LLL1", cycles=100, instructions=42)]
         text = format_table1(results)
@@ -220,9 +207,3 @@ class TestTables:
         text = format_sweep_table(sweep)
         assert "Paper" not in text
         assert "1.000" in text
-
-    def test_format_comparison_missing_size_is_nan(self):
-        text = format_comparison(
-            {"a": {3: 1.0}, "b": {10: 2.0}}, sizes=[3, 10]
-        )
-        assert "nan" in text

@@ -85,26 +85,25 @@ class TestInstructionMix:
 
     def test_every_loop_has_memory_traffic(self, traces):
         for name, trace in traces.items():
-            assert trace.memory_count() > 0, name
+            assert any(entry.inst.is_memory for entry in trace), name
 
     def test_every_loop_has_branches(self, traces):
         for name, trace in traces.items():
-            assert trace.branch_count() > 0, name
+            assert any(entry.taken is not None for entry in trace), name
 
     def test_float_loops_use_float_units(self, traces):
         for name in ("LLL1", "LLL3", "LLL5", "LLL7"):
-            mix = traces[name].fu_mix()
-            assert (
-                mix.get(FUClass.FLOAT_ADD, 0)
-                + mix.get(FUClass.FLOAT_MUL, 0)
-            ) > 0, name
+            assert any(entry.inst.fu in (FUClass.FLOAT_ADD, FUClass.FLOAT_MUL)
+                       for entry in traces[name]), name
 
     def test_lll13_uses_address_multiply(self, traces):
-        assert traces["LLL13"].fu_mix().get(FUClass.ADDR_MUL, 0) > 0
+        assert any(entry.inst.fu is FUClass.ADDR_MUL
+                   for entry in traces["LLL13"])
 
     def test_branches_mostly_taken_in_loops(self, traces):
-        trace = traces["LLL3"]
-        assert trace.taken_count() > trace.branch_count() * 0.8
+        flags = [entry.taken for entry in traces["LLL3"]
+                 if entry.taken is not None]
+        assert sum(flags) > len(flags) * 0.8
 
     def test_total_size_reasonable(self, traces):
         total = sum(len(trace) for trace in traces.values())
