@@ -40,123 +40,38 @@ Quickstart::
     print(result.describe())
 """
 
-from .analysis import (
-    ENGINE_FACTORIES,
-    ParallelRunner,
-    SimPoint,
-    format_sweep_table,
-    format_table1,
-    run_suite,
-    sweep_sizes,
-)
-from .core import (
-    BypassMode,
-    RUUEngine,
-    SpeculativeRUUEngine,
-    StaticBTFNPredictor,
-    TwoBitPredictor,
-    check_precision,
-    demonstrate_restartability,
-    run_with_page_fault,
-    run_with_recovery,
-)
-from .interrupts import (
-    FutureFileEngine,
-    HistoryBufferEngine,
-    ReorderBufferBypassEngine,
-    ReorderBufferEngine,
-)
-from .isa import (
-    A,
-    B,
-    Instruction,
-    Opcode,
-    Program,
-    RegBank,
-    Register,
-    RegisterFile,
-    S,
-    T,
-    assemble,
-    build_program,
-)
-from .issue import (
-    DispatchStackEngine,
-    RSPoolEngine,
-    RSTUEngine,
-    SimpleEngine,
-    TagUnitEngine,
-    TomasuloEngine,
-)
-from .machine import (
-    CRAY1_LIKE,
-    Engine,
-    InterruptRecord,
-    MachineConfig,
-    Memory,
-    SimResult,
-    aggregate,
-    speedup,
-)
-from .lint import LintReport, lint_program, static_critical_path
-from .trace import FunctionalExecutor, prefix_state, reference_state
-from .workloads import Workload, all_loops
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "A",
-    "B",
-    "BypassMode",
-    "CRAY1_LIKE",
-    "DispatchStackEngine",
-    "ENGINE_FACTORIES",
-    "Engine",
-    "FunctionalExecutor",
-    "FutureFileEngine",
-    "HistoryBufferEngine",
-    "Instruction",
-    "InterruptRecord",
-    "LintReport",
-    "MachineConfig",
-    "Memory",
-    "Opcode",
-    "ParallelRunner",
-    "Program",
-    "RSPoolEngine",
-    "RSTUEngine",
-    "RUUEngine",
-    "RegBank",
-    "Register",
-    "RegisterFile",
-    "ReorderBufferBypassEngine",
-    "ReorderBufferEngine",
-    "S",
-    "SimPoint",
-    "SimResult",
-    "SimpleEngine",
-    "SpeculativeRUUEngine",
-    "StaticBTFNPredictor",
-    "T",
-    "TagUnitEngine",
-    "TomasuloEngine",
-    "TwoBitPredictor",
-    "Workload",
-    "aggregate",
-    "all_loops",
-    "assemble",
-    "build_program",
-    "check_precision",
-    "demonstrate_restartability",
-    "format_sweep_table",
-    "format_table1",
-    "lint_program",
-    "prefix_state",
-    "reference_state",
-    "run_suite",
-    "run_with_page_fault",
-    "run_with_recovery",
-    "speedup",
-    "static_critical_path",
-    "sweep_sizes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "analysis": (
+        "ENGINE_FACTORIES", "ParallelRunner", "SimPoint",
+        "format_sweep_table", "format_table1", "run_suite", "sweep_sizes",
+    ),
+    "core": (
+        "BypassMode", "RUUEngine", "SpeculativeRUUEngine",
+        "StaticBTFNPredictor", "TwoBitPredictor", "check_precision",
+        "demonstrate_restartability", "run_with_page_fault",
+        "run_with_recovery",
+    ),
+    "interrupts": (
+        "FutureFileEngine", "HistoryBufferEngine",
+        "ReorderBufferBypassEngine", "ReorderBufferEngine",
+    ),
+    "isa": (
+        "A", "B", "Instruction", "Opcode", "Program", "RegBank", "Register",
+        "RegisterFile", "S", "T", "assemble", "build_program",
+    ),
+    "issue": (
+        "DispatchStackEngine", "RSPoolEngine", "RSTUEngine", "SimpleEngine",
+        "TagUnitEngine", "TomasuloEngine",
+    ),
+    "machine": (
+        "CRAY1_LIKE", "Engine", "InterruptRecord", "MachineConfig", "Memory",
+        "SimResult", "aggregate", "speedup",
+    ),
+    "lint": ("LintReport", "lint_program", "static_critical_path"),
+    "trace": ("FunctionalExecutor", "prefix_state", "reference_state"),
+    "workloads": ("Workload", "all_loops"),
+})

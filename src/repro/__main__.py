@@ -355,7 +355,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import logging
 
-    from .serve.server import ServeApp
+    from .serve.app import ServeApp
     from .serve.service import SimService
 
     if args.access_log:

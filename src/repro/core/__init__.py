@@ -1,37 +1,17 @@
 """The paper's contribution: the Register Update Unit and its extensions."""
 
-from .interrupts import (
-    CampaignResult,
-    PrecisionReport,
-    check_precision,
-    demonstrate_restartability,
-    fault_injection_campaign,
-    run_with_page_fault,
-    run_with_recovery,
-)
-from .prediction import (
-    AlwaysTakenPredictor,
-    BranchPredictor,
-    StaticBTFNPredictor,
-    TwoBitPredictor,
-)
-from .ruu import BypassMode, RUUEngine
-from .speculative import PendingBranch, SpeculativeRUUEngine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AlwaysTakenPredictor",
-    "BranchPredictor",
-    "BypassMode",
-    "CampaignResult",
-    "fault_injection_campaign",
-    "PendingBranch",
-    "PrecisionReport",
-    "RUUEngine",
-    "SpeculativeRUUEngine",
-    "StaticBTFNPredictor",
-    "TwoBitPredictor",
-    "check_precision",
-    "demonstrate_restartability",
-    "run_with_page_fault",
-    "run_with_recovery",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "interrupts": (
+        "CampaignResult", "PrecisionReport", "check_precision",
+        "demonstrate_restartability", "fault_injection_campaign",
+        "run_with_page_fault", "run_with_recovery",
+    ),
+    "prediction": (
+        "AlwaysTakenPredictor", "BranchPredictor", "StaticBTFNPredictor",
+        "TwoBitPredictor",
+    ),
+    "ruu": ("BypassMode", "RUUEngine"),
+    "speculative": ("PendingBranch", "SpeculativeRUUEngine"),
+})

@@ -1,17 +1,10 @@
 """Smith & Pleszkun precise-interrupt schemes on the in-order machine."""
 
-from .inorder import (
-    FutureFileEngine,
-    HistoryBufferEngine,
-    InOrderPreciseEngine,
-    ReorderBufferBypassEngine,
-    ReorderBufferEngine,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FutureFileEngine",
-    "HistoryBufferEngine",
-    "InOrderPreciseEngine",
-    "ReorderBufferBypassEngine",
-    "ReorderBufferEngine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "inorder": (
+        "FutureFileEngine", "HistoryBufferEngine", "InOrderPreciseEngine",
+        "ReorderBufferBypassEngine", "ReorderBufferEngine",
+    ),
+})

@@ -12,66 +12,22 @@ Public surface:
   :func:`effective_address`, :class:`ArithmeticFault`).
 """
 
-from .assembler import AssemblyError, assemble
-from .encoding import (
-    EncodingError,
-    decode_program,
-    encode_program,
-    parcel_count,
-)
-from .instruction import Instruction
-from .opcodes import DEFAULT_LATENCY, FUClass, OpKind, Opcode
-from .program import Program, ProgramError, build_program
-from .registers import (
-    TOTAL_REGISTERS,
-    A,
-    B,
-    RegBank,
-    Register,
-    RegisterFile,
-    S,
-    T,
-    all_registers,
-)
-from .semantics import (
-    ArithmeticFault,
-    branch_taken,
-    coerce_for_bank,
-    effective_address,
-    evaluate,
-    wrap_a,
-    wrap_s_int,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "A",
-    "B",
-    "S",
-    "T",
-    "ArithmeticFault",
-    "AssemblyError",
-    "DEFAULT_LATENCY",
-    "EncodingError",
-    "FUClass",
-    "Instruction",
-    "OpKind",
-    "Opcode",
-    "Program",
-    "ProgramError",
-    "RegBank",
-    "Register",
-    "RegisterFile",
-    "TOTAL_REGISTERS",
-    "all_registers",
-    "assemble",
-    "branch_taken",
-    "build_program",
-    "coerce_for_bank",
-    "decode_program",
-    "effective_address",
-    "encode_program",
-    "evaluate",
-    "parcel_count",
-    "wrap_a",
-    "wrap_s_int",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "assembler": ("AssemblyError", "assemble"),
+    "encoding": (
+        "EncodingError", "decode_program", "encode_program", "parcel_count",
+    ),
+    "instruction": ("Instruction",),
+    "opcodes": ("DEFAULT_LATENCY", "FUClass", "OpKind", "Opcode"),
+    "program": ("Program", "ProgramError", "build_program"),
+    "registers": (
+        "TOTAL_REGISTERS", "A", "B", "RegBank", "Register", "RegisterFile",
+        "S", "T", "all_registers",
+    ),
+    "semantics": (
+        "ArithmeticFault", "branch_taken", "coerce_for_bank",
+        "effective_address", "evaluate", "wrap_a", "wrap_s_int",
+    ),
+})

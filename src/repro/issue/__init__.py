@@ -6,22 +6,14 @@
 the RUU share one core, :class:`~repro.issue.common.WindowedEngine`.
 """
 
-from .common import WindowedEngine, WindowEntry
-from .dispatch_stack import DispatchStackEngine
-from .rspool import RSPoolEngine
-from .rstu import RSTUEngine
-from .simple import SimpleEngine
-from .tagunit import TagUnitEngine, TagUnitEntry
-from .tomasulo import TomasuloEngine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DispatchStackEngine",
-    "RSPoolEngine",
-    "RSTUEngine",
-    "SimpleEngine",
-    "TagUnitEngine",
-    "TagUnitEntry",
-    "TomasuloEngine",
-    "WindowedEngine",
-    "WindowEntry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "common": ("WindowedEngine", "WindowEntry"),
+    "dispatch_stack": ("DispatchStackEngine",),
+    "rspool": ("RSPoolEngine",),
+    "rstu": ("RSTUEngine",),
+    "simple": ("SimpleEngine",),
+    "tagunit": ("TagUnitEngine", "TagUnitEntry"),
+    "tomasulo": ("TomasuloEngine",),
+})

@@ -23,7 +23,7 @@ from ..isa.semantics import effective_address
 from ..machine.engine import Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
-from ..memdep import FROM_MEMORY, MemoryDependencyUnit
+from ..memdep.load_registers import FROM_MEMORY, MemoryDependencyUnit
 
 
 class WindowEntry:

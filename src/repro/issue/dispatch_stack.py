@@ -30,7 +30,7 @@ from ..isa.semantics import effective_address
 from ..machine.engine import NEVER, Engine
 from ..machine.faults import FAULT_TYPES
 from ..machine.stats import StallReason
-from ..memdep import FROM_MEMORY, MemoryDependencyUnit
+from ..memdep.load_registers import FROM_MEMORY, MemoryDependencyUnit
 
 
 class _StackEntry:

@@ -10,7 +10,7 @@ per instruction).
 
 Attach to any engine before running::
 
-    engine.fetch_unit = InstructionBuffers.for_program(program)
+    engine.fetch_unit = InstructionBuffers(program)
 
 With the default CRAY-1 geometry every Livermore loop body fits in one
 buffer, so after the cold miss the machine behaves exactly as the
@@ -58,10 +58,6 @@ class InstructionBuffers:
         self._stamp = 0
         self.hits = 0
         self.misses = 0
-
-    @classmethod
-    def for_program(cls, program: Program, **kwargs) -> "InstructionBuffers":
-        return cls(program, **kwargs)
 
     def block_of(self, pc: int) -> int:
         """Which buffer-sized block holds instruction ``pc``?"""

@@ -1,5 +1,7 @@
 """Memory disambiguation: the paper's load registers (section 3.2.1.2)."""
 
-from .load_registers import FROM_MEMORY, MemoryDependencyUnit
+from .._lazy import lazy_exports
 
-__all__ = ["FROM_MEMORY", "MemoryDependencyUnit"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "load_registers": ("FROM_MEMORY", "MemoryDependencyUnit"),
+})

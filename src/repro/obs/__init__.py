@@ -15,38 +15,17 @@ CLI entry points: ``repro trace`` and ``repro diff``; the simulation
 service accepts ``"trace": true`` on ``POST /run``.
 """
 
-from .attribution import (
-    BUCKET_ORDER,
-    AttributionError,
-    CycleAttribution,
-    attribute_cycles,
-    attribution_delta,
-)
-from .chrome import chrome_trace, validate_chrome_trace, write_chrome_trace
-from .diff import (
-    CommitDivergence,
-    StageDelta,
-    TraceDiff,
-    diff_against_iss,
-    diff_recorders,
-    diff_stage_events,
-)
-from .events import TraceRecorder
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BUCKET_ORDER",
-    "AttributionError",
-    "CommitDivergence",
-    "CycleAttribution",
-    "StageDelta",
-    "TraceDiff",
-    "TraceRecorder",
-    "attribute_cycles",
-    "attribution_delta",
-    "chrome_trace",
-    "diff_against_iss",
-    "diff_recorders",
-    "diff_stage_events",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "attribution": (
+        "BUCKET_ORDER", "AttributionError", "CycleAttribution",
+        "attribute_cycles", "attribution_delta",
+    ),
+    "chrome": ("chrome_trace", "validate_chrome_trace", "write_chrome_trace"),
+    "diff": (
+        "CommitDivergence", "StageDelta", "TraceDiff", "diff_against_iss",
+        "diff_recorders", "diff_stage_events",
+    ),
+    "events": ("TraceRecorder",),
+})

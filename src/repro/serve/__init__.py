@@ -18,47 +18,26 @@ Layering (stdlib only, no web framework):
   the in-flight coalescer, and the dispatcher hand-off queue;
 * :mod:`~repro.serve.service`   -- :class:`SimService`, the engine
   room: admission -> micro-batch -> runner pool -> settle futures;
-* :mod:`~repro.serve.server`    -- the asyncio HTTP front end
+* :mod:`~repro.serve.app`       -- the asyncio HTTP front end
   (``/run``, ``/batch``, ``/healthz``, ``/metrics``);
+* :mod:`~repro.serve.server`    -- :func:`serve_in_background`, the
+  whole stack on a background thread (tests, perfbench);
 * :mod:`~repro.serve.client`    -- a small blocking client (tests,
   CI smoke load) that honours ``Retry-After``.
 """
 
-from .protocol import (
-    LIMITS,
-    ProtocolError,
-    SimRequest,
-    build_workload_registry,
-    canonical_result_bytes,
-    parse_sim_request,
-    result_to_wire,
-    wire_to_result,
-)
-from .service import (
-    BatchOverCapacity,
-    ServiceBusy,
-    ServiceDraining,
-    SimService,
-)
-from .server import ServeApp, serve_in_background
-from .client import Backpressure, ServeClient, ServeError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Backpressure",
-    "BatchOverCapacity",
-    "LIMITS",
-    "ProtocolError",
-    "ServeApp",
-    "ServeClient",
-    "ServeError",
-    "ServiceBusy",
-    "ServiceDraining",
-    "SimRequest",
-    "SimService",
-    "build_workload_registry",
-    "canonical_result_bytes",
-    "parse_sim_request",
-    "result_to_wire",
-    "serve_in_background",
-    "wire_to_result",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "protocol": (
+        "LIMITS", "ProtocolError", "SimRequest", "build_workload_registry",
+        "canonical_result_bytes", "parse_sim_request", "result_to_wire",
+        "wire_to_result",
+    ),
+    "service": (
+        "BatchOverCapacity", "ServiceBusy", "ServiceDraining", "SimService",
+    ),
+    "app": ("ServeApp",),
+    "server": ("serve_in_background",),
+    "client": ("Backpressure", "ServeClient", "ServeError"),
+})

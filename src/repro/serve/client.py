@@ -23,7 +23,6 @@ contract.
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -76,6 +75,10 @@ class ServeClient:
                 payload: Optional[Dict[str, Any]] = None
                 ) -> Tuple[int, Dict[str, str], bytes]:
         """One HTTP exchange; returns (status, headers, body bytes)."""
+        # Deferred: ``http.client`` pulls in ``ssl`` and ``email``,
+        # which processes that import but never call the client skip.
+        import http.client
+
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )

@@ -48,12 +48,15 @@ from ..analysis.cache import SCHEMA_VERSION, cache_key, deserialize_result, \
     serialize_result
 from ..analysis.parallel import SimPoint
 from ..analysis.sweeps import ENGINE_FACTORIES
-from ..isa import AssemblyError, ProgramError, assemble
+from ..isa.assembler import AssemblyError, assemble
+from ..isa.program import ProgramError
 from ..machine.config import CRAY1_LIKE, SIZING_MINIMUMS, ConfigError, \
     MachineConfig
 from ..machine.memory import Memory
 from ..machine.stats import SimResult
-from ..workloads import Workload, all_loops, synthetic_suite
+from ..workloads.base import Workload
+from ..workloads.livermore import all_loops
+from ..workloads.suites import synthetic_suite
 
 #: Protocol-level hard limits.  Every one is enforced with an HTTP 400
 #: and a machine-readable reason before the request touches a worker.

@@ -1,18 +1,11 @@
 """Functional execution and dynamic traces (the golden model)."""
 
-from .iss import (
-    ExecutionLimitExceeded,
-    FunctionalExecutor,
-    prefix_state,
-    reference_state,
-)
-from .trace import Trace, TraceEntry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExecutionLimitExceeded",
-    "FunctionalExecutor",
-    "Trace",
-    "TraceEntry",
-    "prefix_state",
-    "reference_state",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "iss": (
+        "ExecutionLimitExceeded", "FunctionalExecutor", "prefix_state",
+        "reference_state",
+    ),
+    "trace": ("Trace", "TraceEntry"),
+})

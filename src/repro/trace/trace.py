@@ -25,17 +25,9 @@ class TraceEntry:
     taken: Optional[bool] = None  # branch outcome, if a branch
     address: Optional[int] = None  # effective address, if a memory op
 
-    def format(self) -> str:
-        parts = [f"{self.seq:6d}", f"{self.pc:5d}", str(self.inst)]
-        if self.taken is not None:
-            parts.append("taken" if self.taken else "not-taken")
-        if self.address is not None:
-            parts.append(f"@{self.address}")
-        return "  ".join(parts)
-
 
 class Trace:
-    """A sequence of :class:`TraceEntry` with summary statistics."""
+    """The :class:`TraceEntry` list of one run, in program order."""
 
     def __init__(self, name: str = "trace") -> None:
         self.name = name
@@ -52,9 +44,3 @@ class Trace:
 
     def __getitem__(self, index: int) -> TraceEntry:
         return self.entries[index]
-
-    # -- serialization ----------------------------------------------------
-
-    def dump(self) -> str:
-        """Serialize to one line per entry (for inspection / diffing)."""
-        return "\n".join(entry.format() for entry in self.entries)

@@ -1,73 +1,20 @@
 """Benchmark workloads: the Livermore loops and synthetic kernels."""
 
-from .base import Workload, memory_from_arrays
-from .generator import (
-    GeneratorSpec,
-    generate_workload,
-    ilp_sweep,
-    memory_sweep,
-)
-from .suites import SIZE_PRESETS, SUITES, livermore_suite, synthetic_suite
-from .synthetic import (
-    ALL_SYNTHETIC,
-    branch_heavy,
-    dependency_chain,
-    fault_probe,
-    independent_streams,
-    memory_alias_kernel,
-    register_pressure,
-)
-from .livermore import (
-    LIVERMORE_FACTORIES,
-    all_loops,
-    lll1,
-    lll2,
-    lll3,
-    lll4,
-    lll5,
-    lll6,
-    lll7,
-    lll8,
-    lll9,
-    lll10,
-    lll11,
-    lll12,
-    lll13,
-    lll14,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_SYNTHETIC",
-    "GeneratorSpec",
-    "LIVERMORE_FACTORIES",
-    "generate_workload",
-    "ilp_sweep",
-    "memory_sweep",
-    "SIZE_PRESETS",
-    "SUITES",
-    "Workload",
-    "livermore_suite",
-    "synthetic_suite",
-    "all_loops",
-    "branch_heavy",
-    "dependency_chain",
-    "fault_probe",
-    "independent_streams",
-    "memory_alias_kernel",
-    "memory_from_arrays",
-    "register_pressure",
-    "lll1",
-    "lll2",
-    "lll3",
-    "lll4",
-    "lll5",
-    "lll6",
-    "lll7",
-    "lll8",
-    "lll9",
-    "lll10",
-    "lll11",
-    "lll12",
-    "lll13",
-    "lll14",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Workload", "memory_from_arrays"),
+    "generator": (
+        "GeneratorSpec", "generate_workload", "ilp_sweep", "memory_sweep",
+    ),
+    "suites": ("SIZE_PRESETS", "SUITES", "livermore_suite", "synthetic_suite"),
+    "synthetic": (
+        "ALL_SYNTHETIC", "branch_heavy", "dependency_chain", "fault_probe",
+        "independent_streams", "memory_alias_kernel", "register_pressure",
+    ),
+    "livermore": (
+        "LIVERMORE_FACTORIES", "all_loops", "lll1", "lll2", "lll3", "lll4",
+        "lll5", "lll6", "lll7", "lll8", "lll9", "lll10", "lll11", "lll12",
+        "lll13", "lll14",
+    ),
+})

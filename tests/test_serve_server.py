@@ -37,7 +37,8 @@ from repro.serve.protocol import (
     parse_sim_request,
     wire_to_result,
 )
-from repro.serve.server import ServeApp, serve_in_background
+from repro.serve.app import ServeApp
+from repro.serve.server import serve_in_background
 from repro.serve.service import SimService
 
 #: Spins long enough to keep a worker busy while a burst piles up, but

@@ -57,11 +57,6 @@ class TestExecution:
         with pytest.raises(ExecutionLimitExceeded):
             FunctionalExecutor(forever).run(max_instructions=10)
 
-    def test_trace_dump_renders(self):
-        trace = FunctionalExecutor(assemble(COUNTDOWN)).run()
-        dump = trace.dump()
-        assert "A_IMM" in dump and "taken" in dump
-
 
 class TestPrefixState:
     def test_prefix_zero_is_initial_state(self):
