@@ -11,8 +11,8 @@ Run:  python examples/fault_campaign.py [loop numbers...]
 
 import sys
 
-from repro import BypassMode, MachineConfig, RUUEngine
-from repro.core import fault_injection_campaign
+from repro import MachineConfig
+from repro.analysis import fault_injection_campaign
 from repro.workloads import LIVERMORE_FACTORIES
 
 CONFIG = MachineConfig(window_size=12)
@@ -23,16 +23,17 @@ def main(argv) -> None:
     total_faults = 0
     for number in numbers:
         workload = LIVERMORE_FACTORIES[number]()
-        for bypass in (BypassMode.FULL, BypassMode.NONE):
-            factory = lambda program, memory: RUUEngine(
-                program, CONFIG, memory=memory, bypass=bypass
+        for engine in ("ruu-bypass", "ruu-nobypass"):
+            checks = fault_injection_campaign(
+                engine, workload, CONFIG, max_sites=25
             )
-            result = fault_injection_campaign(
-                factory, workload, max_sites=25
-            )
-            total_faults += result.faults_taken
-            print(f"  [{bypass.value:>8s}] {result.describe()}")
-            assert result.all_precise and result.all_recovered
+            faults = sum(1 for check in checks if check.traps)
+            failures = [check for check in checks if not check.passed]
+            total_faults += faults
+            status = "OK" if not failures else "FAILED"
+            print(f"  [{engine:>12s}] {workload.name}: {faults} faults "
+                  f"across {len(checks)} sites -> {status}")
+            assert not failures, failures[0].describe()
     print(
         f"\n{total_faults} faults injected; every one was precise and "
         f"every run resumed to the fault-free final state."

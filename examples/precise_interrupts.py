@@ -14,14 +14,10 @@ Run:  python examples/precise_interrupts.py
 """
 
 from repro import (
-    BypassMode,
     MachineConfig,
-    RSTUEngine,
     RUUEngine,
-    SimpleEngine,
-    check_precision,
+    check_run,
     reference_state,
-    run_with_page_fault,
 )
 from repro.workloads import lll1
 
@@ -35,23 +31,12 @@ def main() -> None:
     print(f"workload: {workload.name} ({workload.description})")
     print(f"injected page fault at address {fault_address}\n")
 
-    machines = [
-        ("simple baseline", lambda p, m: SimpleEngine(p, CONFIG, memory=m)),
-        ("RSTU", lambda p, m: RSTUEngine(p, CONFIG, memory=m)),
-        ("RUU", lambda p, m: RUUEngine(p, CONFIG, memory=m,
-                                       bypass=BypassMode.FULL)),
-    ]
-
-    for label, factory in machines:
-        engine, record = run_with_page_fault(
-            factory, workload.program, workload.initial_memory,
-            fault_address,
-        )
-        report = check_precision(
-            engine, workload.program, workload.initial_memory
-        )
-        print(f"--- {label} ---")
-        print(report.describe())
+    for label, engine in [("simple baseline", "simple"), ("RSTU", "rstu"),
+                          ("RUU", "ruu-bypass")]:
+        check = check_run(engine, workload, CONFIG, fault_address)
+        verdict = "PRECISE" if check.precise else "IMPRECISE"
+        print(f"--- {label}: {verdict} ---")
+        print(check.describe())
         print()
 
     # Restartability: the operating-system view.

@@ -46,14 +46,12 @@ __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "analysis": (
-        "ENGINE_FACTORIES", "ParallelRunner", "SimPoint",
+        "ENGINE_FACTORIES", "ParallelRunner", "SimPoint", "check_run",
         "format_sweep_table", "format_table1", "run_suite", "sweep_sizes",
     ),
     "core": (
         "BypassMode", "RUUEngine", "SpeculativeRUUEngine",
-        "StaticBTFNPredictor", "TwoBitPredictor", "check_precision",
-        "demonstrate_restartability", "run_with_page_fault",
-        "run_with_recovery",
+        "StaticBTFNPredictor", "TwoBitPredictor",
     ),
     "interrupts": (
         "FutureFileEngine", "HistoryBufferEngine",

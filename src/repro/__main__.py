@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import __version__
 from .analysis import (
     ENGINE_FACTORIES,
     format_sweep_table,
@@ -47,6 +48,16 @@ from .machine import MachineConfig, Memory, aggregate
 from .machine.config import ConfigError
 from .trace import FunctionalExecutor
 from .workloads import LIVERMORE_FACTORIES, all_loops
+
+
+def _unknown_engines(names) -> bool:
+    """Print which of ``names`` no engine is registered under; True if
+    any (the caller exits 2)."""
+    unknown = [name for name in names if name not in ENGINE_FACTORIES]
+    if unknown:
+        print(f"unknown engine(s): {', '.join(unknown)}; "
+              f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
+    return bool(unknown)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -155,10 +166,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print("--engines needs exactly two comma-separated names "
               "(e.g. --engines ruu-bypass,tomasulo)")
         return 2
-    unknown = [name for name in engines if name not in ENGINE_FACTORIES]
-    if unknown:
-        print(f"unknown engine(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
+    if _unknown_engines(engines):
         return 2
     recorders = []
     for name in engines:
@@ -290,51 +298,55 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .analysis.verify import verify_all
     from .workloads import SUITES
 
-    unknown = [name for name in args.engines if name not in ENGINE_FACTORIES]
-    if unknown:
-        print(f"unknown engine(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
+    if _unknown_engines(args.engines):
         return 2
-    workloads = SUITES[args.suite]()
-    reports = verify_all(
-        workloads, args.config,
-        engines=args.engines or None,
-    )
-    failed = 0
-    for report in reports:
-        print(report.describe())
-        if not report.passed:
-            failed += 1
-    return 1 if failed else 0
+    checks = verify_all(SUITES[args.suite](), args.config,
+                        engines=args.engines or None)
+    by_engine = {}
+    for check in checks:
+        by_engine.setdefault(check.engine, []).append(check)
+    for name, group in by_engine.items():
+        failures = [check for check in group if not check.passed]
+        if failures:
+            print(f"{name}: FAILED on {len(failures)} of {len(group)} "
+                  f"workload(s)")
+        else:
+            print(f"{name}: OK -- bit-exact with the golden model on "
+                  f"{len(group)} workload(s)")
+        for check in failures:
+            print(f"  {check.describe()}")
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def _cmd_drill(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis.drill import PRECISE_ENGINES, restart_drill
+    from .analysis.verify import restart_drill
     from .workloads import SUITES
 
-    engines = args.engines or list(PRECISE_ENGINES)
-    unknown = [name for name in engines if name not in ENGINE_FACTORIES]
-    if unknown:
-        print(f"unknown engine(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(sorted(ENGINE_FACTORIES))}")
+    if _unknown_engines(args.engines):
         return 2
-    workloads = SUITES[args.suite]()
-    report = restart_drill(
-        engines=engines,
-        workloads=workloads,
+    checks = restart_drill(
+        engines=args.engines or None,
+        workloads=SUITES[args.suite](),
         config=args.config,
         checkpoint_dir=args.checkpoint_dir,
         cross_engine=not args.no_cross,
     )
-    print(report.describe())
+    failures = [check for check in checks if not check.passed]
+    cross = sum(check.restored_into != check.engine for check in checks)
+    print(f"restart drill: {len(checks)} point(s), {cross} cross-engine "
+          f"restore(s), {len(failures)} failure(s)")
+    for check in failures:
+        print(f"  {check.describe()}")
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump(report.to_json(), handle, indent=1, sort_keys=True)
+            json.dump({"passed": not failures,
+                       "points": [check.to_json() for check in checks]},
+                      handle, indent=1, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.json}")
-    return 0 if report.passed else 1
+    return 1 if failures else 0
 
 
 def _cmd_loops(args: argparse.Namespace) -> int:
@@ -376,8 +388,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    from .version import get_version
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Sohi RUU reproduction: CRAY-1-like issue-logic "
@@ -385,7 +395,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--version", action="version",
-        version=f"repro {get_version()}",
+        version=f"repro {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

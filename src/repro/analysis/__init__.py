@@ -5,7 +5,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "paper_data": ("paper_data",),
     "cache": ("ResultCache", "cache_key"),
-    "drill": ("DrillPoint", "DrillReport", "restart_drill"),
     "parallel": (
         "FleetError", "FleetReport", "ParallelRunner", "PointFailure",
         "SimPoint", "run_point",
@@ -26,7 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "report": ("ReportSpec", "build_report"),
     "tables": ("format_sweep_table", "format_table1"),
     "verify": (
-        "VerificationFailure", "VerificationReport", "verify_all",
-        "verify_engine",
+        "Check", "check_run", "fault_injection_campaign", "restart_drill",
+        "verify_all",
     ),
 })

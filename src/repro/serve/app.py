@@ -37,7 +37,7 @@ import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..version import get_version
+from .. import __version__
 from .protocol import (
     LIMITS,
     ProtocolError,
@@ -113,7 +113,7 @@ class ServeApp:
                  request_timeout: Optional[float] = None,
                  idle_timeout: float = 60.0) -> None:
         self.service = service
-        self.version = get_version()
+        self.version = __version__
         self.idle_timeout = idle_timeout
         if request_timeout is None and service.runner.timeout:
             # A request can outlive one point attempt by the retry

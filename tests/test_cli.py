@@ -1,6 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import re
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -71,11 +73,25 @@ class TestVersionFlag:
         assert out.split()[1][0].isdigit()
 
     def test_version_matches_package(self, capsys):
-        from repro.version import get_version
+        from repro import __version__
 
         with pytest.raises(SystemExit):
             main(["--version"])
-        assert get_version() in capsys.readouterr().out
+        assert capsys.readouterr().out == f"repro {__version__}\n"
+
+    def test_pyproject_reads_the_package_version(self):
+        """``repro.__version__`` is the one version literal; the project
+        metadata reads it (``dynamic = ["version"]``)."""
+        pyprojecttoml = pytest.importorskip(
+            "setuptools.config.pyprojecttoml")
+        from repro import __version__
+
+        path = Path(__file__).parent.parent / "pyproject.toml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+            config = pyprojecttoml.read_configuration(str(path))
+        assert config["project"]["dynamic"] == ["version"]
+        assert config["project"]["version"] == __version__ == "1.0.0"
 
 
 class TestLoopsCommand:

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.analysis import ENGINE_FACTORIES
-from repro.core import (
-    BypassMode,
-    RUUEngine,
-    SpeculativeRUUEngine,
-    fault_injection_campaign,
-)
-from repro.interrupts import HistoryBufferEngine
+from repro.analysis import ENGINE_FACTORIES, fault_injection_campaign
+from repro.core import BypassMode
 from repro.machine import MachineConfig
 from repro.machine.faults import SimulationError
 from repro.workloads import (
@@ -20,11 +14,19 @@ from repro.workloads import (
 
 CONFIG = MachineConfig(window_size=10)
 
+RUU_BY_MODE = {
+    BypassMode.FULL: "ruu-bypass",
+    BypassMode.NONE: "ruu-nobypass",
+    BypassMode.LIMITED: "ruu-limited",
+}
 
-def ruu_factory(bypass=BypassMode.FULL):
-    return lambda program, memory: RUUEngine(
-        program, CONFIG, memory=memory, bypass=bypass
-    )
+
+def faults_taken(checks):
+    return sum(1 for check in checks if check.traps)
+
+
+def failures(checks):
+    return [check.describe() for check in checks if not check.passed]
 
 
 class TestCampaigns:
@@ -33,56 +35,73 @@ class TestCampaigns:
         workload = LIVERMORE_FACTORIES[loop](
             **({"n": 24} if loop != 3 else {"n": 30})
         )
-        result = fault_injection_campaign(
-            ruu_factory(), workload, max_sites=20
+        checks = fault_injection_campaign(
+            "ruu-bypass", workload, CONFIG, max_sites=20
         )
-        assert result.faults_taken > 0
-        assert result.all_precise, result.imprecise_sites
-        assert result.all_recovered
-        assert "OK" in result.describe()
+        assert faults_taken(checks) > 0
+        assert all(check.precise for check in checks)
+        assert not failures(checks)
 
     @pytest.mark.parametrize("bypass", list(BypassMode))
     def test_all_bypass_modes(self, bypass):
         workload = LIVERMORE_FACTORIES[5](n=24)
-        result = fault_injection_campaign(
-            ruu_factory(bypass), workload, max_sites=12
+        checks = fault_injection_campaign(
+            RUU_BY_MODE[bypass], workload, CONFIG, max_sites=12
         )
-        assert result.all_precise and result.all_recovered
+        assert not failures(checks)
 
     def test_speculative_engine_campaign(self):
         workload = LIVERMORE_FACTORIES[3](n=30)
-
-        def factory(program, memory):
-            return SpeculativeRUUEngine(program, CONFIG, memory=memory)
-
-        result = fault_injection_campaign(factory, workload, max_sites=12)
-        assert result.faults_taken > 0
-        assert result.all_precise and result.all_recovered
+        checks = fault_injection_campaign(
+            "spec-ruu", workload, CONFIG, max_sites=12)
+        assert faults_taken(checks) > 0
+        assert not failures(checks)
 
     def test_history_buffer_campaign(self):
         workload = LIVERMORE_FACTORIES[12](n=30)
-
-        def factory(program, memory):
-            return HistoryBufferEngine(program, CONFIG, memory=memory)
-
-        result = fault_injection_campaign(factory, workload, max_sites=12)
-        assert result.all_precise and result.all_recovered
+        checks = fault_injection_campaign(
+            "history-buffer", workload, CONFIG, max_sites=12)
+        assert not failures(checks)
 
     def test_aliased_stores_campaign(self):
         """The alias kernel's read-modify-write traffic is the hardest
         case: every address has both pending loads and stores."""
         workload = memory_alias_kernel(iterations=12)
-        result = fault_injection_campaign(ruu_factory(), workload)
-        assert result.sites_tested == 4
-        assert result.faults_taken == 4
-        assert result.all_precise and result.all_recovered
+        checks = fault_injection_campaign("ruu-bypass", workload, CONFIG)
+        assert len(checks) == 4
+        assert faults_taken(checks) == 4
+        assert not failures(checks)
 
     def test_site_cap_respected(self):
         workload = LIVERMORE_FACTORIES[12](n=40)
-        result = fault_injection_campaign(
-            ruu_factory(), workload, max_sites=5
+        checks = fault_injection_campaign(
+            "ruu-bypass", workload, CONFIG, max_sites=5
         )
-        assert result.sites_tested <= 5
+        assert len(checks) <= 5
+
+    def test_retired_count_is_checked(self, monkeypatch):
+        """An engine that resumes to the right registers and memory but
+        retires one instruction too many fails the campaign."""
+        real = ENGINE_FACTORIES["ruu-bypass"]
+
+        def overcounting(program, config, memory):
+            engine = real(program, config, memory)
+            original = engine.continue_run
+
+            def continue_run(*args, **kwargs):
+                result = original(*args, **kwargs)
+                engine.retired += 1
+                return result
+
+            engine.continue_run = continue_run
+            return engine
+
+        monkeypatch.setitem(ENGINE_FACTORIES, "ruu-bypass", overcounting)
+        checks = fault_injection_campaign(
+            "ruu-bypass", memory_alias_kernel(iterations=12), CONFIG)
+        assert faults_taken(checks) == 4
+        assert not any(check.passed for check in checks)
+        assert all("retired" in check.detail for check in checks)
 
 
 class TestImpreciseEngines:

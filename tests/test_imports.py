@@ -21,12 +21,12 @@ from repro.analysis.sweeps import ENGINE_FACTORIES
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 DATA = Path(__file__).parent / "data"
 
-#: Modules that only linting, drills, checkpoints, trace diffs,
-#: reports, verification or the service's sockets need.
+#: Modules that only linting, checkpoints, trace diffs, reports,
+#: verification, the service's sockets or a package-metadata lookup need.
 DEFERRED = {
-    "repro.lint", "repro.analysis.drill", "repro.machine.checkpoint",
-    "repro.obs.diff", "repro.analysis.report", "repro.analysis.verify",
-    "asyncio", "http.client", "ssl",
+    "repro.lint", "repro.machine.checkpoint", "repro.obs.diff",
+    "repro.analysis.report", "repro.analysis.verify",
+    "asyncio", "http.client", "ssl", "importlib.metadata",
 }
 
 

@@ -7,41 +7,24 @@ and RSTU machines are shown imprecise on a crafted scenario.
 
 import pytest
 
-from repro.core import (
-    BypassMode,
-    RUUEngine,
-    SpeculativeRUUEngine,
-    check_precision,
-    demonstrate_restartability,
-    run_with_page_fault,
-    run_with_recovery,
-)
-from repro.interrupts import (
-    FutureFileEngine,
-    HistoryBufferEngine,
-    ReorderBufferBypassEngine,
-    ReorderBufferEngine,
-)
+from repro.analysis import check_run
+from repro.core import RUUEngine
+from repro.isa import assemble
 from repro.issue import RSTUEngine, SimpleEngine
 from repro.machine import MachineConfig, Memory
 from repro.trace import reference_state
-from repro.workloads import fault_probe, lll1, lll5
+from repro.workloads import Workload, fault_probe, lll1, lll5
 
 CONFIG = MachineConfig(window_size=10)
 
-PRECISE_FACTORIES = {
-    "ruu-bypass": lambda p, m: RUUEngine(p, CONFIG, memory=m,
-                                         bypass=BypassMode.FULL),
-    "ruu-nobypass": lambda p, m: RUUEngine(p, CONFIG, memory=m,
-                                           bypass=BypassMode.NONE),
-    "ruu-limited": lambda p, m: RUUEngine(p, CONFIG, memory=m,
-                                          bypass=BypassMode.LIMITED),
-    "spec-ruu": lambda p, m: SpeculativeRUUEngine(p, CONFIG, memory=m),
-    "reorder-buffer": lambda p, m: ReorderBufferEngine(p, CONFIG, memory=m),
-    "rob-bypass": lambda p, m: ReorderBufferBypassEngine(p, CONFIG, memory=m),
-    "history-buffer": lambda p, m: HistoryBufferEngine(p, CONFIG, memory=m),
-    "future-file": lambda p, m: FutureFileEngine(p, CONFIG, memory=m),
-}
+PRECISE = [
+    "ruu-bypass", "ruu-nobypass", "ruu-limited", "spec-ruu",
+    "reorder-buffer", "rob-bypass", "history-buffer", "future-file",
+]
+
+
+def program_workload(source):
+    return Workload("program", assemble(source), Memory())
 
 
 @pytest.fixture(scope="module")
@@ -50,101 +33,93 @@ def probe():
 
 
 class TestPageFaultPrecision:
-    @pytest.mark.parametrize("name", sorted(PRECISE_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(PRECISE))
     def test_precise_on_fault_probe(self, name, probe):
-        factory = PRECISE_FACTORIES[name]
-        engine, record = run_with_page_fault(
-            factory, probe.program, probe.initial_memory,
-            probe.fault_address,
-        )
-        assert record is not None
-        assert record.claims_precise
-        report = check_precision(engine, probe.program, probe.initial_memory)
-        assert report.precise, report.describe()
+        check = check_run(name, probe, CONFIG, probe.fault_address)
+        assert len(check.traps) == 1
+        assert check.traps[0].claims_precise
+        assert check.precise, check.describe()
 
-    @pytest.mark.parametrize("name", sorted(PRECISE_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(PRECISE))
     def test_restartable(self, name, probe):
-        factory = PRECISE_FACTORIES[name]
-        assert demonstrate_restartability(
-            factory, probe.program, probe.initial_memory,
-            probe.fault_address,
-        )
+        check = check_run(name, probe, CONFIG, probe.fault_address)
+        assert check.traps and check.completed
+        assert check.passed, check.describe()
 
     @pytest.mark.parametrize("fault_index", [0, 5, 13, 19])
     def test_fault_at_any_load(self, fault_index):
         probe = fault_probe(fault_index=fault_index)
-        factory = PRECISE_FACTORIES["ruu-bypass"]
-        engine, record = run_with_page_fault(
-            factory, probe.program, probe.initial_memory,
-            probe.fault_address,
-        )
-        report = check_precision(engine, probe.program, probe.initial_memory)
-        assert report.precise, report.describe()
+        check = check_run("ruu-bypass", probe, CONFIG, probe.fault_address)
+        assert check.traps and check.precise, check.describe()
 
     def test_interrupt_pc_is_faulting_instruction(self, probe):
-        factory = PRECISE_FACTORIES["ruu-bypass"]
-        engine, record = run_with_page_fault(
-            factory, probe.program, probe.initial_memory,
-            probe.fault_address,
-        )
+        check = check_run("ruu-bypass", probe, CONFIG, probe.fault_address)
         # The probe's only load is the first instruction of the loop body.
-        assert probe.program[record.pc].is_load
+        assert probe.program[check.traps[0].pc].is_load
 
     def test_recovery_yields_fault_free_state(self, probe):
-        factory = PRECISE_FACTORIES["ruu-nobypass"]
-        engine, records = run_with_recovery(
-            factory, probe.program, probe.initial_memory,
-            probe.fault_address,
-        )
-        assert len(records) == 1
-        clean = reference_state(probe.program, probe.initial_memory)
-        assert engine.regs == clean.regs
-        assert engine.memory == clean.memory
-        assert engine.retired == clean.executed
+        """The final registers, memory and retired count are compared
+        with the golden run: a wrong retired count alone fails."""
+        check = check_run("ruu-nobypass", probe, CONFIG,
+                          probe.fault_address)
+        assert len(check.traps) == 1
+        assert check.passed, check.describe()
 
 
 class TestStoreFaults:
     def test_store_page_fault_is_precise(self):
         wl = lll1()
         # LLL1 stores to x at base 1000; fault the 5th store target.
-        factory = PRECISE_FACTORIES["ruu-bypass"]
-        engine, record = run_with_page_fault(
-            factory, wl.program, wl.initial_memory, 1004
-        )
-        assert record is not None and record.claims_precise
-        report = check_precision(engine, wl.program, wl.initial_memory)
-        assert report.precise, report.describe()
+        check = check_run("ruu-bypass", wl, CONFIG, 1004)
+        assert check.traps and check.traps[0].claims_precise
+        assert check.traps[0].cause.is_store
+        assert check.precise, check.describe()
 
     def test_store_fault_restartable(self):
-        wl = lll5()
-        factory = PRECISE_FACTORIES["ruu-limited"]
-        assert demonstrate_restartability(
-            factory, wl.program, wl.initial_memory, 1010
-        )
+        check = check_run("ruu-limited", lll5(), CONFIG, 1010)
+        assert check.traps and check.passed, check.describe()
 
 
 class TestArithmeticFaults:
-    SOURCE_MEMORY = None
+    RECIP_ZERO = """
+        A_IMM A1, 1
+        A_IMM A2, 2
+        S_IMM S1, 0.0
+        F_RECIP S2, S1
+        A_IMM A3, 3
+        HALT
+    """
 
     def test_recip_zero_precise_on_ruu(self):
-        from repro.isa import assemble
-        program = assemble("""
-            A_IMM A1, 1
-            A_IMM A2, 2
-            S_IMM S1, 0.0
-            F_RECIP S2, S1
-            A_IMM A3, 3
-            HALT
-        """)
-        engine = RUUEngine(program, CONFIG)
+        workload = program_workload(self.RECIP_ZERO)
+        engine = RUUEngine(workload.program, CONFIG)
         engine.run()
         record = engine.interrupt_record
         assert record is not None and record.claims_precise
-        report = check_precision(engine, program, Memory())
-        assert report.precise, report.describe()
+        check = check_run("ruu-bypass", workload, CONFIG)
+        assert check.precise and not check.completed, check.describe()
         # A3 (younger than the trap) must NOT be visible.
         from repro.isa import A
         assert engine.regs.read(A(3)) == 0
+
+    def test_unserviceable_trap_ends_the_check(self):
+        """A page fault is serviced and resumed; the arithmetic trap
+        after it cannot be, so the check stops there instead of
+        resuming into the same trap forever."""
+        workload = program_workload("""
+            A_IMM A1, 100
+            LOAD_S S1, A1[0]
+            S_IMM S2, 0.0
+            F_RECIP S3, S2
+            HALT
+        """)
+        check = check_run("ruu-bypass", workload, CONFIG, 100)
+        assert [type(trap.cause).__name__ for trap in check.traps] == \
+            ["PageFault", "ArithmeticFault"]
+        assert check.precise and not check.completed
+        assert not check.passed
+        assert "unserviceable trap, not resumed" in check.detail
+        assert "reciprocal of zero" in check.detail
 
 
 class TestImpreciseMachines:
@@ -159,20 +134,17 @@ class TestImpreciseMachines:
 
     @pytest.mark.parametrize("cls", [SimpleEngine, RSTUEngine])
     def test_state_is_not_the_prefix(self, cls):
-        from repro.isa import assemble
-        program = assemble(self.IMPRECISE_SOURCE)
-        engine = cls(program, CONFIG)
-        engine.run()
-        record = engine.interrupt_record
-        assert record is not None
-        assert not record.claims_precise
-        report = check_precision(engine, program, Memory())
-        assert not report.precise
-        assert report.register_diff  # younger writes leaked
+        check = check_run(cls.name, program_workload(self.IMPRECISE_SOURCE),
+                          CONFIG)
+        assert len(check.traps) == 1
+        assert not check.traps[0].claims_precise
+        assert not check.precise and not check.completed
+        assert "trap was imprecise" in check.detail
+        # younger writes leaked
+        assert "registers diverge from the golden prefix" in check.detail
 
     @pytest.mark.parametrize("cls", [SimpleEngine, RSTUEngine])
     def test_imprecise_cannot_resume(self, cls):
-        from repro.isa import assemble
         from repro.machine import SimulationError
         program = assemble(self.IMPRECISE_SOURCE)
         engine = cls(program, CONFIG)

@@ -8,12 +8,11 @@ when the restart immediately re-enters speculation.
 
 import pytest
 
+from repro.analysis import ENGINE_FACTORIES, check_run
 from repro.core import (
     AlwaysTakenPredictor,
     SpeculativeRUUEngine,
     StaticBTFNPredictor,
-    check_precision,
-    run_with_recovery,
 )
 from repro.isa import assemble
 from repro.machine import MachineConfig
@@ -23,53 +22,49 @@ from repro.workloads import branch_heavy, fault_probe, lll1
 CONFIG = MachineConfig(window_size=16)
 
 
-def spec_factory(predictor_cls=StaticBTFNPredictor):
-    return lambda program, memory: SpeculativeRUUEngine(
-        program, CONFIG, memory=memory, predictor=predictor_cls(),
-    )
+@pytest.fixture
+def spec_engine(monkeypatch):
+    """Register ``spec-test``, a speculative RUU with the given
+    predictor; returns the list of engines it has built."""
+    def register(predictor_cls=StaticBTFNPredictor):
+        built = []
+
+        def build(program, config, memory):
+            built.append(SpeculativeRUUEngine(
+                program, config, memory=memory, predictor=predictor_cls()))
+            return built[-1]
+
+        monkeypatch.setitem(ENGINE_FACTORIES, "spec-test", build)
+        return built
+    return register
 
 
 class TestFaultDuringSpeculation:
     @pytest.mark.parametrize("predictor_cls", [StaticBTFNPredictor,
                                                AlwaysTakenPredictor])
-    def test_precise_and_restartable(self, predictor_cls):
+    def test_precise_and_restartable(self, predictor_cls, spec_engine):
+        built = spec_engine(predictor_cls)
         workload = fault_probe(fault_index=7)
-        engine, records = run_with_recovery(
-            spec_factory(predictor_cls), workload.program,
-            workload.initial_memory, workload.fault_address,
-        )
-        assert len(records) == 1
-        assert records[0].claims_precise
-        clean = reference_state(workload.program, workload.initial_memory)
-        assert engine.regs == clean.regs
-        assert engine.memory == clean.memory
-        assert not engine._pending_branches
+        check = check_run("spec-test", workload, CONFIG,
+                          workload.fault_address)
+        assert len(check.traps) == 1
+        assert check.traps[0].claims_precise
+        assert check.passed, check.describe()
+        assert not built[-1]._pending_branches
 
     def test_precision_checked_against_prefix(self):
-        workload = lll1()
-        memory = workload.initial_memory.copy()
-        memory.inject_fault(2008)  # y[8]
-        engine = SpeculativeRUUEngine(workload.program, CONFIG,
-                                      memory=memory)
-        engine.run()
-        assert engine.interrupt_record is not None
-        report = check_precision(engine, workload.program,
-                                 workload.initial_memory)
-        assert report.precise, report.describe()
+        check = check_run("spec-ruu", lll1(), CONFIG, 2008)  # y[8]
+        assert check.traps
+        assert check.precise, check.describe()
 
-    def test_fault_on_branchy_code(self):
+    def test_fault_on_branchy_code(self, spec_engine):
+        built = spec_engine()
         workload = branch_heavy(length=80)
         # fault one of the value loads mid-stream
-        fault_address = 2000 + 41
-        engine, records = run_with_recovery(
-            spec_factory(), workload.program, workload.initial_memory,
-            fault_address,
-        )
-        assert records and records[0].claims_precise
-        clean = reference_state(workload.program, workload.initial_memory)
-        assert engine.regs == clean.regs
-        assert engine.memory == clean.memory
-        failures = workload.validate(engine.memory)
+        check = check_run("spec-test", workload, CONFIG, 2000 + 41)
+        assert check.traps and check.traps[0].claims_precise
+        assert check.passed, check.describe()
+        failures = workload.validate(built[-1].memory)
         assert not failures
 
     def test_wrong_path_load_fault_never_traps(self):

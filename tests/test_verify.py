@@ -3,7 +3,7 @@
 import pytest
 
 from repro.__main__ import main
-from repro.analysis import verify_all, verify_engine
+from repro.analysis import verify_all
 from repro.machine import MachineConfig
 from repro.workloads import dependency_chain, livermore_suite
 
@@ -15,24 +15,28 @@ def quick():
 
 class TestVerifyEngine:
     def test_good_engine_passes(self, quick):
-        report = verify_engine("ruu-bypass", quick,
-                               MachineConfig(window_size=8))
-        assert report.passed
-        assert report.workloads_checked == 14
-        assert "OK" in report.describe()
+        checks = verify_all(quick, MachineConfig(window_size=8),
+                            engines=["ruu-bypass"])
+        assert len(checks) == 14
+        assert all(check.passed for check in checks)
+        assert all(check.describe().startswith("[ok] ruu-bypass on ")
+                   for check in checks)
 
     def test_all_engines_pass(self, quick):
-        reports = verify_all(quick[:3], MachineConfig(window_size=8))
-        assert len(reports) == 14  # all registered engines
-        assert all(report.passed for report in reports)
+        checks = verify_all(quick[:3], MachineConfig(window_size=8))
+        assert len(checks) == 14 * 3  # all registered engines
+        assert all(check.passed for check in checks)
 
     def test_subset_of_engines(self, quick):
-        reports = verify_all(quick[:2], engines=["simple", "rstu"])
-        assert [r.engine for r in reports] == ["simple", "rstu"]
+        checks = verify_all(quick[:2], engines=["simple", "rstu"])
+        assert [check.engine for check in checks] == \
+            ["simple", "simple", "rstu", "rstu"]
+        assert [check.workload for check in checks] == \
+            [quick[0].name, quick[1].name] * 2
 
     def test_unknown_engine_raises(self, quick):
         with pytest.raises(KeyError):
-            verify_engine("nope", quick[:1])
+            verify_all(quick[:1], engines=["nope"])
 
     def test_failure_detected(self, quick, monkeypatch):
         """Sabotage an engine's result and check the report catches it."""
@@ -54,9 +58,9 @@ class TestVerifyEngine:
             return engine
 
         monkeypatch.setitem(ENGINE_FACTORIES, "simple", broken)
-        report = verify_engine("simple", [dependency_chain(30)])
-        assert not report.passed
-        assert "register" in report.describe()
+        [check] = verify_all([dependency_chain(30)], engines=["simple"])
+        assert not check.passed
+        assert "registers diverge from the golden run" in check.describe()
 
 
 class TestVerifyCLI:
@@ -69,3 +73,30 @@ class TestVerifyCLI:
         rc = main(["verify", "not-an-engine"])
         assert rc == 2
         assert "unknown engine" in capsys.readouterr().out
+
+
+class TestDrillCLI:
+    def test_drill_passes_with_cross_engine_points(self, tmp_path, capsys):
+        import json
+
+        report = tmp_path / "drill.json"
+        rc = main(["drill", "ruu-bypass", "history-buffer",
+                   "--suite", "synthetic", "--json", str(report)])
+        assert rc == 0, capsys.readouterr().out
+        document = json.loads(report.read_text())
+        assert document["passed"] is True
+        points = document["points"]
+        routes = {(p["engine"], p["restored_into"]) for p in points}
+        assert routes == {
+            ("ruu-bypass", "ruu-bypass"), ("ruu-bypass", "ruu-nobypass"),
+            ("history-buffer", "history-buffer"),
+            ("history-buffer", "future-file"),
+        }
+        assert all(p["passed"] for p in points)
+        assert any(p["trap_seq"] is not None for p in points)
+
+    def test_drill_of_imprecise_engine_fails(self, capsys):
+        rc = main(["drill", "simple", "--suite", "synthetic"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "trap was imprecise" in out
