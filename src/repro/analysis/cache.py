@@ -27,36 +27,37 @@ one cache directory across worker processes):
   cache directory disables caching (one warning, then silence), and an
   unreadable entry (permissions, I/O error) degrades to a miss.  The
   cache is an accelerator; losing it costs time, never results.
-* **Lossless round-trip** -- serialization walks
-  ``dataclasses.fields(SimResult)``, so cached and fresh results carry
-  the same payload (including ``extra``) modulo the explicit
-  :data:`EXCLUDED_EXTRA_KEYS`.
+* **Lossless round-trip** -- an entry is
+  :meth:`SimResult.to_json` plus the :data:`SCHEMA_VERSION` tag, so
+  cached and fresh results carry the same payload (including
+  ``extra``); only the ``from_cache`` flag that :meth:`ResultCache.get`
+  stamps on the way out is never stored.
 
 Usage::
 
     cache = ResultCache(".repro-cache")
-    result = cache.run(ENGINE_FACTORIES["rstu"], "rstu", workload, config)
+    key = cache_key("rstu", workload, config)
+    result = cache.get(key)
+    if result is None:
+        result = run_point(SimPoint("rstu", workload, config))
+        cache.put(key, result)
 
-Simulations are deterministic, which is what makes caching sound.
+:class:`~repro.analysis.parallel.ParallelRunner` does exactly this for
+each point, answering hits in the caller.  Simulations are
+deterministic, which is what makes caching sound.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import hashlib
 import os
 import tempfile
 import threading
 import warnings
-from collections import Counter
-from typing import Callable, Optional
+from typing import Optional
 
-# ``Program.encoding`` imports this module on first use; importing it
-# here keeps that compile out of the first timed cache key.
-from ..isa import encoding as _encoding  # noqa: F401
 from ..machine.config import MachineConfig
-from ..machine.interrupts import InterruptRecord
 from ..machine.stats import SimResult
 from ..workloads.base import Workload
 
@@ -65,18 +66,6 @@ from ..workloads.base import Workload
 #: serialized (tagged dict) instead of excluded, and the memory
 #: fingerprint covers injected fault addresses.
 SCHEMA_VERSION = 3
-
-#: ``SimResult.extra`` keys deliberately left out of cache entries.
-#: ``from_cache`` is the cache's own provenance marker, stamped on the
-#: way *out* so that the stored bytes stay equal to the fresh result's
-#: payload.  (``interrupt`` round-trips losslessly since schema 3 --
-#: see :meth:`InterruptRecord.to_json`.)
-EXCLUDED_EXTRA_KEYS = frozenset({"from_cache"})
-
-#: ``SimResult`` field names in declaration order: an entry carries
-#: exactly these (plus ``schema``), so a field added later is cached
-#: automatically and its absence in an older entry reads as a miss.
-_RESULT_FIELDS = tuple(field.name for field in dataclasses.fields(SimResult))
 
 
 def cache_key(engine_name: str, workload: Workload,
@@ -97,70 +86,6 @@ def cache_key(engine_name: str, workload: Workload,
     ).hexdigest()
 
 
-def _extra_to_json(extra: dict) -> dict:
-    """Serialize ``SimResult.extra``; interrupt records become tagged
-    dicts so the round-trip is lossless."""
-    payload = {}
-    for key, entry in extra.items():
-        if key in EXCLUDED_EXTRA_KEYS:
-            continue
-        if isinstance(entry, InterruptRecord):
-            payload[key] = {"__interrupt__": entry.to_json()}
-        else:
-            payload[key] = entry
-    return payload
-
-
-def _extra_from_json(payload: dict) -> dict:
-    """Inverse of :func:`_extra_to_json`."""
-    extra = {}
-    for key, entry in payload.items():
-        if isinstance(entry, dict) and set(entry) == {"__interrupt__"}:
-            extra[key] = InterruptRecord.from_json(entry["__interrupt__"])
-        else:
-            extra[key] = entry
-    return extra
-
-
-def serialize_result(result: SimResult) -> dict:
-    """Public face of the lossless ``SimResult`` -> JSON-able mapping.
-
-    The serving protocol (:mod:`repro.serve.protocol`) derives its wire
-    format from this, so a result that crosses the network round-trips
-    through exactly the machinery the cache already pins with tests.
-    """
-    return _result_to_json(result)
-
-
-def deserialize_result(payload: dict) -> SimResult:
-    """Inverse of :func:`serialize_result`; raises on incompatible data."""
-    return _result_from_json(payload)
-
-
-def _result_to_json(result: SimResult) -> dict:
-    """Serialize every ``SimResult`` field (minus excluded extras)."""
-    payload: dict = {"schema": SCHEMA_VERSION}
-    for name in _RESULT_FIELDS:
-        payload[name] = getattr(result, name)
-    payload["stalls"] = dict(result.stalls)
-    payload["extra"] = _extra_to_json(result.extra)
-    return payload
-
-
-def _result_from_json(payload: dict) -> SimResult:
-    """Inverse of :func:`_result_to_json`; raises on incompatible data."""
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"cache entry schema {payload.get('schema')!r} != "
-            f"{SCHEMA_VERSION}"
-        )
-    # KeyError (a missing field) => corrupt => miss
-    kwargs = {name: payload[name] for name in _RESULT_FIELDS}
-    kwargs["stalls"] = Counter(kwargs["stalls"])
-    kwargs["extra"] = _extra_from_json(kwargs["extra"])
-    return SimResult(**kwargs)
-
-
 class ResultCache:
     """A directory of memoized simulation results.
 
@@ -168,14 +93,11 @@ class ResultCache:
     entries degrade to misses.  Also safe to share between *threads*
     within one process (the serving layer's request handlers all read
     through one cache): entry reads and writes are independent by
-    construction, and the hit/miss counters and warn-once latch are
-    guarded by a lock so concurrent readers never lose counts.
+    construction, and the warn-once latch is guarded by a lock.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.hits = 0
-        self.misses = 0
         #: Set when the cache directory itself is unusable; every
         #: operation is then a cheap no-op and the sweep runs uncached.
         self.disabled = False
@@ -186,25 +108,18 @@ class ResultCache:
         except OSError as exc:
             self._degrade(f"cannot create cache directory: {exc}")
 
-    def _count(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-
     def _warn_once(self, message: str) -> None:
         with self._lock:
             if self._warned:
                 return
             self._warned = True
         warnings.warn(
-                f"result cache {self.directory!r}: {message}; "
-                f"continuing without it (simulations re-run, results "
-                f"unaffected)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
+            f"result cache {self.directory!r}: {message}; "
+            f"continuing without it (simulations re-run, results "
+            f"unaffected)",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
     def _degrade(self, message: str) -> None:
         """Disable the cache for this process; the sweep continues."""
@@ -220,7 +135,10 @@ class ResultCache:
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                result = _result_from_json(json.loads(handle.read()))
+                payload = json.loads(handle.read())
+            if payload["schema"] != SCHEMA_VERSION:
+                raise ValueError(f"entry schema {payload['schema']!r}")
+            result = SimResult.from_json(payload)
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
@@ -244,7 +162,7 @@ class ResultCache:
     def put(self, key: str, result: SimResult) -> None:
         if self.disabled:
             return
-        payload = json.dumps(_result_to_json(result))
+        payload = json.dumps({"schema": SCHEMA_VERSION, **result.to_json()})
         try:
             fd, tmp_path = tempfile.mkstemp(
                 dir=self.directory, prefix=f".{key}.", suffix=".tmp"
@@ -256,41 +174,14 @@ class ResultCache:
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)
             os.replace(tmp_path, self._path(key))
-        except OSError as exc:
+        except BaseException as exc:
             try:
                 os.remove(tmp_path)
             except OSError:
                 pass
+            if not isinstance(exc, OSError):
+                raise
             self._warn_once(f"cannot publish entry: {exc}")
-        except BaseException:
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def run(
-        self,
-        builder: Callable,
-        engine_name: str,
-        workload: Workload,
-        config: MachineConfig,
-    ) -> SimResult:
-        """Return the cached result or simulate and memoize."""
-        key = cache_key(engine_name, workload, config)
-        cached = self.get(key)
-        if cached is not None:
-            self._count(hit=True)
-            cached.workload = workload.program.name
-            return cached
-        self._count(hit=False)
-        engine = builder(workload.program, config, workload.make_memory())
-        result = engine.run()
-        # Interrupted runs cache too: injected fault addresses are part
-        # of the memory fingerprint (schema 3) and the interrupt record
-        # round-trips losslessly.
-        self.put(key, result)
-        return result
 
     def clear(self) -> int:
         """Delete all entries; returns how many were removed."""

@@ -65,7 +65,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..machine.config import MachineConfig
@@ -118,23 +118,13 @@ def run_point(point: SimPoint) -> SimResult:
 Job = Tuple[SimPoint, Optional[str], Optional[str]]
 
 
-def _worker(job: Job) -> SimResult:
-    """Pool entry point: simulate one miss and publish it to the cache.
+def _guarded_worker(job: Job) -> Tuple:
+    """Pool entry point: simulate one miss and publish it to the cache,
+    returning failures as values.
 
     Must stay a module-level function so the pool can pickle it by
     reference.  The parent already probed the cache and derived the
     key, so the worker neither reads the cache nor re-derives the key.
-    """
-    point, cache_dir, key = job
-    result = run_point(point)
-    if key is not None:
-        ResultCache(cache_dir).put(key, result)
-    return result
-
-
-def _guarded_worker(job: Job) -> Tuple:
-    """Run one point, returning failures as values.
-
     A Python exception inside a simulation (a real engine bug, a
     :class:`~repro.machine.faults.DeadlockError`, ...) comes back as
     ``("error", message, diagnostic_json_or_None)`` instead of
@@ -145,8 +135,12 @@ def _guarded_worker(job: Job) -> Tuple:
     notably the serving layer -- can surface *what the pipeline was
     waiting for*, not just that it stalled.
     """
+    point, cache_dir, key = job
     try:
-        return ("ok", _worker(job))
+        result = run_point(point)
+        if key is not None:
+            ResultCache(cache_dir).put(key, result)
+        return ("ok", result)
     except Exception as exc:  # noqa: BLE001 - converted to a report entry
         diagnostic = getattr(exc, "diagnostic", None)
         if diagnostic is not None:
@@ -155,21 +149,6 @@ def _guarded_worker(job: Job) -> Tuple:
             except Exception:  # noqa: BLE001 - diagnostics are best-effort
                 diagnostic = None
         return ("error", f"{type(exc).__name__}: {exc}", diagnostic)
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcefully tear down an executor with stuck or dead workers.
-
-    ``shutdown`` alone would block on a hung worker; kill the worker
-    processes first, then reap without waiting.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except OSError:  # already gone
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass
@@ -193,27 +172,20 @@ class PointFailure:
         )
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "engine": self.engine,
-            "workload": self.workload,
-            "attempts": self.attempts,
-            "error": self.error,
-            "diagnostic": self.diagnostic,
-        }
+        return asdict(self)
 
 
 @dataclass
 class PointOutcome:
     """Settled verdict for one point of a :meth:`run_points_settled`.
 
-    Exactly one of ``result`` / ``error`` is set.  ``diagnostic`` is the
-    JSON pipeline snapshot when the error was a deadlock;
-    ``cache_hit`` reports whether the result was served from the shared
-    :class:`~repro.analysis.cache.ResultCache`.
+    Exactly one of ``result`` / ``error`` is set once the point
+    settles.  ``diagnostic`` is the JSON pipeline snapshot when the
+    error was a deadlock; ``cache_hit`` reports whether the result was
+    served from the shared :class:`~repro.analysis.cache.ResultCache`.
     """
 
-    result: Optional[SimResult]
+    result: Optional[SimResult] = None
     error: Optional[str] = None
     diagnostic: Optional[Dict[str, Any]] = None
     attempts: int = 0
@@ -222,6 +194,15 @@ class PointOutcome:
     @property
     def ok(self) -> bool:
         return self.result is not None
+
+
+def _settle(outcome: PointOutcome, verdict: Tuple) -> None:
+    """Write one attempt's verdict (from :func:`_guarded_worker`)."""
+    if verdict[0] == "ok":
+        outcome.result, outcome.error, outcome.diagnostic = \
+            verdict[1], None, None
+    else:
+        outcome.error, outcome.diagnostic = verdict[1], verdict[2]
 
 
 @dataclass
@@ -257,16 +238,15 @@ class FleetReport:
         )
 
     def merge(self, other: "FleetReport") -> None:
-        """Accumulate ``other`` (one ``run_points`` call) into this."""
-        self.jobs = max(self.jobs, other.jobs)
-        self.points += other.points
-        self.submissions += other.submissions
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.crashes += other.crashes
-        self.pools += other.pools
-        self.degraded.extend(other.degraded)
-        self.failures.extend(other.failures)
+        """Accumulate ``other`` (one ``run_points`` call) into this:
+        ``jobs`` is the larger, lists concatenate, counters add."""
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, spec.name, max(mine, theirs)
+                        if spec.name == "jobs" else mine + theirs)
 
     def describe(self) -> str:
         lines = [
@@ -284,19 +264,7 @@ class FleetReport:
         return "\n".join(lines)
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "points": self.points,
-            "submissions": self.submissions,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "pools": self.pools,
-            "degraded": list(self.degraded),
-            "failures": [failure.to_json() for failure in self.failures],
-            "ok": self.ok,
-            "clean": self.clean,
-        }
+        return {**asdict(self), "ok": self.ok, "clean": self.clean}
 
 
 class FleetError(RuntimeError):
@@ -315,6 +283,11 @@ class FleetError(RuntimeError):
             )
         )
         self.report = report
+
+
+#: Base seconds slept before retry round ``k``:
+#: ``RETRY_BACKOFF_S * 2**(k-1)``.
+RETRY_BACKOFF_S = 0.25
 
 
 class ParallelRunner:
@@ -339,37 +312,34 @@ class ParallelRunner:
             that point's future, so it only trips for genuinely stuck
             work, not for points queued behind a busy pool.
         max_retries: pool-rebuild rounds after the first (a crashed or
-            timed-out round kills the pool, backs off, resubmits).
-        backoff: base seconds slept before retry round ``k``
-            (``backoff * 2**(k-1)``).
+            timed-out round kills the pool, sleeps
+            :data:`RETRY_BACKOFF_S` doubling per round, resubmits).
         serial_fallback: run still-unfinished points in this process
             after the last round instead of failing them.
-        reuse_pool: keep one warm ``ProcessPoolExecutor`` alive across
-            :meth:`run_points` calls instead of building a fresh pool
-            per round.  This is what makes the runner serve-able: a
-            long-lived service pays the worker spawn cost once, not per
-            request.  A crashed or timed-out round still kills and
-            rebuilds the pool (the self-healing contract is unchanged);
-            call :meth:`close` to release the workers.  With
-            ``reuse_pool`` the per-call ``jobs`` clamp to the miss
-            count is skipped so the pool keeps a stable size, and both
-            a single miss and ``jobs=1`` still run in a worker process
-            rather than inline (isolation and timeout-kill apply to
-            them too).  Cache hits never touch the pool either way.
+        reuse_pool: keep one warm ``ProcessPoolExecutor`` of ``jobs``
+            workers alive across :meth:`run_points` calls.  This is
+            what makes the runner serve-able: a long-lived service
+            pays the worker spawn cost once, not per request.  A
+            crashed or timed-out round still kills the pool, and the
+            next round builds a new one; call :meth:`close` to release
+            the workers.  Even a single miss and ``jobs=1`` run in a
+            worker process rather than inline (isolation and
+            timeout-kill apply to them too).  Without ``reuse_pool``
+            the pool is sized by the misses at hand and closed at the
+            end of each call.  Cache hits never touch the pool either
+            way.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None,
                  timeout: Optional[float] = None,
                  max_retries: int = 2,
-                 backoff: float = 0.25,
                  serial_fallback: bool = True,
                  reuse_pool: bool = False) -> None:
         self.jobs = jobs if jobs else (os.cpu_count() or 1)
         self.cache_dir = cache_dir
         self.timeout = timeout
         self.max_retries = max_retries
-        self.backoff = backoff
         self.serial_fallback = serial_fallback
         self.reuse_pool = reuse_pool
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -382,11 +352,6 @@ class ParallelRunner:
         self.fleet = FleetReport()
         self.last_fleet = FleetReport()
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def run_points(self, points: Iterable[SimPoint],
                    jobs: Optional[int] = None) -> List[SimResult]:
         """Run every point; results return in submission order.
@@ -395,9 +360,9 @@ class ParallelRunner:
         serial fallback -- when some points cannot produce a result;
         the error's report says which and why.
         """
-        outcomes, fleet = self._execute(list(points), jobs)
-        if fleet.failures:
-            raise FleetError(fleet)
+        outcomes = self._execute(list(points), jobs)
+        if self.last_fleet.failures:
+            raise FleetError(self.last_fleet)
         return [outcome.result for outcome in outcomes]  # type: ignore[misc]
 
     def run_points_settled(self, points: Iterable[SimPoint],
@@ -411,27 +376,34 @@ class ParallelRunner:
         deadlocks) instead of poisoning the whole batch.  Failures are
         still recorded in :attr:`fleet` / :attr:`last_fleet`.
         """
-        outcomes, _ = self._execute(list(points), jobs)
-        return outcomes
+        return self._execute(list(points), jobs)
 
     def close(self, wait: bool = True) -> None:
-        """Release the persistent pool (no-op without ``reuse_pool``).
+        """Release the pool, if one is up.
 
         An idle pool is shut down politely (workers join, the
         executor's machinery unwinds cleanly).  ``wait=False`` takes
         the kill path instead -- for callers that know the pool may
         hold a wedged worker and must not block on it.
         """
-        if self._pool is not None:
-            if wait:
-                try:
-                    self._pool.shutdown(wait=True, cancel_futures=True)
-                except Exception:  # broken pool: fall back to the axe
-                    _kill_pool(self._pool)
-            else:
-                _kill_pool(self._pool)
-            self._pool = None
-            self._pool_workers = 0
+        pool, self._pool, self._pool_workers = self._pool, None, 0
+        if pool is None:
+            return
+        if wait:
+            try:
+                pool.shutdown(wait=True, cancel_futures=True)
+                return
+            except Exception:  # broken pool: fall back to the axe
+                pass
+        # ``shutdown`` alone would block on a hung worker: kill the
+        # workers first, then reap without waiting.
+        for process in list((getattr(pool, "_processes", None)
+                             or {}).values()):
+            try:
+                process.kill()
+            except OSError:  # already gone
+                pass
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "ParallelRunner":
         return self
@@ -440,24 +412,15 @@ class ParallelRunner:
         self.close()
 
     def _execute(self, points: List[SimPoint],
-                 jobs: Optional[int]
-                 ) -> Tuple[List[PointOutcome], FleetReport]:
+                 jobs: Optional[int]) -> List[PointOutcome]:
         unknown = sorted({p.engine for p in points} - set(ENGINE_FACTORIES))
         if unknown:
             raise KeyError(f"unknown engine(s): {', '.join(unknown)}")
-        results: List[Optional[SimResult]] = [None] * len(points)
-        errors: List[Optional[str]] = [None] * len(points)
-        diags: List[Optional[Dict[str, Any]]] = [None] * len(points)
-        attempts: List[int] = [0] * len(points)
-
         started = time.perf_counter()
-        jobs_args = self._probe(points, results)
-        misses = [index for index, job in enumerate(jobs_args)
-                  if job is not None]
+        outcomes = [PointOutcome() for _ in points]
+        misses = self._probe(points, outcomes)
         jobs = jobs if jobs else self.jobs
         if not self.reuse_pool:
-            # A persistent pool keeps its size across calls; a one-shot
-            # pool shrinks to the misses at hand.
             jobs = max(1, min(jobs, len(misses) or 1))
         fleet = FleetReport(jobs=jobs, points=len(points))
         try:
@@ -465,232 +428,165 @@ class ParallelRunner:
             # with one job: the pooled path is what provides process
             # isolation and timeout-kill for long-lived callers.
             if jobs == 1 and not self.reuse_pool:
-                for index in misses:
-                    fleet.submissions += 1
-                    attempts[index] += 1
-                    self._record(index, _guarded_worker(jobs_args[index]),
-                                 results, errors, diags)
+                self._run_inline(misses, outcomes, list(misses), fleet)
             else:
-                self._run_rounds(
-                    jobs_args, misses, jobs, fleet,
-                    results, errors, diags, attempts,
-                )
+                self._run_rounds(misses, outcomes, jobs, fleet)
         finally:
+            if not self.reuse_pool:
+                self.close()
             self.wall_seconds += time.perf_counter() - started
-            for failure_index in [i for i, r in enumerate(results)
-                                  if r is None and errors[i] is not None]:
-                point = points[failure_index]
-                fleet.failures.append(
-                    PointFailure(
-                        index=failure_index,
-                        engine=point.engine,
-                        workload=point.workload.name,
-                        attempts=attempts[failure_index],
-                        error=errors[failure_index] or "unknown",
-                        diagnostic=diags[failure_index],
-                    )
-                )
+            fleet.failures = [
+                PointFailure(index, point.engine, point.workload.name,
+                             outcome.attempts, outcome.error,
+                             outcome.diagnostic)
+                for index, (point, outcome)
+                in enumerate(zip(points, outcomes))
+                if not outcome.ok and outcome.error is not None
+            ]
             self.last_fleet = fleet
             self.fleet.merge(fleet)
 
-        for index, result in enumerate(results):
-            if result is None:
+        for outcome in outcomes:
+            if outcome.result is None:
                 continue
             self.points_run += 1
-            if jobs_args[index] is None:
+            if outcome.cache_hit:
                 self.hits += 1
                 continue
             if self.cache_dir is not None:
                 self.misses += 1
             self.host_seconds += float(
-                result.extra.get("host_seconds", 0.0)
+                outcome.result.extra.get("host_seconds", 0.0)
             )
-        outcomes = [
-            PointOutcome(
-                result=results[index],
-                error=errors[index] if results[index] is None else None,
-                diagnostic=(
-                    diags[index] if results[index] is None else None
-                ),
-                attempts=attempts[index],
-                cache_hit=jobs_args[index] is None,
-            )
-            for index in range(len(points))
-        ]
-        return outcomes, fleet
+        return outcomes
 
     def _probe(self, points: List[SimPoint],
-               results: List[Optional[SimResult]]
-               ) -> List[Optional[Job]]:
-        """Answer cache hits into ``results``; return one job per point.
+               outcomes: List[PointOutcome]) -> Dict[int, Job]:
+        """Settle cache hits into ``outcomes``; return the misses' jobs
+        by point index.
 
-        The job is None where the point was a hit.  Traced
-        points are never probed (cached entries carry no attribution),
-        and an unusable cache directory (one warning) leaves every point
-        a miss with no key, so workers do not touch the cache either.
-        A hit carries the requesting program's name: programs that
-        differ only in name share an entry.
+        Traced points are never probed (cached entries carry no
+        attribution), and an unusable cache directory (one warning)
+        leaves every point a miss with no key, so workers do not touch
+        the cache either.  A hit carries the requesting program's
+        name: programs that differ only in name share an entry.
         """
         cache = None if self.cache_dir is None \
             else ResultCache(self.cache_dir)
-        if cache is None or cache.disabled:
-            return [(point, None, None) for point in points]
-        jobs_args: List[Optional[Job]] = []
+        misses: Dict[int, Job] = {}
         for index, point in enumerate(points):
-            if point.trace:
-                jobs_args.append((point, None, None))
+            if cache is None or cache.disabled or point.trace:
+                misses[index] = (point, None, None)
                 continue
             key = cache_key(point.engine, point.workload, point.config)
             cached = cache.get(key)
             if cached is None:
-                jobs_args.append((point, self.cache_dir, key))
+                misses[index] = (point, self.cache_dir, key)
             else:
                 cached.workload = point.workload.program.name
-                results[index] = cached
-                jobs_args.append(None)
-        return jobs_args
+                outcomes[index].result = cached
+                outcomes[index].cache_hit = True
+        return misses
 
     # ------------------------------------------------------------------
     # self-healing internals
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _record(index: int, outcome: Tuple,
-                results: List[Optional[SimResult]],
-                errors: List[Optional[str]],
-                diags: List[Optional[Dict[str, Any]]]) -> None:
-        if outcome[0] == "ok":
-            results[index] = outcome[1]
-            errors[index] = None
-            diags[index] = None
-        else:
-            errors[index] = outcome[1]
-            diags[index] = outcome[2] if len(outcome) > 2 else None
+    def _run_inline(misses: Dict[int, Job], outcomes: List[PointOutcome],
+                    indices: List[int], fleet: FleetReport) -> None:
+        """Attempt each of ``indices`` once, in this process."""
+        for index in indices:
+            fleet.submissions += 1
+            outcomes[index].attempts += 1
+            _settle(outcomes[index], _guarded_worker(misses[index]))
 
-    def _run_rounds(self, jobs_args: List[Optional[Job]],
-                    remaining: List[int], jobs: int,
-                    fleet: FleetReport,
-                    results: List[Optional[SimResult]],
-                    errors: List[Optional[str]],
-                    diags: List[Optional[Dict[str, Any]]],
-                    attempts: List[int]) -> None:
+    def _run_rounds(self, misses: Dict[int, Job],
+                    outcomes: List[PointOutcome], jobs: int,
+                    fleet: FleetReport) -> None:
+        remaining = list(misses)
         for round_number in range(self.max_retries + 1):
             if not remaining:
                 return
             if round_number:
                 fleet.retries += len(remaining)
-                time.sleep(self.backoff * (2 ** (round_number - 1)))
-            remaining = self._one_round(
-                jobs_args, remaining, jobs, fleet,
-                results, errors, diags, attempts,
-            )
+                time.sleep(RETRY_BACKOFF_S * 2 ** (round_number - 1))
+            remaining = self._one_round(misses, outcomes, remaining, jobs,
+                                        fleet)
         if remaining and self.serial_fallback:
-            for index in remaining:
-                fleet.submissions += 1
-                attempts[index] += 1
-                self._record(index, _guarded_worker(jobs_args[index]),
-                             results, errors, diags)
-                if results[index] is not None:
-                    point = jobs_args[index][0]
-                    fleet.degraded.append({
-                        "index": index,
-                        "engine": point.engine,
-                        "workload": point.workload.name,
-                        "attempts": attempts[index],
-                    })
+            self._run_inline(misses, outcomes, remaining, fleet)
+            fleet.degraded += [
+                {"index": index, "engine": misses[index][0].engine,
+                 "workload": misses[index][0].workload.name,
+                 "attempts": outcomes[index].attempts}
+                for index in remaining if outcomes[index].ok
+            ]
 
-    def _ensure_pool(self, jobs: int,
-                     fleet: FleetReport) -> ProcessPoolExecutor:
-        """Return the persistent pool, (re)building it when needed."""
-        if self._pool is not None and self._pool_workers == jobs:
-            return self._pool
-        if self._pool is not None:
-            _kill_pool(self._pool)
-            self._pool = None
-        self._pool = ProcessPoolExecutor(max_workers=jobs)
-        self._pool_workers = jobs
-        fleet.pools += 1
-        return self._pool
+    def _one_round(self, misses: Dict[int, Job],
+                   outcomes: List[PointOutcome], remaining: List[int],
+                   jobs: int, fleet: FleetReport) -> List[int]:
+        """Submit ``remaining`` to the runner's pool; return what's left.
 
-    def _one_round(self, jobs_args: List[Optional[Job]],
-                   remaining: List[int],
-                   jobs: int, fleet: FleetReport,
-                   results: List[Optional[SimResult]],
-                   errors: List[Optional[str]],
-                   diags: List[Optional[Dict[str, Any]]],
-                   attempts: List[int]) -> List[int]:
-        """Submit ``remaining`` to a pool; return what's left.
-
-        Ends early (killing the pool) on the first timeout or worker
-        crash; results that finished before the incident are harvested
-        so their work is not repeated.  With ``reuse_pool`` the warm
-        persistent pool is used (and discarded only when broken);
-        otherwise each round builds and drains its own.
+        The pool is built on demand: ``jobs`` workers with
+        ``reuse_pool``, otherwise one per remaining point up to
+        ``jobs``.  The round ends early, killing the pool, on the first
+        timeout or worker crash; results that finished before the
+        incident are harvested so their work is not repeated.
         """
-        if self.reuse_pool:
-            pool = self._ensure_pool(jobs, fleet)
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(remaining))
-            )
+        workers = jobs if self.reuse_pool else min(jobs, len(remaining))
+        if self._pool_workers != workers:
+            self.close()
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._pool_workers = workers
             fleet.pools += 1
         futures = {}
-        for index in remaining:
-            futures[index] = pool.submit(_guarded_worker, jobs_args[index])
-            fleet.submissions += 1
-            attempts[index] += 1
         broken = False
+        for index in remaining:
+            try:
+                futures[index] = self._pool.submit(_guarded_worker,
+                                                   misses[index])
+            except BrokenProcessPool:  # a worker died mid-submission
+                broken = True
+                break
+            fleet.submissions += 1
+            outcomes[index].attempts += 1
         try:
-            for index in remaining:
-                if broken:
-                    break
+            for index, future in futures.items():
+                outcome = outcomes[index]
                 try:
-                    outcome = futures[index].result(timeout=self.timeout)
+                    verdict = future.result(timeout=self.timeout)
                 except FuturesTimeout:
                     fleet.timeouts += 1
-                    errors[index] = (
+                    outcome.error = (
                         f"timeout: no result within {self.timeout}s "
                         f"(worker killed)"
                     )
-                    broken = True
                 except BrokenProcessPool:
                     fleet.crashes += 1
-                    errors[index] = errors[index] or (
+                    outcome.error = outcome.error or (
                         "worker process died (pool broken)"
                     )
-                    broken = True
                 except Exception as exc:  # pragma: no cover - defensive
-                    errors[index] = f"{type(exc).__name__}: {exc}"
-                    broken = True
+                    outcome.error = f"{type(exc).__name__}: {exc}"
                 else:
-                    self._record(index, outcome, results, errors, diags)
+                    _settle(outcome, verdict)
+                    continue
+                broken = True
+                break
         finally:
             if broken:
-                self._harvest(futures, results, errors, diags)
-                _kill_pool(pool)
-                if self.reuse_pool:
-                    self._pool = None
-                    self._pool_workers = 0
-            elif not self.reuse_pool:
-                pool.shutdown()
+                # Harvest what finished before the pool broke.
+                for index, future in futures.items():
+                    if outcomes[index].ok or not future.done():
+                        continue
+                    try:
+                        _settle(outcomes[index], future.result(timeout=0))
+                    except Exception:  # broken/cancelled future
+                        continue
+                self.close(wait=False)
         leftovers = [index for index in remaining
-                     if results[index] is None]
+                     if not outcomes[index].ok]
         for index in leftovers:
-            if errors[index] is None:
-                errors[index] = "worker process died (pool broken)"
+            if outcomes[index].error is None:
+                outcomes[index].error = "worker process died (pool broken)"
         return leftovers
-
-    def _harvest(self, futures: Dict[int, Any],
-                 results: List[Optional[SimResult]],
-                 errors: List[Optional[str]],
-                 diags: List[Optional[Dict[str, Any]]]) -> None:
-        """Collect results that completed before the pool broke."""
-        for index, future in futures.items():
-            if results[index] is not None or not future.done():
-                continue
-            try:
-                outcome = future.result(timeout=0)
-            except Exception:  # broken/cancelled future
-                continue
-            self._record(index, outcome, results, errors, diags)
-

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..isa.assembler import assemble
 from ..machine.checkpoint import Checkpoint, CheckpointError
 from ..machine.config import CRAY1_LIKE, MachineConfig
+from ..isa.semantics import ArithmeticFault
 from ..machine.interrupts import InterruptRecord
 from ..machine.memory import Memory
 from ..trace.iss import FunctionalExecutor, prefix_state, reference_state
@@ -185,13 +186,23 @@ def verify_all(
     engines: Optional[Sequence[str]] = None,
 ) -> List[Check]:
     """Check every registered engine (or the named ones) on each
-    workload; the checks come back engine by engine."""
+    workload; the checks come back engine by engine.  A workload whose
+    golden run traps has no reference to check against: each engine
+    gets a failed check that names the trap."""
     workloads = list(workloads) if workloads is not None else all_loops()
     names = list(engines) if engines is not None \
         else sorted(ENGINE_FACTORIES)
     checks = []
     for workload in workloads:
-        golden = reference_state(workload.program, workload.initial_memory)
+        try:
+            golden = reference_state(
+                workload.program, workload.initial_memory)
+        except ArithmeticFault as exc:
+            checks += [Check(name, workload.name,
+                             detail=f"golden model trapped: "
+                                    f"{type(exc).__name__}: {exc}")
+                       for name in names]
+            continue
         checks += [check_run(name, workload, config, golden=golden)
                    for name in names]
     return sorted(checks, key=lambda check: names.index(check.engine))

@@ -32,12 +32,14 @@ encodable program, which the property tests enforce.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .instruction import Instruction
 from .opcodes import OpKind, Opcode
-from .program import Program, build_program
 from .registers import RegBank, Register
+
+if TYPE_CHECKING:  # program.py imports this module
+    from .program import Program
 
 #: Parcel width in bits.
 PARCEL_BITS = 16
@@ -283,6 +285,8 @@ def encode_program(program: Program) -> bytes:
 
 def decode_program(blob: bytes, name: str = "decoded") -> Program:
     """Deserialize a program produced by :func:`encode_program`."""
+    from .program import build_program  # program.py imports this module
+
     if blob[:4] != MAGIC:
         raise EncodingError("bad magic")
     n_parcels, n_pool = struct.unpack_from("<II", blob, 4)

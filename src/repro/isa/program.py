@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from .encoding import encode_program
 from .instruction import Instruction
 from .opcodes import Opcode
 
@@ -60,8 +61,6 @@ class Program:
         ``dataclasses.replace`` builds a new program that encodes afresh.
         It is never pickled (see ``__getstate__``).
         """
-        from .encoding import encode_program  # encoding imports this module
-
         return encode_program(self)
 
     def __getstate__(self) -> Dict[str, object]:

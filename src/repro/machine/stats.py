@@ -9,8 +9,10 @@ the paper reports are ``cycles`` and the derived ``issue_rate``
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict
+
+from .interrupts import InterruptRecord
 
 
 class StallReason:
@@ -60,6 +62,42 @@ class SimResult:
             f"{self.instructions} instructions in {self.cycles} cycles "
             f"(issue rate {self.issue_rate:.3f})"
         )
+
+    def to_json(self) -> Dict[str, Any]:
+        """Every field, in declaration order, as JSON-able values.
+
+        ``stalls`` becomes a plain dict and an
+        :class:`~repro.machine.interrupts.InterruptRecord` in ``extra``
+        a tagged ``{"__interrupt__": ...}`` dict, so the round trip is
+        lossless.  ``extra["from_cache"]``, the result cache's
+        provenance flag, is left out: a stored result reads the same
+        as a fresh one.
+        """
+        payload = {name: getattr(self, name) for name in _FIELD_NAMES}
+        payload["stalls"] = dict(self.stalls)
+        payload["extra"] = {
+            key: {"__interrupt__": entry.to_json()}
+            if isinstance(entry, InterruptRecord) else entry
+            for key, entry in self.extra.items() if key != "from_cache"
+        }
+        return payload
+
+    @classmethod
+    def from_json(cls, payload: Dict[str, Any]) -> "SimResult":
+        """Inverse of :meth:`to_json`; a missing field raises
+        ``KeyError``, and keys that are not fields are ignored."""
+        kwargs = {name: payload[name] for name in _FIELD_NAMES}
+        kwargs["stalls"] = Counter(kwargs["stalls"])
+        kwargs["extra"] = {
+            key: InterruptRecord.from_json(entry["__interrupt__"])
+            if isinstance(entry, dict) and set(entry) == {"__interrupt__"}
+            else entry
+            for key, entry in kwargs["extra"].items()
+        }
+        return cls(**kwargs)
+
+
+_FIELD_NAMES = tuple(spec.name for spec in fields(SimResult))
 
 
 def speedup(baseline: SimResult, candidate: SimResult) -> float:

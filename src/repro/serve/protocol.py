@@ -30,12 +30,13 @@ to HTTP 400.  Hard input limits (:data:`LIMITS`) bound every axis a
 client could use to wedge a worker: program length, batch size, the
 ``max_cycles`` budget, and the raw body size.
 
-The **wire form** of a result (:func:`result_to_wire`) reuses the
-result cache's lossless serializer and strips only the host-timing
-telemetry, which differs run to run by construction.  Everything
-deterministic survives byte-identically: ``canonical_result_bytes`` of
-a served result equals that of the same point run serially in-process,
-and ``tests/test_serve_server.py`` pins exactly that.
+The **wire form** of a result (:func:`result_to_wire`) is
+:meth:`SimResult.to_json`, the result cache's entry without its schema
+tag, minus only the host-timing telemetry, which differs run to run by
+construction.  Everything deterministic survives byte-identically:
+``canonical_result_bytes`` of a served result equals that of the same
+point run serially in-process, and ``tests/test_serve_server.py`` pins
+exactly that.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
 
-from ..analysis.cache import SCHEMA_VERSION, cache_key, deserialize_result, \
-    serialize_result
+from ..analysis.cache import cache_key
 from ..analysis.parallel import SimPoint
 from ..analysis.sweeps import ENGINE_FACTORIES
 from ..isa.assembler import AssemblyError, assemble
@@ -83,7 +83,6 @@ DEFAULT_ENGINE = "ruu-bypass"
 #: from the wire form (and from byte-identity).
 VOLATILE_EXTRA_KEYS = frozenset({
     "host_seconds", "host_inst_per_sec", "host_cycles_per_sec",
-    "from_cache",
 })
 
 #: Config fields a request may override: every field with a sizing
@@ -294,14 +293,10 @@ def parse_batch(payload: Any) -> List[Any]:
 
 
 def result_to_wire(result: SimResult) -> Dict[str, Any]:
-    """The deterministic wire form of a result.
-
-    The cache's lossless serialization minus its schema tag and the
-    volatile host-timing extras.
-    """
-    payload = serialize_result(result)
-    payload.pop("schema", None)
-    extra = payload.get("extra", {})
+    """The deterministic wire form of a result: its JSON form minus the
+    volatile host-timing extras."""
+    payload = result.to_json()
+    extra = payload["extra"]
     for key in VOLATILE_EXTRA_KEYS:
         extra.pop(key, None)
     return payload
@@ -309,9 +304,7 @@ def result_to_wire(result: SimResult) -> Dict[str, Any]:
 
 def wire_to_result(payload: Dict[str, Any]) -> SimResult:
     """Rebuild a :class:`SimResult` from its wire form."""
-    tagged = dict(payload)
-    tagged["schema"] = SCHEMA_VERSION
-    return deserialize_result(tagged)
+    return SimResult.from_json(payload)
 
 
 def canonical_result_bytes(result: SimResult) -> bytes:

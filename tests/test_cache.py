@@ -10,14 +10,11 @@ import pytest
 
 from repro.analysis import ENGINE_FACTORIES, ParallelRunner, SimPoint, \
     paper_data
-from repro.analysis.cache import (
-    ResultCache,
-    _result_from_json,
-    _result_to_json,
-    cache_key,
-)
+from repro.analysis.cache import ResultCache, cache_key
+from repro.analysis.parallel import run_point
 from repro.isa.opcodes import FUClass
 from repro.machine import MachineConfig
+from repro.machine.stats import SimResult
 from repro.workloads import all_loops, dependency_chain, fault_probe, lll3
 
 
@@ -214,38 +211,48 @@ class TestKeyMemo:
                          pickle.loads(pickle.dumps(config))) == key
 
 
+@pytest.fixture
+def runner(cache):
+    """An in-process runner on the ``cache`` fixture's directory."""
+    return ParallelRunner(jobs=1, cache_dir=cache.directory)
+
+
+def run(runner, engine, workload):
+    """One point through ``runner``; its hits and misses accumulate."""
+    [result] = runner.run_points([SimPoint(engine, workload, CONFIG)])
+    return result
+
+
 class TestCaching:
-    def test_miss_then_hit(self, cache):
+    def test_miss_then_hit(self, runner):
         workload = dependency_chain(30)
-        builder = ENGINE_FACTORIES["rstu"]
-        first = cache.run(builder, "rstu", workload, CONFIG)
-        second = cache.run(builder, "rstu", workload, CONFIG)
-        assert cache.misses == 1 and cache.hits == 1
+        first = run(runner, "rstu", workload)
+        second = run(runner, "rstu", workload)
+        assert runner.misses == 1 and runner.hits == 1
         assert second.cycles == first.cycles
         assert second.instructions == first.instructions
         assert second.stalls == first.stalls
         assert second.extra.get("from_cache")
 
-    def test_cached_equals_fresh(self, cache):
+    def test_cached_equals_fresh(self, runner):
         workload = lll3(n=50)
-        builder = ENGINE_FACTORIES["ruu-bypass"]
-        cache.run(builder, "ruu-bypass", workload, CONFIG)
-        cached = cache.run(builder, "ruu-bypass", workload, CONFIG)
-        fresh = builder(workload.program, CONFIG,
-                        workload.make_memory()).run()
+        run(runner, "ruu-bypass", workload)
+        cached = run(runner, "ruu-bypass", workload)
+        assert cached.extra.get("from_cache")
+        fresh = ENGINE_FACTORIES["ruu-bypass"](
+            workload.program, CONFIG, workload.make_memory()).run()
         assert cached.cycles == fresh.cycles
         assert cached.issue_rate == fresh.issue_rate
 
-    def test_interrupted_runs_cache_and_round_trip(self, cache):
+    def test_interrupted_runs_cache_and_round_trip(self, runner):
         """Since schema 3, injected fault addresses are part of the key
         and the interrupt record round-trips, so interrupted runs are
         cacheable -- and servicing the fault changes the key."""
         workload = fault_probe()
         workload.initial_memory.inject_fault(workload.fault_address)
-        builder = ENGINE_FACTORIES["ruu-bypass"]
-        first = cache.run(builder, "ruu-bypass", workload, CONFIG)
-        second = cache.run(builder, "ruu-bypass", workload, CONFIG)
-        assert cache.misses == 1 and cache.hits == 1
+        first = run(runner, "ruu-bypass", workload)
+        second = run(runner, "ruu-bypass", workload)
+        assert runner.misses == 1 and runner.hits == 1
         assert second.extra.get("from_cache")
         restored = second.extra["interrupt"]
         assert restored.to_json() == first.extra["interrupt"].to_json()
@@ -253,12 +260,12 @@ class TestCaching:
         # A fault-free copy of the same workload must not hit the
         # interrupted entry.
         workload.initial_memory.service_fault(workload.fault_address)
-        clean = cache.run(builder, "ruu-bypass", workload, CONFIG)
-        assert cache.misses == 2
+        clean = run(runner, "ruu-bypass", workload)
+        assert runner.misses == 2
         assert clean.interrupts == 0
 
     def test_hit_reports_the_requesting_programs_name(self, cache,
-                                                      tmp_path):
+                                                      runner):
         """The key hashes a program's instructions, not its name, so a
         renamed copy hits the original's entry -- and must still report
         its own name."""
@@ -267,11 +274,10 @@ class TestCaching:
             workload,
             program=dataclasses.replace(workload.program, name="renamed"),
         )
-        builder = ENGINE_FACTORIES["rstu"]
-        assert cache.run(builder, "rstu", workload, CONFIG).workload \
+        assert run(runner, "rstu", workload).workload \
             == workload.program.name
-        hit = cache.run(builder, "rstu", renamed, CONFIG)
-        assert cache.hits == 1
+        hit = run(runner, "rstu", renamed)
+        assert runner.hits == 1
         assert hit.extra["from_cache"] and hit.workload == "renamed"
 
         runner = ParallelRunner(jobs=1, cache_dir=cache.directory)
@@ -282,21 +288,21 @@ class TestCaching:
         assert [o.result.workload for o in outcomes] == \
             ["renamed", workload.program.name]
 
-    def test_clear(self, cache):
+    def test_clear(self, cache, runner):
         workload = dependency_chain(30)
-        cache.run(ENGINE_FACTORIES["simple"], "simple", workload, CONFIG)
+        run(runner, "simple", workload)
         assert cache.clear() == 1
-        cache.run(ENGINE_FACTORIES["simple"], "simple", workload, CONFIG)
-        assert cache.misses == 2
+        run(runner, "simple", workload)
+        assert runner.misses == 2
 
 
 class TestAtomicityAndCorruption:
     def _entry_path(self, cache, workload, engine="rstu"):
         return cache._path(cache_key(engine, workload, CONFIG))
 
-    def test_put_leaves_no_temp_files(self, cache):
+    def test_put_leaves_no_temp_files(self, cache, runner):
         workload = dependency_chain(30)
-        cache.run(ENGINE_FACTORIES["rstu"], "rstu", workload, CONFIG)
+        run(runner, "rstu", workload)
         leftovers = [name for name in os.listdir(cache.directory)
                      if name.endswith(".tmp")]
         assert leftovers == []
@@ -310,24 +316,23 @@ class TestAtomicityAndCorruption:
         json.dumps({"schema": 999, "engine": "rstu"}),  # future schema
         json.dumps({"schema": 2}),                      # missing fields
     ])
-    def test_corrupt_entry_is_a_miss(self, cache, garbage):
+    def test_corrupt_entry_is_a_miss(self, cache, runner, garbage):
         workload = dependency_chain(30)
-        builder = ENGINE_FACTORIES["rstu"]
-        fresh = cache.run(builder, "rstu", workload, CONFIG)
+        fresh = run(runner, "rstu", workload)
         path = self._entry_path(cache, workload)
         with open(path, "w") as handle:
             handle.write(garbage)
-        result = cache.run(builder, "rstu", workload, CONFIG)
-        assert cache.hits == 0 and cache.misses == 2
+        result = run(runner, "rstu", workload)
+        assert runner.hits == 0 and runner.misses == 2
         assert result.cycles == fresh.cycles
         # the corrupt entry was replaced by a good one: next read hits
-        again = cache.run(builder, "rstu", workload, CONFIG)
-        assert cache.hits == 1
+        again = run(runner, "rstu", workload)
+        assert runner.hits == 1
         assert again.cycles == fresh.cycles
 
-    def test_corrupt_entry_is_deleted_on_get(self, cache):
+    def test_corrupt_entry_is_deleted_on_get(self, cache, runner):
         workload = dependency_chain(30)
-        cache.run(ENGINE_FACTORIES["rstu"], "rstu", workload, CONFIG)
+        run(runner, "rstu", workload)
         path = self._entry_path(cache, workload)
         with open(path, "w") as handle:
             handle.write("garbage")
@@ -350,27 +355,29 @@ class TestDegradation:
         with pytest.warns(RuntimeWarning, match="continuing without"):
             cache = ResultCache(str(blocker / "cache"))
         assert cache.disabled
-        workload = dependency_chain(30)
-        result = cache.run(
-            ENGINE_FACTORIES["rstu"], "rstu", workload, CONFIG
-        )
+        runner = ParallelRunner(jobs=1, cache_dir=cache.directory)
+        with pytest.warns(RuntimeWarning, match="continuing without"):
+            result = run(runner, "rstu", dependency_chain(30))
         assert result.cycles > 0
-        assert cache.misses == 1 and cache.hits == 0
+        assert runner.misses == 1 and runner.hits == 0
 
-    def test_unreadable_entry_is_a_miss(self, cache):
+    def test_unreadable_entry_is_a_miss(self, cache, runner):
         workload = dependency_chain(30)
-        builder = ENGINE_FACTORIES["rstu"]
-        fresh = cache.run(builder, "rstu", workload, CONFIG)
-        path = cache._path(cache_key("rstu", workload, CONFIG))
+        fresh = run(runner, "rstu", workload)
+        key = cache_key("rstu", workload, CONFIG)
+        path = cache._path(key)
         os.remove(path)
         os.mkdir(path)  # a directory where the entry file should be
         try:
-            with pytest.warns(RuntimeWarning, match="cannot read"):
-                again = cache.run(builder, "rstu", workload, CONFIG)
+            with pytest.warns(RuntimeWarning,
+                              match="continuing without") as caught:
+                assert cache.get(key) is None
+                again = run(runner, "rstu", workload)
         finally:
             os.rmdir(path)
+        assert "cannot read" in str(caught[0].message)
         assert again.cycles == fresh.cycles
-        assert cache.misses == 2 and cache.hits == 0
+        assert runner.misses == 2 and runner.hits == 0
         assert not cache.disabled  # only that entry degraded
 
     def test_warning_fires_once(self, tmp_path):
@@ -379,24 +386,29 @@ class TestDegradation:
         with pytest.warns(RuntimeWarning):
             cache = ResultCache(str(blocker / "cache"))
         workload = dependency_chain(30)
+        key = cache_key("rstu", workload, CONFIG)
+        result = run_point(SimPoint("rstu", workload, CONFIG))
         with warnings_as_errors():
-            cache.run(ENGINE_FACTORIES["rstu"], "rstu", workload, CONFIG)
-            cache.run(ENGINE_FACTORIES["rstu"], "rstu", workload, CONFIG)
+            for _ in range(2):
+                assert cache.get(key) is None
+                cache.put(key, result)
             assert cache.clear() == 0
 
     def test_unwritable_entry_degrades_put(self, cache):
         workload = dependency_chain(30)
-        builder = ENGINE_FACTORIES["rstu"]
         key = cache_key("rstu", workload, CONFIG)
+        result = run_point(SimPoint("rstu", workload, CONFIG))
         os.mkdir(cache._path(key))  # unreadable entry + os.replace fails
         try:
             # One warning covers the whole degradation (warn-once); both
             # the blocked read and the blocked publish stay non-fatal.
-            with pytest.warns(RuntimeWarning, match="continuing without"):
-                cache.run(builder, "rstu", workload, CONFIG)
+            with pytest.warns(RuntimeWarning,
+                              match="continuing without") as caught:
+                assert cache.get(key) is None
+                cache.put(key, result)
         finally:
             os.rmdir(cache._path(key))
-        assert cache.misses == 1
+        assert len(caught) == 1
         leftovers = [name for name in os.listdir(cache.directory)
                      if name.endswith(".tmp")]
         assert leftovers == []
@@ -414,7 +426,59 @@ class warnings_as_errors:
         return self._ctx.__exit__(*exc_info)
 
 
+#: Exact bytes of the cache entry of :func:`pinned_result`: existing
+#: cache directories keep hitting only while these stay the same.
+PINNED_ENTRY = (
+    b'{"schema": 3, "engine": "ruu-bypass", "workload": "pin", '
+    b'"cycles": 42, "instructions": 17, '
+    b'"stalls": {"source_busy": 5, "fu_busy": 2}, "branches": 3, '
+    b'"branches_taken": 2, "interrupts": 1, "mispredictions": 1, '
+    b'"squashed": 4, "extra": {"host_seconds": 0.5, "interrupt": '
+    b'{"__interrupt__": {"cause": {"type": "PageFault", '
+    b'"args": [1001, true]}, "seq": 7, "pc": 5, "cycle": 30, '
+    b'"claims_precise": true}}, "window": [1, 2]}}'
+)
+
+
+def pinned_result():
+    """A hand-built result with stalls, an interrupt record in
+    ``extra`` and the cache's own ``from_cache`` flag."""
+    from collections import Counter
+
+    from repro.machine.faults import PageFault
+    from repro.machine.interrupts import InterruptRecord
+
+    return SimResult(
+        engine="ruu-bypass", workload="pin", cycles=42, instructions=17,
+        stalls=Counter({"source_busy": 5, "fu_busy": 2}), branches=3,
+        branches_taken=2, interrupts=1, mispredictions=1, squashed=4,
+        extra={
+            "host_seconds": 0.5,
+            "interrupt": InterruptRecord(PageFault(1001, True), seq=7,
+                                         pc=5, cycle=30,
+                                         claims_precise=True),
+            "from_cache": True,
+            "window": [1, 2],
+        },
+    )
+
+
 class TestRoundTrip:
+    def test_entry_bytes_are_pinned(self, cache):
+        """The entry layout is byte-identical to that of earlier
+        releases; ``from_cache`` is never stored."""
+        result = pinned_result()
+        cache.put("pinned", result)
+        with open(cache._path("pinned"), "rb") as handle:
+            assert handle.read() == PINNED_ENTRY
+        restored = cache.get("pinned")
+        assert restored.extra.pop("from_cache") is True
+        result.extra.pop("from_cache")
+        assert restored.extra["interrupt"].to_json() == \
+            result.extra.pop("interrupt").to_json()
+        restored.extra.pop("interrupt")
+        assert restored == result
+
     def test_round_trip_is_lossless(self):
         """Serialize -> JSON text -> deserialize reproduces the result
         of a real simulation exactly, ``extra`` included."""
@@ -424,27 +488,21 @@ class TestRoundTrip:
         )
         fresh = engine.run()
         assert fresh.extra, "expected engine telemetry in extra"
-        payload = json.loads(json.dumps(_result_to_json(fresh)))
-        restored = _result_from_json(payload)
-        assert restored == fresh
+        payload = json.loads(json.dumps(fresh.to_json()))
+        assert SimResult.from_json(payload) == fresh
 
     def test_round_trip_covers_every_simresult_field(self):
         """A field added to SimResult later is serialized automatically
         (and its absence in old entries reads as corrupt -> miss)."""
-        from repro.machine.stats import SimResult
-
-        payload = _result_to_json(
-            SimResult(engine="simple", workload="w", cycles=1,
-                      instructions=1)
-        )
+        payload = SimResult(engine="simple", workload="w", cycles=1,
+                            instructions=1).to_json()
         for field in dataclasses.fields(SimResult):
             assert field.name in payload
 
-    def test_cached_result_preserves_extra(self, cache):
+    def test_cached_result_preserves_extra(self, runner):
         workload = lll3(n=50)
-        builder = ENGINE_FACTORIES["ruu-bypass"]
-        fresh = cache.run(builder, "ruu-bypass", workload, CONFIG)
-        cached = cache.run(builder, "ruu-bypass", workload, CONFIG)
+        fresh = run(runner, "ruu-bypass", workload)
+        cached = run(runner, "ruu-bypass", workload)
         assert cached.extra.pop("from_cache") is True
         assert cached.extra == fresh.extra
         assert cached.stalls == fresh.stalls

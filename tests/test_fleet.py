@@ -7,6 +7,9 @@ fallback), and the :class:`~repro.analysis.parallel.FleetReport` says
 exactly what it took.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.analysis.parallel import (
@@ -26,6 +29,12 @@ from tests.chaos import (
 )
 
 CONFIG = MachineConfig(window_size=8)
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retry rounds sleep 10 ms, not the default quarter second."""
+    monkeypatch.setattr("repro.analysis.parallel.RETRY_BACKOFF_S", 0.01)
 
 
 @pytest.fixture
@@ -64,7 +73,7 @@ class TestHealthyFleet:
 
 class TestCrashRecovery:
     def test_transient_crash_retries_then_succeeds(self, chaos):
-        runner = ParallelRunner(jobs=2, max_retries=2, backoff=0.01)
+        runner = ParallelRunner(jobs=2, max_retries=2)
         points = [SimPoint("chaos-crash-once", lll3(n=20), CONFIG)] \
             + healthy_points(2)
         results = runner.run_points(points)
@@ -78,7 +87,7 @@ class TestCrashRecovery:
         assert not fleet.degraded        # the retry, not the fallback, won
 
     def test_persistent_crash_falls_back_to_serial(self, chaos):
-        runner = ParallelRunner(jobs=2, max_retries=1, backoff=0.01)
+        runner = ParallelRunner(jobs=2, max_retries=1)
         points = [SimPoint("chaos-crash", lll3(n=20), CONFIG)] \
             + healthy_points(2)
         results = runner.run_points(points)
@@ -97,7 +106,7 @@ class TestCrashRecovery:
         healthy = healthy_points(3)
         points = healthy[:1] \
             + [SimPoint("chaos-crash", lll3(n=20), CONFIG)] + healthy[1:]
-        runner = ParallelRunner(jobs=2, max_retries=1, backoff=0.01)
+        runner = ParallelRunner(jobs=2, max_retries=1)
         parallel = runner.run_points(points)
         serial = serial_results(healthy)
         survivors = [r for r in parallel if r.engine == "simple"]
@@ -110,8 +119,7 @@ class TestCrashRecovery:
 
 class TestHangRecovery:
     def test_hung_worker_times_out_then_serial_fallback(self, chaos):
-        runner = ParallelRunner(jobs=2, max_retries=1, backoff=0.01,
-                                timeout=1.0)
+        runner = ParallelRunner(jobs=2, max_retries=1, timeout=1.0)
         points = [SimPoint("chaos-hang", lll3(n=20), CONFIG)] \
             + healthy_points(1)
         results = runner.run_points(points)
@@ -125,7 +133,7 @@ class TestHangRecovery:
 
 class TestPermanentFailure:
     def test_fleet_error_names_every_failed_point(self, chaos):
-        runner = ParallelRunner(jobs=2, max_retries=1, backoff=0.01)
+        runner = ParallelRunner(jobs=2, max_retries=1)
         points = healthy_points(1) \
             + [SimPoint("chaos-error", lll3(n=20), CONFIG)]
         with pytest.raises(FleetError) as excinfo:
@@ -144,7 +152,7 @@ class TestPermanentFailure:
         # Two points so the fleet actually fans out (a single point
         # clamps to jobs=1 and runs in-process, where chaos engines
         # deliberately behave).
-        runner = ParallelRunner(jobs=2, max_retries=0, backoff=0.01,
+        runner = ParallelRunner(jobs=2, max_retries=0,
                                 serial_fallback=False)
         with pytest.raises(FleetError) as excinfo:
             runner.run_points(
@@ -168,6 +176,54 @@ class TestPermanentFailure:
             runner.run_points(
                 [SimPoint("no-such-engine", lll3(n=20), CONFIG)]
             )
+
+
+class TestIdleWorkerDeath:
+    def test_pool_broken_between_calls_is_rebuilt(self):
+        """A warm pool whose worker died while idle (an OOM kill, say)
+        is already broken when the next call submits to it; that call
+        must rebuild the pool and finish, not raise."""
+        with ParallelRunner(jobs=1, reuse_pool=True) as runner:
+            runner.run_points(healthy_points(1))
+            pool = runner._pool
+            for worker in list(pool._processes.values()):
+                worker.kill()
+                worker.join()
+            deadline = time.monotonic() + 30.0
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            outcomes = runner.run_points_settled(healthy_points(2))
+            assert all(outcome.ok for outcome in outcomes)
+            assert runner.last_fleet.pools == 1
+            assert runner.fleet.pools == 2
+
+
+class TestNoLeakedWorkers:
+    """A one-shot runner (no ``reuse_pool``) closes its pool at the end
+    of every call, whether the pool drained or a crash broke it."""
+
+    @staticmethod
+    def assert_no_new_workers(runner, before):
+        assert runner._pool is None
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_drained_pool_is_closed(self):
+        before = set(multiprocessing.active_children())
+        runner = ParallelRunner(jobs=2)
+        runner.run_points(healthy_points(3))
+        assert runner.last_fleet.pools == 1
+        self.assert_no_new_workers(runner, before)
+
+    def test_broken_pool_is_closed_after_serial_fallback(self, chaos):
+        before = set(multiprocessing.active_children())
+        runner = ParallelRunner(jobs=2, max_retries=1)
+        runner.run_points([SimPoint("chaos-crash", lll3(n=20), CONFIG)]
+                          + healthy_points(2))
+        fleet = runner.last_fleet
+        assert fleet.crashes >= 1
+        assert "chaos-crash" in {entry["engine"] for entry in fleet.degraded}
+        self.assert_no_new_workers(runner, before)
 
 
 class TestFleetReportType:

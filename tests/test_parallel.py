@@ -103,7 +103,6 @@ class TestCacheSharing:
         second = ParallelRunner(jobs=2, cache_dir=cache_dir)
         warm = second.run_points(points)
         assert second.hits == len(points) and second.misses == 0
-        assert second.hit_rate == 1.0
         for a, b in zip(cold, warm):
             assert a.cycles == b.cycles
             assert a.stalls == b.stalls

@@ -62,6 +62,27 @@ class TestVerifyEngine:
         assert not check.passed
         assert "registers diverge from the golden run" in check.describe()
 
+    def test_golden_trap_fails_every_engine(self):
+        """A program whose golden run traps has nothing to check the
+        engines against: one failed check per engine, naming the trap,
+        instead of the trap escaping."""
+        from repro.isa import assemble
+        from repro.machine import Memory
+        from repro.workloads.base import Workload
+
+        program = assemble("S_IMM S1, 0.0\nF_RECIP S2, S1\nHALT\n",
+                           "recip0")
+        workload = Workload(name="recip0", program=program,
+                            initial_memory=Memory())
+        checks = verify_all([workload], engines=["simple", "ruu-bypass"])
+        assert [check.engine for check in checks] == \
+            ["simple", "ruu-bypass"]
+        for check in checks:
+            assert not check.passed and not check.completed
+            assert check.workload == "recip0"
+            assert "golden model trapped: ArithmeticFault: " \
+                "reciprocal of zero" in check.describe()
+
 
 class TestVerifyCLI:
     def test_verify_ok(self, capsys):
